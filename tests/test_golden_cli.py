@@ -1,0 +1,117 @@
+"""Golden CLI outputs at rank <= 3: exit code and sha256 of normalised stdout.
+
+Each command runs in-process through ``cli.main``.  Normalisation drops the
+only field that may differ between runs: JSON output is re-dumped with sorted
+keys and without ``wall_time_s``; text output loses its ``wall_time_s:`` line.
+``check`` reports violations in edge order, so its entries pin that order.
+
+Regenerate entries (all, or only the named ones) after a deliberate change:
+
+    PYTHONPATH=src python tests/test_golden_cli.py [ID ...]
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from qflagk import randgen
+from qflagk.cli import SUITES, main
+
+FIXTURE = Path(__file__).with_name("golden_cli.json")
+N = 3
+COMMON = ["--n", str(N), "--trials", "6", "--seed", "3"]
+
+
+def _commands():
+    cmds = {}
+    for suite in SUITES:
+        cmds[f"verify-{suite}"] = ["verify", "--suite", suite, *COMMON, "--format", "json"]
+    for suite in ("gkm-t", "gkm-x"):
+        cmds[f"verify-{suite}-mutate"] = [*cmds[f"verify-{suite}"], "--mutate", "2"]
+    for n in (2, 3):
+        cmds[f"schubert-all-n{n}"] = ["schubert", "--all", "--n", str(n)]
+    for fmt in ("text", "json"):
+        cmds[f"basis-{fmt}"] = ["basis", "--n", str(N), "--format", fmt]
+        for model in "TXG":
+            for state in ("valid", "mutated"):
+                cmds[f"check-{model}-{state}-{fmt}"] = [
+                    "check", "--model", model, "--input", f"{model}-{state}.json",
+                    "--n", str(N), "--format", fmt,
+                ]
+    return cmds
+
+
+COMMANDS = _commands()
+
+
+def _write_inputs(directory):
+    """Seeded valid T/X/G tuples, and copies with +1 at two vertices."""
+    makers = {
+        "T": randgen.random_t_tuple,
+        "X": randgen.random_x_tuple,
+        "G": randgen.random_g_tuple,
+    }
+    for seed, (model, make) in enumerate(makers.items()):
+        rng = randgen.trial_rng(3, seed)
+        f = make(rng, N)
+        mutated = rng.sample(list(f.values), 2)
+        bad = type(f)(N, {v: p + 1 if v in mutated else p for v, p in f.values.items()})
+        for state, tup in (("valid", f), ("mutated", bad)):
+            (directory / f"{model}-{state}.json").write_text(json.dumps(tup.to_json()))
+
+
+def _argv(name, directory):
+    return [str(directory / a) if a.endswith(".json") else a for a in COMMANDS[name]]
+
+
+def _entry(argv, rc, out):
+    if "json" in argv:
+        data = json.loads(out)
+        data.pop("wall_time_s", None)
+        out = json.dumps(data, sort_keys=True)
+    else:
+        out = "\n".join(line for line in out.splitlines() if not line.startswith("wall_time_s:"))
+    return {"exit": rc, "sha256": hashlib.sha256(out.encode()).hexdigest()}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    _write_inputs(directory)
+    return directory
+
+
+def test_fixture_covers_every_command():
+    assert sorted(json.loads(FIXTURE.read_text())) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_output(name, inputs, capsys):
+    want = json.loads(FIXTURE.read_text())[name]
+    argv = _argv(name, inputs)
+    rc = main(argv)
+    assert _entry(argv, rc, capsys.readouterr().out) == want
+
+
+def _regenerate(names):
+    golden = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        _write_inputs(directory)
+        for name in names or sorted(COMMANDS):
+            argv = _argv(name, directory)
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                rc = main(argv)
+            golden[name] = _entry(argv, rc, buf.getvalue())
+    FIXTURE.write_text(json.dumps(dict(sorted(golden.items())), indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    _regenerate(sys.argv[1:])
