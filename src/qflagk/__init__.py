@@ -16,7 +16,6 @@ from .ringcore import (
     basis_decompose,
     divide_exact,
     sigma_k,
-    substitute,
     sym_in_x,
     weyl_act_poly,
     x_expand,

@@ -22,6 +22,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import gkm, quatflag, randgen, ringcore, weylc
 
@@ -252,22 +253,12 @@ def _trial_cells(n, seed, t, mutate):
     return 5, violations
 
 
-def _trial_gkm_t(n, seed, t, mutate):
+def _trial_gkm(n, seed, t, mutate, model):
     rng = randgen.trial_rng(seed, t)
-    f = randgen.random_t_tuple(rng, n)
-    f = _mutate_t(rng, f, mutate)
+    f = _mutate(rng, getattr(randgen, f"random_{model}_tuple")(rng, n), mutate)
     violations = [
-        {"check": "membership", "trial": t, **v.to_json()} for v in gkm.gkm_check_t(f)
-    ]
-    return 1, violations
-
-
-def _trial_gkm_x(n, seed, t, mutate):
-    rng = randgen.trial_rng(seed, t)
-    f = randgen.random_x_tuple(rng, n)
-    f = _mutate_x(rng, f, mutate)
-    violations = [
-        {"check": "membership", "trial": t, **v.to_json()} for v in gkm.gkm_check_x(f)
+        {"check": "membership", "trial": t, **v.to_json()}
+        for v in getattr(gkm, f"gkm_check_{model}")(f)
     ]
     return 1, violations
 
@@ -332,28 +323,19 @@ def _trial_theorem2(n, seed, t, mutate):
     return 4, violations
 
 
-def _mutate_t(rng, f, k):
+def _mutate(rng, f, k):
     if not k:
         return f
     values = dict(f.values)
-    for w in rng.sample(list(values), k=min(k, len(values))):
-        values[w] = values[w] + 1
-    return gkm.GKMTupleT(f.rank, values)
-
-
-def _mutate_x(rng, f, k):
-    if not k:
-        return f
-    values = dict(f.values)
-    for tau in rng.sample(list(values), k=min(k, len(values))):
-        values[tau] = values[tau] + 1
-    return gkm.GKMTupleX(f.rank, values)
+    for v in rng.sample(list(values), k=min(k, len(values))):
+        values[v] = values[v] + 1
+    return type(f)(f.rank, values)
 
 
 _TRIALS = {
     "cells": _trial_cells,
-    "gkm-t": _trial_gkm_t,
-    "gkm-x": _trial_gkm_x,
+    "gkm-t": partial(_trial_gkm, model="t"),
+    "gkm-x": partial(_trial_gkm, model="x"),
     "theorem1": _trial_theorem1,
     "theorem2": _trial_theorem2,
 }
@@ -528,19 +510,22 @@ def cmd_check(cfg: Config, model: str, input_path: str) -> int:
     try:
         with open(input_path, encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("a tuple is a JSON object")
         if data.get("model") != model:
             print(
                 f"tuple is tagged model {data.get('model')!r}, expected {model!r}",
                 file=sys.stderr,
             )
             return 2
-        cls = {"T": gkm.GKMTupleT, "X": gkm.GKMTupleX, "G": gkm.GKMTupleG}[model]
-        f = cls.from_json(data)
+        if int(data["rank"]) != cfg.n:
+            print(f"tuple has rank {data['rank']!r}, expected {cfg.n}", file=sys.stderr)
+            return 2
+        f = getattr(gkm, f"GKMTuple{model}").from_json(data)
     except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         print(f"cannot read tuple: {exc}", file=sys.stderr)
         return 2
-    check = {"T": gkm.gkm_check_t, "X": gkm.gkm_check_x, "G": gkm.gkm_check_g}[model]
-    violations = [v.to_json() for v in check(f)]
+    violations = [v.to_json() for v in getattr(gkm, f"gkm_check_{model.lower()}")(f)]
     payload = {"model": model, "rank": f.rank, "violations": violations}
     text = "OK" if not violations else "\n".join(
         ["FAILED"] + [json.dumps(v, sort_keys=True) for v in violations]

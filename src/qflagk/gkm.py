@@ -11,6 +11,10 @@ Three models, all tuples of characters indexed by fixed points:
 * G-model: one X-polynomial per plain permutation, with X_mu - X_nu dividing
   the differences.
 
+The models differ only in their fixed points, edges with divisors, ring and
+divide routine; one table entry per model (``_T``, ``_X``, ``_G``) holds
+these, and one tuple type, edge walk, checker and JSON codec serve all three.
+
 Schubert classes are built by the Demazure recursion from the point class;
 the two sign choices that recursion leaves open (the exponent sign in the
 K-theoretic Euler product and in the Demazure denominator) are pinned by
@@ -33,7 +37,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import ClassVar
 
 from .ringcore import (
     BinomialDivisor,
@@ -162,53 +167,6 @@ class EdgeViolation:
         }
 
 
-def _check_values(values, keys, rank, poly_cls, what):
-    keys = set(keys)
-    if set(values) != keys:
-        missing = keys - set(values)
-        extra = set(values) - keys
-        raise ValueError(f"{what} must be total: missing {missing}, extra {extra}")
-    for k, p in values.items():
-        if not isinstance(p, poly_cls) or p.rank != rank:
-            raise ValueError(f"component at {k} is not a rank-{rank} {poly_cls.__name__}")
-
-
-@dataclass
-class GKMTupleT:
-    """One Laurent polynomial per signed permutation."""
-
-    rank: int
-    values: dict
-
-    def __post_init__(self):
-        _check_values(self.values, enumerate_weyl(self.rank), self.rank, LaurentPoly, "T-tuple")
-
-    @classmethod
-    def constant(cls, rank, poly):
-        if isinstance(poly, int):
-            poly = LaurentPoly.constant(rank, poly)
-        return cls(rank, {w: poly for w in enumerate_weyl(rank)})
-
-    def map_values(self, fn):
-        return GKMTupleT(self.rank, {w: fn(p) for w, p in self.values.items()})
-
-    def to_json(self):
-        return {
-            "model": "T",
-            "rank": self.rank,
-            "values": {w.window_str(): self.values[w].to_json() for w in enumerate_weyl(self.rank)},
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        rank = int(data["rank"])
-        values = {
-            SignedPerm.from_window_str(key): LaurentPoly.from_json(rank, val)
-            for key, val in data["values"].items()
-        }
-        return cls(rank, values)
-
-
 def _perm_key(tau):
     return json.dumps(list(tau), separators=(",", ":"))
 
@@ -217,70 +175,135 @@ def _perm_from_key(key):
     return tuple(int(v) for v in json.loads(key))
 
 
+def _pair_divisor(n, mu, nu):
+    """(x_mu x_nu^{-1} - 1)(x_mu x_nu - 1), the X-model edge divisor."""
+    hi = tuple((v == mu) - (v == nu) for v in range(1, n + 1))
+    lo = tuple((v == mu) + (v == nu) for v in range(1, n + 1))
+    return BinomialDivisor([hi, lo])
+
+
+def _root_reflections(n):
+    for alpha in positive_roots(n):
+        yield alpha, reflection(alpha).__mul__, BinomialDivisor([alpha])
+
+
+def _pair_reflections(divisor):
+    def reflections(n):
+        for mu in range(1, n + 1):
+            for nu in range(mu + 1, n + 1):
+                swap = perm_transposition(n, mu, nu)
+                yield (mu, nu), partial(perm_compose, swap), divisor(n, mu, nu)
+
+    return reflections
+
+
+@dataclass(frozen=True)
+class _Model:
+    """What tells one GKM model from another.
+
+    ``reflections(n)`` yields (edge, left multiplication by its reflection,
+    divisor); ``label`` is a fixed point as violations report it, and edges
+    are checked from the endpoint with the smaller label.
+    """
+
+    name: str
+    ring: type
+    vertices: object
+    reflections: object
+    divide: object
+    label: object
+    key: object
+    from_key: object
+
+
+_T = _Model(
+    "T", LaurentPoly, enumerate_weyl, _root_reflections,
+    lambda diff, divisor: divide_exact(diff, divisor),
+    SignedPerm.window, SignedPerm.window_str, SignedPerm.from_window_str,
+)
+_X = _Model(
+    "X", LaurentPoly, all_perms, _pair_reflections(_pair_divisor),
+    lambda diff, divisor: divide_exact(diff, divisor),
+    tuple, _perm_key, _perm_from_key,
+)
+_G = _Model(
+    "G", XPoly, all_perms, _pair_reflections(lambda n, mu, nu: (mu, nu)),
+    lambda diff, pair: xpoly_divide_exact(diff, *pair),
+    tuple, _perm_key, _perm_from_key,
+)
+
+
+def _edges(model, n):
+    """Each edge u -- v of the model's GKM graph once, as (u, v, edge, divisor)."""
+    for edge, move, divisor in model.reflections(n):
+        for u in model.vertices(n):
+            v = move(u)
+            if model.label(u) < model.label(v):
+                yield u, v, edge, divisor
+
+
 @dataclass
-class GKMTupleX:
+class _GKMTuple:
+    """One ``model.ring`` element per fixed point; subclasses name the model."""
+
+    rank: int
+    values: dict
+    model: ClassVar[_Model]
+
+    def __post_init__(self):
+        m = self.model
+        keys = set(m.vertices(self.rank))
+        if set(self.values) != keys:
+            missing = keys - set(self.values)
+            extra = set(self.values) - keys
+            raise ValueError(f"{m.name}-tuple must be total: missing {missing}, extra {extra}")
+        for k, p in self.values.items():
+            if not isinstance(p, m.ring) or p.rank != self.rank:
+                raise ValueError(f"component at {k} is not a rank-{self.rank} {m.ring.__name__}")
+
+    @classmethod
+    def constant(cls, rank, poly):
+        if isinstance(poly, int):
+            poly = cls.model.ring.constant(rank, poly)
+        return cls(rank, {v: poly for v in cls.model.vertices(rank)})
+
+    def to_json(self):
+        m = self.model
+        return {
+            "model": m.name,
+            "rank": self.rank,
+            "values": {m.key(v): self.values[v].to_json() for v in m.vertices(self.rank)},
+        }
+
+    @classmethod
+    def from_json(cls, data):
+        m = cls.model
+        rank = int(data["rank"])
+        if not isinstance(data["values"], dict):
+            raise ValueError("values must be a JSON object")
+        values = {
+            m.from_key(key): m.ring.from_json(rank, val)
+            for key, val in data["values"].items()
+        }
+        return cls(rank, values)
+
+
+class GKMTupleT(_GKMTuple):
+    """One Laurent polynomial per signed permutation."""
+
+    model = _T
+
+
+class GKMTupleX(_GKMTuple):
     """One Laurent polynomial per plain permutation."""
 
-    rank: int
-    values: dict
-
-    def __post_init__(self):
-        _check_values(self.values, all_perms(self.rank), self.rank, LaurentPoly, "X-tuple")
-
-    @classmethod
-    def constant(cls, rank, poly):
-        if isinstance(poly, int):
-            poly = LaurentPoly.constant(rank, poly)
-        return cls(rank, {t: poly for t in all_perms(rank)})
-
-    def to_json(self):
-        return {
-            "model": "X",
-            "rank": self.rank,
-            "values": {_perm_key(t): self.values[t].to_json() for t in all_perms(self.rank)},
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        rank = int(data["rank"])
-        values = {
-            _perm_from_key(key): LaurentPoly.from_json(rank, val)
-            for key, val in data["values"].items()
-        }
-        return cls(rank, values)
+    model = _X
 
 
-@dataclass
-class GKMTupleG:
+class GKMTupleG(_GKMTuple):
     """One X-polynomial per plain permutation."""
 
-    rank: int
-    values: dict
-
-    def __post_init__(self):
-        _check_values(self.values, all_perms(self.rank), self.rank, XPoly, "G-tuple")
-
-    @classmethod
-    def constant(cls, rank, poly):
-        if isinstance(poly, int):
-            poly = XPoly.constant(rank, poly)
-        return cls(rank, {t: poly for t in all_perms(rank)})
-
-    def to_json(self):
-        return {
-            "model": "G",
-            "rank": self.rank,
-            "values": {_perm_key(t): self.values[t].to_json() for t in all_perms(self.rank)},
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        rank = int(data["rank"])
-        values = {
-            _perm_from_key(key): XPoly.from_json(rank, val)
-            for key, val in data["values"].items()
-        }
-        return cls(rank, values)
+    model = _G
 
 
 @dataclass
@@ -306,6 +329,21 @@ class SchubertTable:
 # membership checkers
 # ---------------------------------------------------------------------------
 
+def _check(model, f):
+    violations = []
+    for u, v, edge, divisor in _edges(model, f.rank):
+        diff = f.values[u] - f.values[v]
+        if not diff:
+            continue
+        try:
+            model.divide(diff, divisor)
+        except NotDivisible as exc:
+            violations.append(
+                EdgeViolation(model.name, model.label(u), model.label(v), edge, exc.remainder)
+            )
+    return violations
+
+
 def gkm_check_t(f: GKMTupleT):
     """All edge conditions of the T-model; returns violations (empty = pass).
 
@@ -313,82 +351,17 @@ def gkm_check_t(f: GKMTupleT):
     unordered pair is checked once, which is enough because negating the
     difference does not change divisibility by e^alpha - 1.
     """
-    n = f.rank
-    violations = []
-    for alpha in positive_roots(n):
-        s = reflection(alpha)
-        divisor = BinomialDivisor([alpha])
-        for w in enumerate_weyl(n):
-            v = s * w
-            if w.window() > v.window():
-                continue
-            diff = f.values[w] - f.values[v]
-            if not diff:
-                continue
-            try:
-                divide_exact(diff, divisor)
-            except NotDivisible as exc:
-                violations.append(
-                    EdgeViolation("T", w.window(), v.window(), alpha, exc.remainder)
-                )
-    return violations
-
-
-def _pair_divisor(n, mu, nu):
-    hi = [0] * n
-    hi[mu - 1] = 1
-    hi[nu - 1] = -1
-    lo = [0] * n
-    lo[mu - 1] = 1
-    lo[nu - 1] = 1
-    return BinomialDivisor([tuple(hi), tuple(lo)])
+    return _check(_T, f)
 
 
 def gkm_check_x(f: GKMTupleX):
     """Pair conditions of the X-model; divisor (x_mu x_nu^{-1}-1)(x_mu x_nu-1)."""
-    n = f.rank
-    violations = []
-    for mu in range(1, n + 1):
-        for nu in range(mu + 1, n + 1):
-            divisor = _pair_divisor(n, mu, nu)
-            swap = perm_transposition(n, mu, nu)
-            for tau in all_perms(n):
-                sigma = perm_compose(swap, tau)
-                if tau > sigma:
-                    continue
-                diff = f.values[tau] - f.values[sigma]
-                if not diff:
-                    continue
-                try:
-                    divide_exact(diff, divisor)
-                except NotDivisible as exc:
-                    violations.append(
-                        EdgeViolation("X", tau, sigma, (mu, nu), exc.remainder)
-                    )
-    return violations
+    return _check(_X, f)
 
 
 def gkm_check_g(f: GKMTupleG):
     """Pair conditions of the G-model; divisor X_mu - X_nu."""
-    n = f.rank
-    violations = []
-    for mu in range(1, n + 1):
-        for nu in range(mu + 1, n + 1):
-            swap = perm_transposition(n, mu, nu)
-            for tau in all_perms(n):
-                sigma = perm_compose(swap, tau)
-                if tau > sigma:
-                    continue
-                diff = f.values[tau] - f.values[sigma]
-                if not diff:
-                    continue
-                try:
-                    xpoly_divide_exact(diff, mu, nu)
-                except NotDivisible as exc:
-                    violations.append(
-                        EdgeViolation("G", tau, sigma, (mu, nu), exc.remainder)
-                    )
-    return violations
+    return _check(_G, f)
 
 
 # ---------------------------------------------------------------------------

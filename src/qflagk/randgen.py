@@ -17,6 +17,7 @@ from .gkm import (
     GKMTupleG,
     GKMTupleT,
     GKMTupleX,
+    _pair_divisor,
     canonical_class,
     pullback_pi,
     schubert_table,
@@ -134,12 +135,7 @@ def vertex_class_x(n, tau) -> GKMTupleX:
     d = LaurentPoly.one(n)
     for mu in range(1, n + 1):
         for nu in range(mu + 1, n + 1):
-            hi = [0] * n
-            hi[mu - 1], hi[nu - 1] = 1, -1
-            lo = [0] * n
-            lo[mu - 1], lo[nu - 1] = 1, 1
-            d = d * (LaurentPoly.monomial(n, tuple(hi)) - 1)
-            d = d * (LaurentPoly.monomial(n, tuple(lo)) - 1)
+            d = d * _pair_divisor(n, mu, nu).as_poly()
     values = {t: LaurentPoly.zero(n) for t in all_perms(n)}
     values[tuple(tau)] = d
     return GKMTupleX(n, values)

@@ -23,7 +23,6 @@ __all__ = [
     "NotInvariant",
     "divide_exact",
     "xpoly_divide_exact",
-    "substitute",
     "weyl_act_poly",
     "x_expand",
     "basis_decompose",
@@ -213,19 +212,8 @@ class _PolyBase:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = type(self).one(self.rank)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), 0)
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.rank}, {self})"
@@ -429,47 +417,8 @@ def xpoly_divide_exact(f: XPoly, mu: int, nu: int) -> XPoly:
 
 
 # ---------------------------------------------------------------------------
-# substitution and the Weyl action
+# the Weyl action
 # ---------------------------------------------------------------------------
-
-def substitute(f: LaurentPoly, images) -> LaurentPoly:
-    """Ring homomorphism sending x_v to the signed monomial ``images[v-1]``.
-
-    Each image must be a single Laurent term with coefficient +1 or -1
-    (e.g. x_mu, x_mu^{-1}, -x_mu).
-    """
-    if len(images) != f.rank:
-        raise ValueError(f"need {f.rank} images, got {len(images)}")
-    sub = []
-    for img in images:
-        if isinstance(img, LaurentPoly):
-            if img.rank != f.rank:
-                raise ValueError("rank mismatch in substitution image")
-            if len(img.terms) != 1:
-                raise ValueError(f"image {img} is not a single monomial")
-            ((exps, c),) = img.terms.items()
-            if c not in (1, -1):
-                raise ValueError(f"image coefficient must be +-1, got {c}")
-            sub.append((c, exps))
-        else:
-            sign, exps = img
-            if sign not in (1, -1) or len(exps) != f.rank:
-                raise ValueError(f"bad substitution image {img}")
-            sub.append((sign, tuple(exps)))
-    out = {}
-    for exps, c in f.terms.items():
-        new = [0] * f.rank
-        sign = 1
-        for e, (s, img_exps) in zip(exps, sub):
-            if e == 0:
-                continue
-            if s < 0 and e % 2:
-                sign = -sign
-            for i, a in enumerate(img_exps):
-                new[i] += e * a
-        _acc(out, tuple(new), sign * c)
-    return LaurentPoly(f.rank, out)
-
 
 def weyl_act_poly(w, f: LaurentPoly) -> LaurentPoly:
     """Act by the signed permutation ``w``: the monomial e^lam maps to e^{w(lam)}.
@@ -582,11 +531,7 @@ def sym_in_x(f: LaurentPoly) -> XPoly:
     if all(not p for eps, p in dec.items() if eps != zero_eps):
         return dec[zero_eps]
     for v in range(f.rank):
-        images = [LaurentPoly.x(f.rank, i + 1) for i in range(f.rank)]
-        images[v] = LaurentPoly.monomial(
-            f.rank, tuple(-1 if i == v else 0 for i in range(f.rank))
-        )
-        if substitute(f, images) != f:
+        if _flip_var(f.terms, v) != f.terms:
             raise NotInvariant(v + 1)
     raise AssertionError("decomposition and sign-change test disagree")
 

@@ -295,3 +295,26 @@ def test_check_wrong_index_set_is_a_parse_error(tmp_path, capsys):
     p.write_text(json.dumps(data))
     rc, _, err = run(capsys, "check", "--model", "T", "--input", str(p))
     assert rc == 2
+
+
+def test_check_non_object_input_is_a_parse_error(tmp_path, capsys):
+    p = tmp_path / "list.json"
+    for body in ("[]", "[1, 2]", '"T"', '{"model": "T", "rank": 2, "values": []}'):
+        p.write_text(body)
+        rc, _, err = run(capsys, "check", "--model", "T", "--input", str(p))
+        assert rc == 2, body
+        assert "cannot read tuple" in err and "Traceback" not in err
+
+
+def test_check_rank_must_match_n(tmp_path, capsys):
+    # a rank-7 tuple under --n 2 is refused before any of its 645120 fixed
+    # points is enumerated, so the rank cap on --n also caps the input
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps({"model": "T", "rank": 7, "values": {}}))
+    rc, _, err = run(capsys, "check", "--model", "T", "--n", "2", "--input", str(p))
+    assert rc == 2 and "rank" in err
+    _write_tuple(p, gkm.GKMTupleX.constant(3, 1))
+    rc, _, err = run(capsys, "check", "--model", "X", "--n", "2", "--input", str(p))
+    assert rc == 2 and "expected 2" in err
+    rc, _, _ = run(capsys, "check", "--model", "X", "--n", "3", "--input", str(p))
+    assert rc == 0

@@ -13,13 +13,12 @@ from qflagk.ringcore import (
     basis_decompose,
     divide_exact,
     sigma_k,
-    substitute,
     sym_in_x,
     weyl_act_poly,
     x_expand,
     xpoly_divide_exact,
 )
-from qflagk.weylc import enumerate_weyl, simple_reflection
+from qflagk.weylc import enumerate_sign_changes, enumerate_weyl, simple_reflection
 
 
 def x(i, n=2):
@@ -151,37 +150,6 @@ def test_divide_negative_exponent_factor():
 
 
 # ---------------------------------------------------------------------------
-# substitution
-# ---------------------------------------------------------------------------
-
-def test_substitute_examples():
-    f = LaurentPoly.monomial(2, (1, -1)) - 1
-    assert substitute(f, [x(2), x(2)]) == LaurentPoly.zero(2)
-    ident = [x(1), x(2)]
-    assert substitute(x(1), ident) == x(1)
-    g = LaurentPoly.monomial(2, (1, 1)) - 1
-    inv2 = LaurentPoly.monomial(2, (0, -1))
-    assert substitute(g, [inv2, x(2)]) == LaurentPoly.zero(2)
-
-
-def test_substitute_signed_image():
-    # x1 -> -x1 turns x1^2 + x1 into x1^2 - x1
-    f = LaurentPoly(2, {(2, 0): 1, (1, 0): 1})
-    neg = [(-1, (1, 0)), (1, (0, 1))]
-    assert substitute(f, neg) == LaurentPoly(2, {(2, 0): 1, (1, 0): -1})
-
-
-def test_substitute_is_homomorphic():
-    rng = random.Random(7)
-    images = [LaurentPoly.monomial(2, (0, -1)), LaurentPoly.monomial(2, (1, 0), -1)]
-    for _ in range(30):
-        f = LaurentPoly(2, {(rng.randint(-2, 2), rng.randint(-2, 2)): rng.randint(-3, 3)})
-        g = LaurentPoly(2, {(rng.randint(-2, 2), rng.randint(-2, 2)): rng.randint(-3, 3)})
-        assert substitute(f * g, images) == substitute(f, images) * substitute(g, images)
-        assert substitute(f + g, images) == substitute(f, images) + substitute(g, images)
-
-
-# ---------------------------------------------------------------------------
 # Weyl action on polynomials
 # ---------------------------------------------------------------------------
 
@@ -236,10 +204,8 @@ def test_x_expand_image_is_sign_invariant():
     for _ in range(20):
         g = XPoly(2, {(rng.randint(0, 3), rng.randint(0, 3)): rng.randint(-3, 3)})
         f = x_expand(g)
-        for v in (1, 2):
-            images = [x(1), x(2)]
-            images[v - 1] = LaurentPoly.monomial(2, tuple(-1 if i == v - 1 else 0 for i in range(2)))
-            assert substitute(f, images) == f
+        for v in enumerate_sign_changes(2):
+            assert weyl_act_poly(v, f) == f
 
 
 def test_basis_decompose_rank_one():
@@ -296,6 +262,9 @@ def test_sym_in_x_roundtrip_and_witness():
     with pytest.raises(NotInvariant) as exc:
         sym_in_x(x(1))
     assert exc.value.sign_index == 1
+    with pytest.raises(NotInvariant) as exc:
+        sym_in_x(x(2))
+    assert exc.value.sign_index == 2
 
 
 # ---------------------------------------------------------------------------
