@@ -34,10 +34,18 @@ def _commands():
         cmds[f"verify-{suite}"] = ["verify", "--suite", suite, *COMMON, "--format", "json"]
     for suite in ("gkm-t", "gkm-x"):
         cmds[f"verify-{suite}-mutate"] = [*cmds[f"verify-{suite}"], "--mutate", "2"]
+    cmds["verify-gkm-t-mutate-text"] = [
+        "verify", "--suite", "gkm-t", *COMMON, "--mutate", "2", "--format", "text",
+    ]
     for n in (2, 3):
         cmds[f"schubert-all-n{n}"] = ["schubert", "--all", "--n", str(n)]
+    cmds["schubert-w-n3"] = ["schubert", "--w", "[-2,3,-1]", "--n", str(N)]
     for fmt in ("text", "json"):
         cmds[f"basis-{fmt}"] = ["basis", "--n", str(N), "--format", fmt]
+        for command in ("decompose", "cell-index"):
+            cmds[f"{command}-{fmt}"] = [
+                command, "--input", "matrix.json", "--n", str(N), "--format", fmt,
+            ]
         for model in "TXG":
             for state in ("valid", "mutated"):
                 cmds[f"check-{model}-{state}-{fmt}"] = [
@@ -51,7 +59,7 @@ COMMANDS = _commands()
 
 
 def _write_inputs(directory):
-    """Seeded valid T/X/G tuples, and copies with +1 at two vertices."""
+    """Seeded valid T/X/G tuples, copies with +1 at two vertices, a matrix."""
     makers = {
         "T": randgen.random_t_tuple,
         "X": randgen.random_x_tuple,
@@ -64,6 +72,8 @@ def _write_inputs(directory):
         bad = type(f)(N, {v: p + 1 if v in mutated else p for v, p in f.values.items()})
         for state, tup in (("valid", f), ("mutated", bad)):
             (directory / f"{model}-{state}.json").write_text(json.dumps(tup.to_json()))
+    g = randgen.random_invertible_matrix(randgen.trial_rng(3, 3), N)
+    (directory / "matrix.json").write_text(json.dumps(g.to_json()))
 
 
 def _argv(name, directory):
