@@ -20,43 +20,19 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 from . import gkm, quatflag, randgen, ringcore, weylc
 
 DEFAULT_MAX_N = 4
-SUITES = (
-    "roots",
-    "cells",
-    "gkm-t",
-    "schubert",
-    "theorem1",
-    "gkm-x",
-    "theorem2",
-    "presentation",
-)
+# what reading a JSON input file can raise, each reported as exit 2
+_BAD_INPUT = (OSError, ValueError, TypeError, KeyError, ZeroDivisionError,
+              OverflowError, RecursionError)
 
 
-@dataclass
-class Config:
-    n: int = 2
-    seed: int = 0
-    trials: int = 50
-    fmt: str = "text"
-    jobs: int = 1
-    output: str | None = None
-    mutate: int = 0
-    unsafe_n: bool = False
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("--n must be >= 1")
-        if self.trials < 1:
-            raise ValueError("--trials must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("--jobs must be >= 1")
+class _UsageError(Exception):
+    """Bad flags, environment or input: ``main`` prints the message, exits 2."""
 
 
 @dataclass
@@ -74,16 +50,7 @@ class SuiteReport:
         return self.checks - len(self.violations)
 
     def to_json_dict(self):
-        return {
-            "suite": self.suite,
-            "n": self.n,
-            "seed": self.seed,
-            "trials": self.trials,
-            "checks": self.checks,
-            "passed": self.passed,
-            "violations": self.violations,
-            "wall_time_s": self.wall_time_s,
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def to_text(self):
         lines = [
@@ -100,7 +67,7 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _emit(cfg: Config, payload, text: str):
+def _emit(cfg, payload, text: str):
     body = json.dumps(payload, indent=2, sort_keys=True) if cfg.fmt == "json" else text
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as fh:
@@ -113,14 +80,14 @@ def _emit(cfg: Config, payload, text: str):
 # exhaustive suites
 # ---------------------------------------------------------------------------
 
-def _suite_roots(cfg: Config):
-    n = cfg.n
+def _suite_roots(n):
     checks = 0
     violations = []
 
     def fail(what, **detail):
         violations.append({"check": what, **detail})
 
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     for alpha in weylc.positive_roots(n):
         s = weylc.reflection(alpha)
         checks += 3
@@ -128,21 +95,13 @@ def _suite_roots(cfg: Config):
             fail("reflection-involution", root=list(alpha))
         if s.act(alpha) != tuple(-a for a in alpha):
             fail("reflection-negates-root", root=list(alpha))
-        nz = [(i, c) for i, c in enumerate(alpha) if c]
-        if len(nz) == 1:
-            ok = s.perm == weylc.perm_identity(n) and all(
-                s.signs[i] == (-1 if i == nz[0][0] else 1) for i in range(n)
-            )
-        else:
-            (mu, _), (nu, cnu) = nz
-            want_perm = list(weylc.perm_identity(n))
-            want_perm[mu], want_perm[nu] = want_perm[nu], want_perm[mu]
-            want_sign = -1 if cnu == 1 else 1
-            ok = s.perm == tuple(want_perm) and all(
-                s.signs[i] == (want_sign if i in (mu, nu) else 1) for i in range(n)
-            )
-        if not ok:
-            fail("reflection-case-table", root=list(alpha), got=list(s.window()))
+        # s(L^i) = L^i - 2 (L^i . alpha) / (alpha . alpha) alpha, times alpha . alpha
+        norm = sum(a * a for a in alpha)
+        if any(
+            [norm * c for c in s.act(e)] != [norm * ej - 2 * ai * aj for ej, aj in zip(e, alpha)]
+            for e, ai in zip(basis, alpha)
+        ):
+            fail("reflection-formula", root=list(alpha), got=list(s.window()))
 
     W = weylc.enumerate_weyl(n)
     WG = weylc.enumerate_sign_changes(n)
@@ -174,8 +133,7 @@ def _suite_roots(cfg: Config):
     return checks, violations
 
 
-def _suite_schubert(cfg: Config):
-    n = cfg.n
+def _suite_schubert(n):
     checks = 0
     violations = []
     table = gkm.schubert_table(n)
@@ -202,8 +160,7 @@ def _suite_schubert(cfg: Config):
     return checks, violations
 
 
-def _suite_presentation(cfg: Config):
-    n = cfg.n
+def _suite_presentation(n):
     failures = gkm.presentation_check(n)
     checks = 2 * n * len(weylc.all_perms(n))
     violations = [
@@ -213,10 +170,9 @@ def _suite_presentation(cfg: Config):
     return checks, violations
 
 
-def _suite_theorem1_exhaustive(cfg: Config):
+def _suite_theorem1(n):
     # the descent half: the quaternionic Schubert classes lie in the G- and
     # X-models and descend from the T-model; the randomized halves run as trials
-    n = cfg.n
     checks = 0
     violations = []
     for tau, q in gkm.quaternionic_schubert_classes(n).items():
@@ -226,6 +182,27 @@ def _suite_theorem1_exhaustive(cfg: Config):
             violations.append({"check": "quaternionic-valid", "class": list(tau)})
         if gkm.descend_pi(gkm.pullback_pi(qx)) != qx:
             violations.append({"check": "quaternionic-descends", "class": list(tau)})
+    return checks, violations
+
+
+def _suite_cells(n):
+    checks = 0
+    violations = []
+    perms = weylc.all_perms(n)
+    checks += 1
+    if len(perms) != math.factorial(n):
+        violations.append({"check": "cell-count", "got": len(perms)})
+    for tau in perms:
+        checks += 1
+        desc = quatflag.CellDescriptor.for_perm(tau)
+        free = quatflag.free_positions(tau)
+        if len(free) != weylc.perm_inversions(tau) or desc.dimension != 4 * len(free):
+            violations.append({"check": "cell-dimension", "tau": list(tau)})
+    for a in perms:
+        for b in perms:
+            checks += 1
+            if quatflag.closure_leq(a, b) != weylc.bruhat_leq_by_rank_matrix(a, b):
+                violations.append({"check": "closure-vs-oracle", "a": list(a), "b": list(b)})
     return checks, violations
 
 
@@ -332,17 +309,21 @@ def _mutate(rng, f, k):
     return type(f)(f.rank, values)
 
 
-_TRIALS = {
-    "cells": _trial_cells,
-    "gkm-t": partial(_trial_gkm, model="t"),
-    "gkm-x": partial(_trial_gkm, model="x"),
-    "theorem1": _trial_theorem1,
-    "theorem2": _trial_theorem2,
+# name -> (exhaustive check of rank n, per-trial worker); either may be None
+SUITES = {
+    "roots": (_suite_roots, None),
+    "cells": (_suite_cells, _trial_cells),
+    "gkm-t": (None, partial(_trial_gkm, model="t")),
+    "schubert": (_suite_schubert, None),
+    "theorem1": (_suite_theorem1, _trial_theorem1),
+    "gkm-x": (None, partial(_trial_gkm, model="x")),
+    "theorem2": (None, _trial_theorem2),
+    "presentation": (_suite_presentation, None),
 }
 
 
 def _run_trial_chunk(suite, n, seed, lo, hi, mutate):
-    fn = _TRIALS[suite]
+    fn = SUITES[suite][1]
     checks = 0
     violations = []
     for t in range(lo, hi):
@@ -352,16 +333,18 @@ def _run_trial_chunk(suite, n, seed, lo, hi, mutate):
     return checks, violations
 
 
-def _run_trials(cfg: Config, suite):
+def _run_trials(cfg, suite):
     if cfg.jobs == 1:
         return _run_trial_chunk(suite, cfg.n, cfg.seed, 0, cfg.trials, cfg.mutate)
+    from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays its import
+
     chunk = max(1, -(-cfg.trials // cfg.jobs))
     spans = [
         (lo, min(lo + chunk, cfg.trials)) for lo in range(0, cfg.trials, chunk)
     ]
     checks = 0
     violations = []
-    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
         futures = [
             pool.submit(_run_trial_chunk, suite, cfg.n, cfg.seed, lo, hi, cfg.mutate)
             for lo, hi in spans
@@ -373,74 +356,35 @@ def _run_trials(cfg: Config, suite):
     return checks, violations
 
 
-def run_suite(cfg: Config, suite: str) -> SuiteReport:
+def run_suite(cfg, suite: str) -> SuiteReport:
     start = time.perf_counter()
-    trials = None
-    if suite == "roots":
-        checks, violations = _suite_roots(cfg)
-    elif suite == "schubert":
-        checks, violations = _suite_schubert(cfg)
-    elif suite == "presentation":
-        checks, violations = _suite_presentation(cfg)
-    elif suite in ("cells", "gkm-t", "gkm-x", "theorem2"):
-        trials = cfg.trials
-        checks, violations = _run_trials(cfg, suite)
-        if suite == "cells":
-            c2, v2 = _suite_cells_exhaustive(cfg)
-            checks += c2
-            violations.extend(v2)
-    elif suite == "theorem1":
-        trials = cfg.trials
-        checks, violations = _suite_theorem1_exhaustive(cfg)
-        c2, v2 = _run_trials(cfg, suite)
-        checks += c2
-        violations.extend(v2)
-    else:
-        raise KeyError(suite)
+    exhaustive, trial = SUITES[suite]
+    checks, violations = exhaustive(cfg.n) if exhaustive else (0, [])
+    if trial:
+        c, v = _run_trials(cfg, suite)
+        checks += c
+        violations.extend(v)
     violations.sort(key=lambda d: json.dumps(d, sort_keys=True))
     return SuiteReport(
         suite=suite,
         n=cfg.n,
         seed=cfg.seed,
-        trials=trials,
+        trials=cfg.trials if trial else None,
         checks=checks,
         violations=violations,
         wall_time_s=time.perf_counter() - start,
     )
 
 
-def _suite_cells_exhaustive(cfg: Config):
-    n = cfg.n
-    checks = 0
-    violations = []
-    perms = weylc.all_perms(n)
-    checks += 1
-    if len(perms) != math.factorial(n):
-        violations.append({"check": "cell-count", "got": len(perms)})
-    for tau in perms:
-        checks += 1
-        desc = quatflag.CellDescriptor.for_perm(tau)
-        free = quatflag.free_positions(tau)
-        if len(free) != weylc.perm_inversions(tau) or desc.dimension != 4 * len(free):
-            violations.append({"check": "cell-dimension", "tau": list(tau)})
-    for a in perms:
-        for b in perms:
-            checks += 1
-            if quatflag.closure_leq(a, b) != weylc.bruhat_leq_by_rank_matrix(a, b):
-                violations.append({"check": "closure-vs-oracle", "a": list(a), "b": list(b)})
-    return checks, violations
-
-
 # ---------------------------------------------------------------------------
 # data commands
 # ---------------------------------------------------------------------------
 
-def cmd_verify(cfg: Config, suite: str) -> int:
-    if suite not in SUITES:
-        print(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}", file=sys.stderr)
-        return 2
+def cmd_verify(cfg) -> int:
+    if cfg.suite not in SUITES:
+        raise _UsageError(f"unknown suite {cfg.suite!r}; choose from {', '.join(SUITES)}")
     try:
-        report = run_suite(cfg, suite)
+        report = run_suite(cfg, cfg.suite)
     except (gkm.InexactDivision, ringcore.NotDivisible) as exc:
         print(f"internal inexact division: {exc}", file=sys.stderr)
         return 3
@@ -448,35 +392,43 @@ def cmd_verify(cfg: Config, suite: str) -> int:
     return 0 if not report.violations else 1
 
 
-def cmd_schubert(cfg: Config, window: str | None, emit_all: bool) -> int:
-    if emit_all:
+def cmd_schubert(cfg) -> int:
+    if cfg.all:
         payload = gkm.schubert_table(cfg.n).to_json()
-        _emit(cfg, payload, json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    try:
-        w = weylc.SignedPerm.from_window_str(window)
-    except (ValueError, TypeError, json.JSONDecodeError):
-        print(f"bad window notation: {window!r}", file=sys.stderr)
-        return 2
-    if w.rank != cfg.n:
-        print(f"window {window!r} has rank {w.rank}, expected {cfg.n}", file=sys.stderr)
-        return 2
-    payload = gkm.schubert_class(w).to_json()
+    else:
+        try:
+            w = weylc.SignedPerm.from_window_str(cfg.w)
+        except (ValueError, TypeError):
+            raise _UsageError(f"bad window notation: {cfg.w!r}") from None
+        if w.rank != cfg.n:
+            raise _UsageError(f"window {cfg.w!r} has rank {w.rank}, expected {cfg.n}")
+        payload = gkm.schubert_class(w).to_json()
     _emit(cfg, payload, json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
-def _load_matrix(path):
-    with open(path, encoding="utf-8") as fh:
-        return quatflag.QMatrix.from_json(json.load(fh))
+def _check_cap(cfg, size, what):
+    if size > cfg.cap:
+        raise _UsageError(
+            f"{what} {size} exceeds the cap {cfg.cap}; pass --unsafe-n or set QFLAGK_MAX_N"
+        )
 
 
-def cmd_decompose(cfg: Config, input_path: str) -> int:
+def _read_matrix(cfg, path):
+    """The square matrix in the JSON file at path, of size 1 up to the rank cap."""
     try:
-        g = _load_matrix(input_path)
-    except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
-        print(f"cannot read matrix: {exc}", file=sys.stderr)
-        return 2
+        with open(path, encoding="utf-8") as fh:
+            g = quatflag.QMatrix.from_json(json.load(fh))
+        if not g.n:
+            raise ValueError("the matrix is empty")
+    except _BAD_INPUT as exc:
+        raise _UsageError(f"cannot read matrix: {exc}") from None
+    _check_cap(cfg, g.n, "matrix size")
+    return g
+
+
+def cmd_decompose(cfg) -> int:
+    g = _read_matrix(cfg, cfg.input)
     try:
         u, tau, b = quatflag.bruhat_decompose(g)
     except quatflag.SingularMatrix:
@@ -490,12 +442,8 @@ def cmd_decompose(cfg: Config, input_path: str) -> int:
     return 0
 
 
-def cmd_cell_index(cfg: Config, input_path: str) -> int:
-    try:
-        g = _load_matrix(input_path)
-    except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
-        print(f"cannot read matrix: {exc}", file=sys.stderr)
-        return 2
+def cmd_cell_index(cfg) -> int:
+    g = _read_matrix(cfg, cfg.input)
     try:
         tau = quatflag.cell_index(g)
     except quatflag.SingularMatrix:
@@ -506,25 +454,20 @@ def cmd_cell_index(cfg: Config, input_path: str) -> int:
     return 0
 
 
-def cmd_check(cfg: Config, model: str, input_path: str) -> int:
+def cmd_check(cfg) -> int:
+    model = cfg.model
     try:
-        with open(input_path, encoding="utf-8") as fh:
+        with open(cfg.input, encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("a tuple is a JSON object")
         if data.get("model") != model:
-            print(
-                f"tuple is tagged model {data.get('model')!r}, expected {model!r}",
-                file=sys.stderr,
-            )
-            return 2
+            raise _UsageError(f"tuple is tagged model {data.get('model')!r}, expected {model!r}")
         if int(data["rank"]) != cfg.n:
-            print(f"tuple has rank {data['rank']!r}, expected {cfg.n}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"tuple has rank {data['rank']!r}, expected {cfg.n}")
         f = getattr(gkm, f"GKMTuple{model}").from_json(data)
-    except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
-        print(f"cannot read tuple: {exc}", file=sys.stderr)
-        return 2
+    except _BAD_INPUT as exc:
+        raise _UsageError(f"cannot read tuple: {exc}") from None
     violations = [v.to_json() for v in getattr(gkm, f"gkm_check_{model.lower()}")(f)]
     payload = {"model": model, "rank": f.rank, "violations": violations}
     text = "OK" if not violations else "\n".join(
@@ -534,7 +477,7 @@ def cmd_check(cfg: Config, model: str, input_path: str) -> int:
     return 0 if not violations else 1
 
 
-def cmd_basis(cfg: Config) -> int:
+def cmd_basis(cfg) -> int:
     reps = {
         gkm._perm_key(tau): list(weylc.max_length_rep(tau).window())
         for tau in weylc.all_perms(cfg.n)
@@ -549,14 +492,26 @@ def cmd_basis(cfg: Config) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def _count(text, least=1):
+    """An integer >= least: the type of --n, --trials, --jobs and QFLAGK_MAX_N
+    (least 1) and of --mutate (least 0)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = least - 1
+    if value < least:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {least}")
+    return value
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=2, help="rank (default 2)")
+    common.add_argument("--n", type=_count, default=2, help="rank (default 2)")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--trials", type=int, default=50)
-    common.add_argument("--format", choices=("json", "text"), default="text")
+    common.add_argument("--trials", type=_count, default=50)
+    common.add_argument("--format", dest="fmt", choices=("json", "text"), default="text")
     common.add_argument("--output", default=None, metavar="PATH")
-    common.add_argument("--jobs", type=int, default=1, metavar="K")
+    common.add_argument("--jobs", type=_count, default=1, metavar="K")
     common.add_argument(
         "--unsafe-n",
         action="store_true",
@@ -573,71 +528,55 @@ def _build_parser():
     p.add_argument("--suite", required=True)
     p.add_argument(
         "--mutate",
-        type=int,
+        type=partial(_count, least=0),
         default=0,
         metavar="K",
         help="perturb K tuple components by +1 before checking (adversarial mode)",
     )
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("schubert", parents=[common], help="emit Schubert classes")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--w", metavar="WINDOW", help='window notation, e.g. "[-2,1]"')
     group.add_argument("--all", action="store_true")
+    p.set_defaults(run=cmd_schubert)
 
     p = sub.add_parser("decompose", parents=[common], help="factor g = u p_tau b")
     p.add_argument("--input", required=True, metavar="PATH")
+    p.set_defaults(run=cmd_decompose)
 
     p = sub.add_parser("cell-index", parents=[common], help="cell of a flag matrix")
     p.add_argument("--input", required=True, metavar="PATH")
+    p.set_defaults(run=cmd_cell_index)
 
     p = sub.add_parser("check", parents=[common], help="GKM membership of a tuple")
     p.add_argument("--model", required=True, choices=("T", "X", "G"))
     p.add_argument("--input", required=True, metavar="PATH")
+    p.set_defaults(run=cmd_check)
 
-    sub.add_parser("basis", parents=[common], help="maximal-length coset representatives")
+    p = sub.add_parser("basis", parents=[common], help="maximal-length coset representatives")
+    p.set_defaults(run=cmd_basis)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command; the parsed namespace is the configuration (``cfg``)."""
     try:
-        args = parser.parse_args(argv)
+        cfg = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = Config(
-            n=args.n,
-            seed=args.seed,
-            trials=args.trials,
-            fmt=args.format,
-            jobs=args.jobs,
-            output=args.output,
-            mutate=getattr(args, "mutate", 0),
-            unsafe_n=args.unsafe_n,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+        cap = _count(os.environ.get("QFLAGK_MAX_N", DEFAULT_MAX_N))
+    except argparse.ArgumentTypeError as exc:
+        print(f"QFLAGK_MAX_N: {exc}", file=sys.stderr)
         return 2
-    cap = int(os.environ.get("QFLAGK_MAX_N", DEFAULT_MAX_N))
-    if cfg.n > cap and not cfg.unsafe_n:
-        print(
-            f"rank {cfg.n} exceeds the cap {cap}; pass --unsafe-n or set QFLAGK_MAX_N",
-            file=sys.stderr,
-        )
+    cfg.cap = math.inf if cfg.unsafe_n else cap
+    try:
+        _check_cap(cfg, cfg.n, "rank")
+        return cfg.run(cfg)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    if args.command == "verify":
-        return cmd_verify(cfg, args.suite)
-    if args.command == "schubert":
-        return cmd_schubert(cfg, args.w, args.all)
-    if args.command == "decompose":
-        return cmd_decompose(cfg, args.input)
-    if args.command == "cell-index":
-        return cmd_cell_index(cfg, args.input)
-    if args.command == "check":
-        return cmd_check(cfg, args.model, args.input)
-    if args.command == "basis":
-        return cmd_basis(cfg)
-    return 2
 
 
 def entry():

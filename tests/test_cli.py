@@ -318,3 +318,77 @@ def test_check_rank_must_match_n(tmp_path, capsys):
     assert rc == 2 and "expected 2" in err
     rc, _, _ = run(capsys, "check", "--model", "X", "--n", "3", "--input", str(p))
     assert rc == 0
+
+
+# ---------------------------------------------------------------------------
+# input validation: matrices, flags, environment
+# ---------------------------------------------------------------------------
+
+MATRIX_COMMANDS = ("decompose", "cell-index")
+
+
+@pytest.mark.parametrize("command", MATRIX_COMMANDS)
+def test_matrix_with_zero_denominator_is_a_parse_error(tmp_path, capsys, command):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps([[["1/0", "0", "0", "0"]]]))
+    rc, _, err = run(capsys, command, "--input", str(p))
+    assert rc == 2 and "cannot read matrix" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", MATRIX_COMMANDS)
+def test_empty_matrix_is_a_parse_error(tmp_path, capsys, command):
+    p = tmp_path / "m.json"
+    p.write_text("[]")
+    rc, out, err = run(capsys, command, "--input", str(p))
+    assert rc == 2 and out == "" and "cannot read matrix" in err
+
+
+@pytest.mark.parametrize("command", MATRIX_COMMANDS)
+def test_matrix_size_obeys_the_rank_cap(tmp_path, capsys, command):
+    p = tmp_path / "m.json"
+    _write_matrix(p, quatflag.QMatrix.identity(6))
+    rc, out, err = run(capsys, command, "--input", str(p))
+    assert rc == 2 and out == "" and "cap" in err
+    rc, out, _ = run(capsys, command, "--input", str(p), "--unsafe-n", "--format", "json")
+    assert rc == 0
+    assert json.loads(out)["tau"] == [1, 2, 3, 4, 5, 6]
+
+
+def test_max_n_env_must_be_a_positive_integer(capsys, monkeypatch):
+    for value in ("abc", "0", "-3"):
+        monkeypatch.setenv("QFLAGK_MAX_N", value)
+        rc, out, err = run(capsys, "basis")
+        assert rc == 2 and out == "", value
+        assert "QFLAGK_MAX_N" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("basis", "--n", "0"),
+    ("basis", "--trials", "0"),
+    ("basis", "--jobs", "0"),
+    ("basis", "--n", "abc"),
+    ("verify", "--suite", "gkm-t", "--mutate", "-1"),
+], ids=["n-zero", "trials-zero", "jobs-zero", "n-not-int", "mutate-negative"])
+def test_counts_must_be_positive_integers(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert argv[-2] in err and "Traceback" not in err
+
+
+def test_verify_roots_checks_the_reflection_formula(capsys, monkeypatch):
+    # -1 is an involution that negates (1, 1), so only the reflection
+    # formula on the basis vectors tells it from the reflection of (1, 1)
+    from qflagk import weylc
+
+    real = weylc.reflection
+    wrong = weylc.SignedPerm((1, 2), (-1, -1))
+    monkeypatch.setattr(
+        weylc, "reflection", lambda alpha: wrong if tuple(alpha) == (1, 1) else real(alpha)
+    )
+    rc, out, _ = run(capsys, "verify", "--suite", "roots", "--n", "2", "--format", "json")
+    assert rc == 1
+    report = json.loads(out)
+    assert [(v["check"], v["root"]) for v in report["violations"]] == [
+        ("reflection-formula", [1, 1])
+    ]
+    assert report["checks"] == 3 * 4 + 2 + 8 * 4 + 8 * 8 + 8
