@@ -3,8 +3,9 @@
 Arbitrary JSON documents go to ``decompose``, ``cell-index`` and ``check``,
 and arbitrary tokens to the counted flags of ``basis``.  Whatever the input,
 ``main`` must return an exit code of the contract (0, 1, 2 or 3) without an
-exception escaping it.  Exponents in the tuple documents stay small: a huge
-exponent makes exact division slow (ROADMAP direction 2), not wrong.
+exception escaping it.  Exponents in the tuple documents stay small: exact
+division by ``e^beta - 1`` walks the whole exponent span, so a huge exponent
+makes ``check`` slow, not wrong.
 """
 
 import contextlib
