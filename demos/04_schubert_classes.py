@@ -47,6 +47,6 @@ for w in sorted(enumerate_weyl(n), key=length):
     print(f"  class {str(w.window()):>10}: support {support}")
 print()
 
-combo, coeffs = random_maxrep_combination(trial_rng(7, 0), n, with_coeffs=True)
+combo, coeffs = random_maxrep_combination(trial_rng(7, 0), n)
 got = expand_in_schubert(combo, list(coeffs), table)
 print("a random combination of two classes is recovered exactly:", got == coeffs)

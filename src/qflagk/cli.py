@@ -243,7 +243,7 @@ def _trial_gkm(n, seed, t, mutate, model):
 def _trial_theorem1(n, seed, t, mutate):
     rng = randgen.trial_rng(seed, t)
     violations = []
-    combo, coeffs = randgen.random_maxrep_combination(rng, n, with_coeffs=True)
+    combo, coeffs = randgen.random_maxrep_combination(rng, n)
     try:
         got = gkm.expand_in_schubert(combo, list(coeffs))
         if got != coeffs:

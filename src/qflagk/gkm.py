@@ -172,7 +172,7 @@ def _perm_key(tau):
 
 
 def _perm_from_key(key):
-    return tuple(int(v) for v in json.loads(key))
+    return tuple(int(str(v)) for v in json.loads(key))  # str(): true and 1.5 are not integers
 
 
 def _pair_divisor(n, mu, nu):
@@ -278,7 +278,9 @@ class _GKMTuple:
     @classmethod
     def from_json(cls, data):
         m = cls.model
-        rank = int(data["rank"])
+        rank = data["rank"]
+        if type(rank) is not int:  # not bool, which subclasses int, nor 1.5
+            raise ValueError(f"rank must be an integer: {rank!r}")
         if not isinstance(data["values"], dict):
             raise ValueError("values must be a JSON object")
         values = {

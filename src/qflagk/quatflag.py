@@ -42,9 +42,7 @@ class SingularMatrix(ArithmeticError):
 def _frac(x):
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if type(x) is int or isinstance(x, str):  # not bool, which subclasses int
         return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
@@ -127,7 +125,7 @@ class Quaternion:
     def from_json(cls, data):
         if len(data) != 4:
             raise ValueError(f"quaternion encoding needs 4 components: {data}")
-        return cls(*[_frac(x) for x in data])
+        return cls(*data)
 
 
 _Q0 = Quaternion.zero()
@@ -356,65 +354,47 @@ def conjugate_by_diagonal(gamma, u: QMatrix) -> QMatrix:
     ))
 
 
-def _left_row_rank(rows) -> int:
-    """Rank of the left row span over the quaternions.
+def _pivot_columns(rows):
+    """The distinct last-nonzero columns, 0-based, of the left reduced rows.
 
-    Left row reduction with first-nonzero pivoting; exact arithmetic makes
-    fancier pivot choices unnecessary.
+    Each row in turn is cleared against the rows already reduced: while its
+    last nonzero column c is claimed by a reduced row k, subtract the left
+    multiple (r[c] * k[c]^{-1}) * k.  That leaves the entries after c zero and
+    r in the same left span, so the reduced rows are a basis of the span of
+    the rows seen so far, with distinct last-nonzero columns.  A row that
+    clears to zero is a left combination of the earlier rows.
     """
-    work = [list(r) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next(
-            (r for r in range(rank, len(work)) if not work[r][col].is_zero()), None
-        )
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        p = work[rank][col].inverse()
-        work[rank] = [p * e for e in work[rank]]
-        for r in range(len(work)):
-            if r == rank or work[r][col].is_zero():
-                continue
-            lam = work[r][col]
-            work[r] = [e - lam * f for e, f in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    reduced = {}  # last nonzero column -> reduced row
+    out = []
+    for row in rows:
+        r = list(row)
+        while True:
+            c = next((c for c in range(len(r) - 1, -1, -1) if not r[c].is_zero()), None)
+            if c is None:
+                raise SingularMatrix("matrix is not invertible")
+            k = reduced.get(c)
+            if k is None:
+                break
+            lam = r[c] * k[c].inverse()
+            r = [e - lam * f for e, f in zip(r, k)]
+        reduced[c] = r
+        out.append(c)
+    return out
 
 
 def cell_index(g: QMatrix) -> Perm:
     """The permutation indexing the Bruhat cell containing the flag of g.
 
-    Step v of the flag is spanned by the first v rows of g^†; its
-    intersection with the coordinate subspace spanned by e_1,...,e_m has
-    dimension v minus the rank of the trailing column block m+1..n of those
-    rows.  The jump positions of these dimensions grow by one new index per
-    step, and that new index is the image of v.
+    Step v of the flag, V_v, is spanned by the first v rows of g^†, and
+    tau(v) is the index m at which dim(V_v ∩ E_m) first exceeds
+    dim(V_{v-1} ∩ E_m), where E_m is spanned by e_1,...,e_m.  After
+    ``_pivot_columns`` the first v reduced rows are a basis of V_v with
+    distinct last-nonzero columns, so a left combination of them lies in E_m
+    iff every row it uses ends at or before m: dim(V_v ∩ E_m) is the number
+    of those columns that are <= m, and the column that row v claims is the
+    new jump, tau(v).
     """
-    n = g.n
-    a = g.conj_transpose().entries
-    if _left_row_rank(a) != n:
-        raise SingularMatrix("matrix is not invertible")
-    tau = []
-    prev = set()
-    for v in range(1, n + 1):
-        rows = a[:v]
-        dims = [0] * (n + 1)
-        for m in range(1, n + 1):
-            trailing = [row[m:] for row in rows]
-            dims[m] = v - _left_row_rank(trailing)
-        jumps = {m for m in range(1, n + 1) if dims[m] > dims[m - 1]}
-        new = jumps - prev
-        if len(new) != 1:
-            raise AssertionError(f"flag jump sets are not nested at step {v}")
-        tau.append(new.pop())
-        prev = jumps
-    return tuple(tau)
+    return tuple(c + 1 for c in _pivot_columns(g.conj_transpose().entries))
 
 
 def closure_leq(tau_small: Perm, tau_big: Perm) -> bool:

@@ -22,7 +22,7 @@ from .gkm import (
     pullback_pi,
     schubert_table,
 )
-from .quatflag import QMatrix, Quaternion, _left_row_rank
+from .quatflag import QMatrix, Quaternion, SingularMatrix, _pivot_columns
 from .ringcore import LaurentPoly, XPoly
 from .weylc import all_perms, enumerate_weyl, max_length_rep
 
@@ -80,8 +80,11 @@ def random_invertible_matrix(rng, n, bound=10) -> QMatrix:
             tuple(random_quaternion(rng, bound) for _ in range(n))
             for _ in range(n)
         ))
-        if _left_row_rank(m.entries) == n:
-            return m
+        try:
+            _pivot_columns(m.entries)
+        except SingularMatrix:
+            continue
+        return m
 
 
 def random_upper_triangular(rng, n, bound=10) -> QMatrix:
@@ -115,14 +118,12 @@ def random_t_tuple(rng, n, support=3) -> GKMTupleT:
     return _combination(n, basis, coeffs)
 
 
-def random_maxrep_combination(rng, n, with_coeffs=False):
-    """Random combination of the classes at maximal-length coset representatives."""
+def random_maxrep_combination(rng, n):
+    """Random combination of the classes at maximal-length coset representatives,
+    returned with its coefficients keyed by representative."""
     basis = [max_length_rep(tau) for tau in all_perms(n)]
     coeffs = [random_laurent(rng, n, terms=1, max_exp=1, max_coeff=2) for _ in basis]
-    combo = _combination(n, basis, coeffs)
-    if with_coeffs:
-        return combo, dict(zip(basis, coeffs))
-    return combo
+    return _combination(n, basis, coeffs), dict(zip(basis, coeffs))
 
 
 def vertex_class_x(n, tau) -> GKMTupleX:

@@ -228,8 +228,10 @@ class _PolyBase:
     @classmethod
     def from_json(cls, rank, data):
         terms = {}
-        for coeff_str, exps in data:
-            _acc(terms, tuple(int(e) for e in exps), int(coeff_str))
+        for coeff, exps in data:
+            if any(type(e) is not int for e in exps):
+                raise ValueError(f"exponents must be integers: {exps!r}")
+            _acc(terms, tuple(exps), int(str(coeff)))  # str(): true and 1.5 are not integers
         return cls(rank, terms)
 
 

@@ -121,8 +121,8 @@ class SignedPerm:
     @classmethod
     def from_window(cls, window):
         window = tuple(window)
-        if any(v == 0 for v in window):
-            raise ValueError(f"window entries must be nonzero: {window}")
+        if any(type(v) is not int or v == 0 for v in window):
+            raise ValueError(f"window entries must be nonzero integers: {window}")
         perm = tuple(abs(v) for v in window)
         signs = tuple(1 if v > 0 else -1 for v in window)
         return cls(perm, signs)

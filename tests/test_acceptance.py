@@ -180,9 +180,7 @@ def test_criterion_4b_expansion_recovery(tables):
     ok = True
     for n in (2, 3):
         for t in range(100):
-            combo, coeffs = random_maxrep_combination(
-                trial_rng(SEED + n, t), n, with_coeffs=True
-            )
+            combo, coeffs = random_maxrep_combination(trial_rng(SEED + n, t), n)
             got = expand_in_schubert(combo, list(coeffs), tables[n])
             ok = ok and got == coeffs
     elapsed = time.perf_counter() - start

@@ -392,3 +392,56 @@ def test_verify_roots_checks_the_reflection_formula(capsys, monkeypatch):
         ("reflection-formula", [1, 1])
     ]
     assert report["checks"] == 3 * 4 + 2 + 8 * 4 + 8 * 8 + 8
+
+
+@pytest.mark.parametrize("suite", ["cells", "gkm-t", "theorem1", "gkm-x", "theorem2"])
+def test_verify_reports_do_not_depend_on_jobs(capsys, suite):
+    argv = ["verify", "--suite", suite, "--n", "3", "--trials", "6", "--seed", "3",
+            "--format", "json"]
+    if suite in ("gkm-t", "gkm-x"):
+        argv += ["--mutate", "2"]
+    reports = []
+    for jobs in ("1", "2"):
+        _, out, _ = run(capsys, *argv, "--jobs", jobs)
+        report = json.loads(out)
+        report.pop("wall_time_s")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    if "--mutate" in argv:
+        # --jobs 2 runs trials 0-2 and 3-5 in two workers
+        assert {v["trial"] < 3 for v in reports[0]["violations"]} == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# JSON integers: a boolean or a float is not read as an integer
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("window", ["[true,2]", "[1.0,2]"], ids=["bool", "float"])
+def test_schubert_window_entries_must_be_integers(capsys, window):
+    rc, out, err = run(capsys, "schubert", "--n", "2", "--w", window)
+    assert rc == 2 and out == "" and "bad window" in err
+
+
+def test_matrix_entries_must_not_be_booleans(tmp_path, capsys):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps([[[True, False, False, False]]]))
+    rc, out, err = run(capsys, "cell-index", "--input", str(p))
+    assert rc == 2 and out == "" and "cannot read matrix" in err
+
+
+T1 = {"model": "T", "rank": 1, "values": {"[1]": [["1", [0]]], "[-1]": [["1", [0]]]}}
+
+
+@pytest.mark.parametrize("model, n, doc", [
+    ("T", 1, {**T1, "rank": True}),
+    ("T", 1, {**T1, "rank": 1.9}),
+    ("T", 1, {**T1, "values": {"[1]": [["1", [True]]], "[-1]": [["1", [0]]]}}),
+    ("T", 1, {**T1, "values": {"[1]": [[True, [0]]], "[-1]": [["1", [0]]]}}),
+    ("X", 2, {"model": "X", "rank": 2,
+              "values": {"[true,2]": [["1", [0, 0]]], "[2,1]": [["1", [0, 0]]]}}),
+], ids=["rank-bool", "rank-float", "exponent-bool", "coefficient-bool", "vertex-bool"])
+def test_tuple_integers_must_be_integers(tmp_path, capsys, model, n, doc):
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "check", "--model", model, "--n", str(n), "--input", str(p))
+    assert rc == 2 and out == "" and "cannot read tuple" in err

@@ -375,7 +375,7 @@ def test_expand_recovers_single_classes():
 def test_expand_recovers_random_combinations():
     for n in (2, 3):
         for t in range(5):
-            combo, coeffs = random_maxrep_combination(trial_rng(8, t), n, with_coeffs=True)
+            combo, coeffs = random_maxrep_combination(trial_rng(8, t), n)
             assert expand_in_schubert(combo, list(coeffs)) == coeffs
 
 

@@ -263,3 +263,46 @@ def test_closure_order_matches_rank_matrix_oracle():
             assert closure_leq(a, b) == bruhat_leq_by_rank_matrix(a, b)
             if closure_leq(a, b) and a != b:
                 assert perm_inversions(a) < perm_inversions(b)
+
+
+# ---------------------------------------------------------------------------
+# every cell, and the side rows are cleared on
+# ---------------------------------------------------------------------------
+
+def _non_real(rng):
+    return Quaternion(rng.randint(-3, 3), rng.randint(1, 3), rng.randint(-3, 3), rng.randint(-3, 3))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_both_routes_find_every_cell(n):
+    # dense random matrices all land in the big cell, so build g = u * p_tau * b
+    # with u filling every free position of tau
+    for t, tau in enumerate(all_perms(n)):
+        rng = trial_rng(9 + n, t)
+        rows = [list(r) for r in QMatrix.identity(n).entries]
+        for mu, nu in free_positions(tau):
+            rows[mu - 1][nu - 1] = _non_real(rng)
+        u = QMatrix.from_rows(rows)
+        g = u * perm_matrix(tau) * random_upper_triangular(rng, n)
+        assert cell_index(g) == tau
+        u2, tau2, b2 = bruhat_decompose(g)
+        assert (u2, tau2) == (u, tau)
+        assert u2 * perm_matrix(tau2) * b2 == g
+
+
+def test_singular_means_a_left_combination_of_flag_rows():
+    # the rows of g^† span the flag; a third row i*a1 + j*a2 lies in the left
+    # span of the first two, while a1*i + a2*j in general does not
+    rng = trial_rng(12, 0)
+    a1 = [_non_real(rng) for _ in range(3)]
+    a2 = [_non_real(rng) for _ in range(3)]
+    left = [I * x + J * y for x, y in zip(a1, a2)]
+    right = [x * I + y * J for x, y in zip(a1, a2)]
+    g = QMatrix((tuple(a1), tuple(a2), tuple(left))).conj_transpose()
+    for route in (cell_index, bruhat_decompose, QMatrix.inverse):
+        with pytest.raises(SingularMatrix):
+            route(g)
+    g = QMatrix((tuple(a1), tuple(a2), tuple(right))).conj_transpose()
+    _, tau, _ = bruhat_decompose(g)
+    assert cell_index(g) == tau
+    assert g * g.inverse() == QMatrix.identity(3)
