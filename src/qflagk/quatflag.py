@@ -355,17 +355,17 @@ def conjugate_by_diagonal(gamma, u: QMatrix) -> QMatrix:
 
 
 def _pivot_columns(rows):
-    """The distinct last-nonzero columns, 0-based, of the left reduced rows.
+    """The last-nonzero column, 0-based, that each row claims in left reduction.
 
     Each row in turn is cleared against the rows already reduced: while its
     last nonzero column c is claimed by a reduced row k, subtract the left
     multiple (r[c] * k[c]^{-1}) * k.  That leaves the entries after c zero and
     r in the same left span, so the reduced rows are a basis of the span of
     the rows seen so far, with distinct last-nonzero columns.  A row that
-    clears to zero is a left combination of the earlier rows.
+    clears to zero is a left combination of the earlier rows, and raises
+    SingularMatrix.
     """
-    reduced = {}  # last nonzero column -> reduced row
-    out = []
+    reduced = {}  # last nonzero column -> reduced row, in the order rows claim them
     for row in rows:
         r = list(row)
         while True:
@@ -378,8 +378,7 @@ def _pivot_columns(rows):
             lam = r[c] * k[c].inverse()
             r = [e - lam * f for e, f in zip(r, k)]
         reduced[c] = r
-        out.append(c)
-    return out
+    return list(reduced)
 
 
 def cell_index(g: QMatrix) -> Perm:
