@@ -309,16 +309,17 @@ def _mutate(rng, f, k):
     return type(f)(f.rank, values)
 
 
-# name -> (exhaustive check of rank n, per-trial worker); either may be None
+# name -> (exhaustive check of rank n, per-trial worker, whether the trials
+# read the T-model Schubert table); the first two may be None
 SUITES = {
-    "roots": (_suite_roots, None),
-    "cells": (_suite_cells, _trial_cells),
-    "gkm-t": (None, partial(_trial_gkm, model="t")),
-    "schubert": (_suite_schubert, None),
-    "theorem1": (_suite_theorem1, _trial_theorem1),
-    "gkm-x": (None, partial(_trial_gkm, model="x")),
-    "theorem2": (None, _trial_theorem2),
-    "presentation": (_suite_presentation, None),
+    "roots": (_suite_roots, None, False),
+    "cells": (_suite_cells, _trial_cells, False),
+    "gkm-t": (None, partial(_trial_gkm, model="t"), True),  # random_t_tuple
+    "schubert": (_suite_schubert, None, False),
+    "theorem1": (_suite_theorem1, _trial_theorem1, True),  # expand_in_schubert
+    "gkm-x": (None, partial(_trial_gkm, model="x"), False),
+    "theorem2": (None, _trial_theorem2, False),
+    "presentation": (_suite_presentation, None, False),
 }
 
 
@@ -337,6 +338,9 @@ def _run_trials(cfg, suite):
     if cfg.jobs == 1:
         return _run_trial_chunk(suite, cfg.n, cfg.seed, 0, cfg.trials, cfg.mutate)
     from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays its import
+
+    if SUITES[suite][2]:
+        gkm.schubert_table(cfg.n)  # built once here; forked workers inherit the cache
 
     chunk = max(1, -(-cfg.trials // cfg.jobs))
     spans = [
@@ -358,7 +362,7 @@ def _run_trials(cfg, suite):
 
 def run_suite(cfg, suite: str) -> SuiteReport:
     start = time.perf_counter()
-    exhaustive, trial = SUITES[suite]
+    exhaustive, trial, _ = SUITES[suite]
     checks, violations = exhaustive(cfg.n) if exhaustive else (0, [])
     if trial:
         c, v = _run_trials(cfg, suite)

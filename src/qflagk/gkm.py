@@ -409,18 +409,23 @@ def demazure(i: int, f: GKMTupleT) -> GKMTupleT:
     """Demazure operator: at w, (f_w - e^{w(alpha_i)} f_{w s_i}) / (1 - e^{w(alpha_i)}).
 
     Exact division is required at every fixed point and the operator is
-    idempotent on valid tuples.
+    idempotent on valid tuples.  Where f_w and f_{w s_i} are both zero the
+    value is zero, and no numerator is formed.
     """
     n = f.rank
     s = simple_reflection(i, n)
     alpha = simple_root(i, n)
+    zero = LaurentPoly.zero(n)
     out = {}
     for w in enumerate_weyl(n):
+        fw, fws = f.values[w], f.values[w * s]
+        if not fw and not fws:
+            out[w] = zero
+            continue
         walpha = w.act(alpha)
-        mono = LaurentPoly.monomial(n, walpha)
-        numerator = f.values[w] - mono * f.values[w * s]
+        numerator = fw - LaurentPoly.monomial(n, walpha) * fws
         if not numerator:
-            out[w] = LaurentPoly.zero(n)
+            out[w] = zero
             continue
         try:
             q = divide_exact(numerator, BinomialDivisor([walpha]))

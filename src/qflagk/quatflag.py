@@ -123,8 +123,8 @@ class Quaternion:
 
     @classmethod
     def from_json(cls, data):
-        if len(data) != 4:
-            raise ValueError(f"quaternion encoding needs 4 components: {data}")
+        if not isinstance(data, list) or len(data) != 4:  # a string is not its characters
+            raise ValueError(f"quaternion encoding needs a list of 4 components: {data!r}")
         return cls(*data)
 
 

@@ -8,6 +8,11 @@ exact at arbitrary size; there is no floating point anywhere.
 
 Values are immutable after construction (by convention: nothing here mutates
 a ``terms`` dict once the owning polynomial exists) and may be shared freely.
+
+Every outside input is validated once, at construction.  Results of
+arithmetic skip re-validation: their term dicts are built from terms that
+were already valid, with zero sums dropped as they arise, so they are clean
+by construction.
 """
 
 from __future__ import annotations
@@ -75,6 +80,10 @@ def _term_add(a, b):
 def _term_mul(a, b):
     if len(a) > len(b):
         a, b = b, a
+    if len(a) == 1:
+        # a monomial shifts keys injectively: no collisions, no zero products
+        ((ea, ca),) = a.items()
+        return {tuple(x + y for x, y in zip(ea, eb)): ca * cb for eb, cb in b.items()}
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -142,6 +151,16 @@ class _PolyBase:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, rank, terms):
+        """Wrap a term dict that is already clean: tuple keys of length
+        ``rank`` that pass ``_check_exps``, nonzero int coefficients.  Only for
+        results of arithmetic on validated polynomials; it checks nothing."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -190,25 +209,25 @@ class _PolyBase:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return type(self)(self.rank, _term_add(self.terms, other.terms))
+        return self._trusted(self.rank, _term_add(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return type(self)(self.rank, _term_add(self.terms, _term_neg(other.terms)))
+        return self._trusted(self.rank, _term_add(self.terms, _term_neg(other.terms)))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return type(self)(self.rank, _term_neg(self.terms))
+        return self._trusted(self.rank, _term_neg(self.terms))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return type(self)(self.rank, _term_scale(self.terms, other))
+            return self._trusted(self.rank, _term_scale(self.terms, other))
         other = self._coerce(other)
-        return type(self)(self.rank, _term_mul(self.terms, other.terms))
+        return self._trusted(self.rank, _term_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -328,6 +347,10 @@ def _divide_one_factor(terms, factor):
     unit leading coefficient terminates with a remainder whose exponent
     spread in that variable is smaller than the factor's, so the remainder
     vanishes exactly when the division is exact.
+
+    Bucket k holds the terms whose exponent in that variable is k, each keyed
+    by its full exponent vector, so a quotient term's key is the dividend
+    term's key minus ``factor`` and lands in bucket k - d.
     """
     if not terms:
         return {}, {}
@@ -339,11 +362,9 @@ def _divide_one_factor(terms, factor):
         )
         return _flip_var(q, v), _flip_var(r, v)
     d = factor[v]
-    unit = factor[:v] + (0,) + factor[v + 1:]  # m = x^unit * x_v^d
     buckets = {}
     for exps, c in terms.items():
-        rest = exps[:v] + (0,) + exps[v + 1:]
-        buckets.setdefault(exps[v], {})[rest] = c
+        buckets.setdefault(exps[v], {})[exps] = c
     lo = min(buckets)
     hi = max(buckets)
     quotient = {}
@@ -352,14 +373,14 @@ def _divide_one_factor(terms, factor):
         if not bucket:
             continue
         target = buckets.setdefault(k - d, {})
-        for rest, c in bucket.items():
-            shifted = tuple(e - u for e, u in zip(rest, unit))
-            _acc(quotient, shifted[:v] + (k - d,) + shifted[v + 1:], c)
+        for exps, c in bucket.items():
+            # c x^exps = c x^(exps - factor) * (m - 1) + c x^(exps - factor)
+            shifted = tuple(e - a for e, a in zip(exps, factor))
+            _acc(quotient, shifted, c)
             _acc(target, shifted, c)
     remainder = {}
-    for k, bucket in buckets.items():
-        for rest, c in bucket.items():
-            remainder[rest[:v] + (k,) + rest[v + 1:]] = c
+    for bucket in buckets.values():
+        remainder.update(bucket)
     return quotient, remainder
 
 
@@ -379,8 +400,8 @@ def divide_exact(f: LaurentPoly, divisor) -> LaurentPoly:
     for factor in divisor.factors:
         terms, remainder = _divide_one_factor(terms, factor)
         if remainder:
-            raise NotDivisible(factor, LaurentPoly(f.rank, remainder))
-    return LaurentPoly(f.rank, terms)
+            raise NotDivisible(factor, LaurentPoly._trusted(f.rank, remainder))
+    return LaurentPoly._trusted(f.rank, terms)
 
 
 def xpoly_divide_exact(f: XPoly, mu: int, nu: int) -> XPoly:
@@ -414,8 +435,8 @@ def xpoly_divide_exact(f: XPoly, mu: int, nu: int) -> XPoly:
             _acc(quotient, rest[:m] + (k - 1,) + rest[m + 1:], c)
     remainder = _term_add(buckets.get(0, {}), shift_nu(carry))
     if remainder:
-        raise NotDivisible((mu, nu), XPoly(f.rank, remainder))
-    return XPoly(f.rank, quotient)
+        raise NotDivisible((mu, nu), XPoly._trusted(f.rank, remainder))
+    return XPoly._trusted(f.rank, quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +457,7 @@ def weyl_act_poly(w, f: LaurentPoly) -> LaurentPoly:
         for i, e in enumerate(exps):
             new[w.perm[i] - 1] = w.signs[i] * e
         out[tuple(new)] = c
-    return LaurentPoly(f.rank, out)
+    return LaurentPoly._trusted(f.rank, out)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +483,7 @@ def x_expand(g: XPoly) -> LaurentPoly:
             }
         for exps2, cc in partial.items():
             _acc(out, exps2, cc)
-    return LaurentPoly(g.rank, out)
+    return LaurentPoly._trusted(g.rank, out)
 
 
 # x^k = a_k(X)*1 + b_k(X)*x^{-1} over Z[X]; both recurrences come from
@@ -519,7 +540,7 @@ def basis_decompose(f: LaurentPoly) -> dict:
             partial = nxt
         for bits, degs, cc in partial:
             _acc(out[bits], degs, cc)
-    return {eps: XPoly(n, terms) for eps, terms in out.items()}
+    return {eps: XPoly._trusted(n, terms) for eps, terms in out.items()}
 
 
 def sym_in_x(f: LaurentPoly) -> XPoly:

@@ -429,7 +429,16 @@ def test_matrix_entries_must_not_be_booleans(tmp_path, capsys):
     assert rc == 2 and out == "" and "cannot read matrix" in err
 
 
-T1 = {"model": "T", "rank": 1, "values": {"[1]": [["1", [0]]], "[-1]": [["1", [0]]]}}
+@pytest.mark.parametrize("command", MATRIX_COMMANDS)
+def test_quaternion_must_be_a_list_not_a_string(tmp_path, capsys, command):
+    # "1234" has four characters, but it is not four components
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps([["1234"]]))
+    rc, out, err = run(capsys, command, "--input", str(p))
+    assert rc == 2 and out == "" and "cannot read matrix" in err
+
+
+T1 ={"model": "T", "rank": 1, "values": {"[1]": [["1", [0]]], "[-1]": [["1", [0]]]}}
 
 
 @pytest.mark.parametrize("model, n, doc", [

@@ -50,12 +50,14 @@ from qflagk.weylc import (
     SignedPerm,
     all_perms,
     bruhat_leq,
+    descents,
     enumerate_sign_changes,
     enumerate_weyl,
     length,
     max_length_rep,
     perm_identity,
     simple_reflection,
+    simple_root,
 )
 
 
@@ -206,12 +208,39 @@ def test_demazure_idempotent():
 
 
 def test_demazure_inexact_on_corrupted_input():
-    n = 2
-    values = {w: LaurentPoly.zero(n) for w in enumerate_weyl(n)}
-    values[SignedPerm.identity(n)] = LaurentPoly.one(n)  # bare delta is not valid
-    delta = GKMTupleT(n, values)
-    with pytest.raises(InexactDivision):
-        demazure(1, delta)
+    n, i = 2, 1
+    e, s = SignedPerm.identity(n), simple_reflection(i, n)
+    # a bare delta is not valid; at e its numerator is f_e (delta at e) or
+    # -e^{alpha_1} f_{s_1} (delta at s_1), and e is the first fixed point visited
+    for corrupt in (e, s):
+        values = {w: LaurentPoly.zero(n) for w in enumerate_weyl(n)}
+        values[corrupt] = LaurentPoly.one(n)
+        with pytest.raises(InexactDivision) as info:
+            demazure(i, GKMTupleT(n, values))
+        exc = info.value
+        assert (exc.w, exc.i) == (e, i)
+        mono = LaurentPoly.monomial(n, e.act(simple_root(i, n)))
+        assert exc.numerator == values[e] - mono * values[e * s]
+        assert exc.numerator
+
+
+def test_demazure_rank_four_is_word_independent():
+    # s1 s2 s1 s3 s4 = s2 s1 s2 s3 s4 has length 5 and right descents 1 and 4
+    n = 4
+    words = ((1, 2, 1, 3, 4), (2, 1, 2, 3, 4))
+    elements = set()
+    for word in words:
+        w = SignedPerm.identity(n)
+        for i in word:
+            w = w * simple_reflection(i, n)
+        elements.add(w)
+    (w,) = elements
+    assert length(w) == 5 and descents(w) == [1, 4]
+    cls = schubert_class_from_word(n, words[0])
+    assert schubert_class_from_word(n, words[1]) == cls
+    assert cls.values[w]
+    for i in descents(w):
+        assert demazure(i, cls) == cls
 
 
 # ---------------------------------------------------------------------------

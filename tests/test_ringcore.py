@@ -352,3 +352,115 @@ def test_big_integer_coefficients_survive():
     big = 10**40
     f = big * LaurentPoly.x(1, 1)
     assert (f * f).coefficient((2,)) == big * big
+
+
+# ---------------------------------------------------------------------------
+# results of arithmetic are clean without re-validation
+# ---------------------------------------------------------------------------
+
+def _assert_clean(r):
+    # what the validating constructor would make of r's terms
+    assert type(r)(r.rank, r.terms).terms == r.terms
+    for exps, c in r.terms.items():
+        assert type(exps) is tuple and len(exps) == r.rank
+        assert type(c) is int and c != 0
+        if isinstance(r, XPoly):
+            assert min(exps) >= 0
+
+
+def _random_operand(rng, cls, n):
+    """Zero, a monomial, an int, or a sum of up to four terms."""
+    lo = 0 if cls is XPoly else -2
+    kind = rng.randrange(5)
+    if kind == 0:
+        return cls.zero(n)
+    if kind == 1:
+        return cls.monomial(n, [rng.randint(lo, 2) for _ in range(n)], rng.choice([-2, -1, 1, 3]))
+    if kind == 2:
+        return rng.choice([-2, -1, 0, 1, 3])
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = tuple(rng.randint(lo, 2) for _ in range(n))
+        terms[exps] = terms.get(exps, 0) + rng.choice([-1, 1, 2])
+    return cls(n, terms)
+
+
+def _random_pair(rng, cls, n):
+    a = _random_operand(rng, cls, n)
+    if isinstance(a, int):
+        a = cls.constant(n, a)
+    if rng.random() < 0.3:
+        # b cancels every term of a, plus a few more: a + b drops terms
+        terms = {e: -c for e, c in a.terms.items()}
+        extra = _random_operand(rng, cls, n)
+        if not isinstance(extra, int):
+            for e, c in extra.terms.items():
+                terms[e] = terms.get(e, 0) + c
+        return a, cls(n, terms)
+    return a, _random_operand(rng, cls, n)
+
+
+@pytest.mark.parametrize("cls", [LaurentPoly, XPoly])
+def test_arithmetic_results_are_clean(cls):
+    rng = random.Random(f"clean:{cls.__name__}")
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        a, b = _random_pair(rng, cls, n)
+        for r in (a + b, b + a, a - b, b - a, -a, a * b, b * a, a * a):
+            assert type(r) is cls and r.rank == n
+            _assert_clean(r)
+        if isinstance(b, cls):
+            _assert_clean(-b)
+            assert (a + b) - b == a and a * b == b * a
+
+
+def test_division_results_are_clean():
+    rng = random.Random("clean:divide")
+    pool = [(1, -1), (1, 1), (2, 0), (0, 2), (-1, 2), (0, -1)]
+    exact = failed = 0
+    for _ in range(300):
+        a, b = _random_pair(rng, LaurentPoly, 2)
+        d = BinomialDivisor(rng.sample(pool, k=rng.randint(1, 2)))
+        for f in (a + b, (a - b) * d.as_poly()):
+            try:
+                q = divide_exact(f, d)
+            except NotDivisible as exc:
+                failed += 1
+                assert exc.remainder
+                _assert_clean(exc.remainder)
+            else:
+                exact += 1
+                _assert_clean(q)
+                assert q * d.as_poly() == f
+    assert exact and failed
+    exact = failed = 0
+    for _ in range(300):
+        n = rng.randint(2, 3)
+        a, b = _random_pair(rng, XPoly, n)
+        mu, nu = rng.sample(range(1, n + 1), 2)
+        for f in (a + b, (a - b) * (XPoly.X(n, mu) - XPoly.X(n, nu))):
+            try:
+                q = xpoly_divide_exact(f, mu, nu)
+            except NotDivisible as exc:
+                failed += 1
+                assert exc.remainder
+                _assert_clean(exc.remainder)
+            else:
+                exact += 1
+                _assert_clean(q)
+    assert exact and failed
+
+
+def test_maps_results_are_clean():
+    rng = random.Random("clean:maps")
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        a, b = _random_pair(rng, LaurentPoly, n)
+        f = a - b
+        for w in rng.sample(enumerate_weyl(n), k=min(3, 2**n)):
+            _assert_clean(weyl_act_poly(w, f))
+        for part in basis_decompose(f).values():
+            _assert_clean(part)
+        g, h = _random_pair(rng, XPoly, n)
+        _assert_clean(x_expand(g + h))
+        _assert_clean(x_expand(g * h))
