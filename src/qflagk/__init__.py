@@ -22,7 +22,6 @@ from .ringcore import (
     xpoly_divide_exact,
 )
 from .weylc import (
-    MaxNotUnique,
     SignedPerm,
     bruhat_leq,
     coset_map,

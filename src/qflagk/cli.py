@@ -211,9 +211,16 @@ def _suite_cells(n):
 # ---------------------------------------------------------------------------
 
 def _trial_cells(n, seed, t, mutate):
+    # a dense random matrix lands in the big cell, so draw the cell tau and
+    # build g = u * p_tau * b with u random on the free positions of tau
     rng = randgen.trial_rng(seed, t)
     violations = []
-    g = randgen.random_invertible_matrix(rng, n)
+    cell = rng.choice(weylc.all_perms(n))
+    rows = [list(r) for r in quatflag.QMatrix.identity(n).entries]
+    for mu, nu in quatflag.free_positions(cell):
+        rows[mu - 1][nu - 1] = randgen.random_quaternion(rng)
+    g = (quatflag.QMatrix.from_rows(rows) * quatflag.perm_matrix(cell)
+         * randgen.random_upper_triangular(rng, n))
     u, tau, b = quatflag.bruhat_decompose(g)
     if u * quatflag.perm_matrix(tau) * b != g:
         violations.append({"check": "recompose", "trial": t})
@@ -221,8 +228,8 @@ def _trial_cells(n, seed, t, mutate):
         violations.append({"check": "u-membership", "trial": t, "tau": list(tau)})
     if not b.is_upper_triangular():
         violations.append({"check": "b-triangular", "trial": t})
-    if quatflag.cell_index(g) != tau:
-        violations.append({"check": "cell-index-agrees", "trial": t})
+    if quatflag.cell_index(g) != cell or tau != cell:
+        violations.append({"check": "cell-index-agrees", "trial": t, "tau": list(cell)})
     bp = randgen.random_upper_triangular(rng, n)
     u2, tau2, _ = quatflag.bruhat_decompose(g * bp)
     if (u2, tau2) != (u, tau):
@@ -309,17 +316,16 @@ def _mutate(rng, f, k):
     return type(f)(f.rank, values)
 
 
-# name -> (exhaustive check of rank n, per-trial worker, whether the trials
-# read the T-model Schubert table); the first two may be None
+# name -> (exhaustive check of rank n, per-trial worker); either may be None
 SUITES = {
-    "roots": (_suite_roots, None, False),
-    "cells": (_suite_cells, _trial_cells, False),
-    "gkm-t": (None, partial(_trial_gkm, model="t"), True),  # random_t_tuple
-    "schubert": (_suite_schubert, None, False),
-    "theorem1": (_suite_theorem1, _trial_theorem1, True),  # expand_in_schubert
-    "gkm-x": (None, partial(_trial_gkm, model="x"), False),
-    "theorem2": (None, _trial_theorem2, False),
-    "presentation": (_suite_presentation, None, False),
+    "roots": (_suite_roots, None),
+    "cells": (_suite_cells, _trial_cells),
+    "gkm-t": (None, partial(_trial_gkm, model="t")),
+    "schubert": (_suite_schubert, None),
+    "theorem1": (_suite_theorem1, _trial_theorem1),
+    "gkm-x": (None, partial(_trial_gkm, model="x")),
+    "theorem2": (None, _trial_theorem2),
+    "presentation": (_suite_presentation, None),
 }
 
 
@@ -335,19 +341,17 @@ def _run_trial_chunk(suite, n, seed, lo, hi, mutate):
 
 
 def _run_trials(cfg, suite):
-    if cfg.jobs == 1:
+    if cfg.jobs == 1 or cfg.trials == 1:
         return _run_trial_chunk(suite, cfg.n, cfg.seed, 0, cfg.trials, cfg.mutate)
     from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays its import
 
-    if SUITES[suite][2]:
-        gkm.schubert_table(cfg.n)  # built once here; forked workers inherit the cache
-
-    chunk = max(1, -(-cfg.trials // cfg.jobs))
+    # trial 0 runs here first, so the forked workers inherit every cache it
+    # filled (the Schubert table, the Weyl group, lengths, Bruhat sets)
+    checks, violations = _run_trial_chunk(suite, cfg.n, cfg.seed, 0, 1, cfg.mutate)
+    chunk = -(-(cfg.trials - 1) // cfg.jobs)
     spans = [
-        (lo, min(lo + chunk, cfg.trials)) for lo in range(0, cfg.trials, chunk)
+        (lo, min(lo + chunk, cfg.trials)) for lo in range(1, cfg.trials, chunk)
     ]
-    checks = 0
-    violations = []
     with ProcessPoolExecutor(max_workers=len(spans)) as pool:
         futures = [
             pool.submit(_run_trial_chunk, suite, cfg.n, cfg.seed, lo, hi, cfg.mutate)
@@ -362,7 +366,7 @@ def _run_trials(cfg, suite):
 
 def run_suite(cfg, suite: str) -> SuiteReport:
     start = time.perf_counter()
-    exhaustive, trial, _ = SUITES[suite]
+    exhaustive, trial = SUITES[suite]
     checks, violations = exhaustive(cfg.n) if exhaustive else (0, [])
     if trial:
         c, v = _run_trials(cfg, suite)
@@ -402,7 +406,7 @@ def cmd_schubert(cfg) -> int:
     else:
         try:
             w = weylc.SignedPerm.from_window_str(cfg.w)
-        except (ValueError, TypeError):
+        except _BAD_INPUT:
             raise _UsageError(f"bad window notation: {cfg.w!r}") from None
         if w.rank != cfg.n:
             raise _UsageError(f"window {cfg.w!r} has rank {w.rank}, expected {cfg.n}")
@@ -483,7 +487,7 @@ def cmd_check(cfg) -> int:
 
 def cmd_basis(cfg) -> int:
     reps = {
-        gkm._perm_key(tau): list(weylc.max_length_rep(tau).window())
+        gkm._key(tau): list(weylc.max_length_rep(tau).window())
         for tau in weylc.all_perms(cfg.n)
     }
     payload = {"rank": cfg.n, "representatives": reps}

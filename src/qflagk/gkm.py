@@ -58,13 +58,13 @@ from .weylc import (
     all_perms,
     bruhat_leq,
     coset_map,
-    enumerate_sign_changes,
     enumerate_weyl,
     length,
     perm_compose,
     perm_embed,
     perm_transposition,
     positive_roots,
+    reduced_word,
     reflection,
     simple_reflection,
     simple_root,
@@ -167,12 +167,16 @@ class EdgeViolation:
         }
 
 
-def _perm_key(tau):
-    return json.dumps(list(tau), separators=(",", ":"))
+def _key(label):
+    """The JSON object key of a fixed point: its label as a compact JSON list."""
+    return json.dumps(list(label), separators=(",", ":"))
 
 
-def _perm_from_key(key):
-    return tuple(int(str(v)) for v in json.loads(key))  # str(): true and 1.5 are not integers
+def _perm_from_label(label):
+    tau = tuple(label)
+    if any(type(v) is not int for v in tau):  # not bool, which subclasses int, nor 1.5
+        raise ValueError(f"permutation entries must be integers: {label}")
+    return tau
 
 
 def _pair_divisor(n, mu, nu):
@@ -203,7 +207,8 @@ class _Model:
 
     ``reflections(n)`` yields (edge, left multiplication by its reflection,
     divisor); ``label`` is a fixed point as violations report it, and edges
-    are checked from the endpoint with the smaller label.
+    are checked from the endpoint with the smaller label.  In JSON a fixed
+    point is keyed by its label (``_key``) and read back by ``from_label``.
     """
 
     name: str
@@ -212,24 +217,23 @@ class _Model:
     reflections: object
     divide: object
     label: object
-    key: object
-    from_key: object
+    from_label: object
 
 
 _T = _Model(
     "T", LaurentPoly, enumerate_weyl, _root_reflections,
     lambda diff, divisor: divide_exact(diff, divisor),
-    SignedPerm.window, SignedPerm.window_str, SignedPerm.from_window_str,
+    SignedPerm.window, SignedPerm.from_window,
 )
 _X = _Model(
     "X", LaurentPoly, all_perms, _pair_reflections(_pair_divisor),
     lambda diff, divisor: divide_exact(diff, divisor),
-    tuple, _perm_key, _perm_from_key,
+    tuple, _perm_from_label,
 )
 _G = _Model(
     "G", XPoly, all_perms, _pair_reflections(lambda n, mu, nu: (mu, nu)),
     lambda diff, pair: xpoly_divide_exact(diff, *pair),
-    tuple, _perm_key, _perm_from_key,
+    tuple, _perm_from_label,
 )
 
 
@@ -272,7 +276,7 @@ class _GKMTuple:
         return {
             "model": m.name,
             "rank": self.rank,
-            "values": {m.key(v): self.values[v].to_json() for v in m.vertices(self.rank)},
+            "values": {_key(m.label(v)): self.values[v].to_json() for v in m.vertices(self.rank)},
         }
 
     @classmethod
@@ -284,7 +288,7 @@ class _GKMTuple:
         if not isinstance(data["values"], dict):
             raise ValueError("values must be a JSON object")
         values = {
-            m.from_key(key): m.ring.from_json(rank, val)
+            m.from_label(json.loads(key)): m.ring.from_json(rank, val)
             for key, val in data["values"].items()
         }
         return cls(rank, values)
@@ -495,7 +499,8 @@ def schubert_table(n: int) -> SchubertTable:
 
 
 def schubert_class(w: SignedPerm) -> GKMTupleT:
-    return schubert_table(w.rank).classes[w]
+    """The class of w alone, folded along one reduced word of w."""
+    return schubert_class_from_word(w.rank, reduced_word(w))
 
 
 def descent_invariance_check(table: SchubertTable):
@@ -528,14 +533,15 @@ def descend_pi(f: GKMTupleT) -> GKMTupleX:
     """Inverse of the pullback on sign-change-invariant tuples.
 
     Raises :class:`TupleNotInvariant` with a witnessing (group element, fixed
-    point) pair when some sign change moves f.
+    point) pair when some sign change moves f.  f is invariant iff f[w] equals
+    f[u] for every w, where u is w with all signs positive; where it does
+    not, the witness is the sign change v = u^{-1} w, as f[w v^{-1}] = f[u].
     """
     n = f.rank
-    for v in enumerate_sign_changes(n):
-        vinv = v.inverse()
-        for w in enumerate_weyl(n):
-            if f.values[w * vinv] != f.values[w]:
-                raise TupleNotInvariant(v, w.window())
+    for w in enumerate_weyl(n):
+        u = perm_embed(w.perm)
+        if f.values[w] != f.values[u]:
+            raise TupleNotInvariant(u.inverse() * w, w.window())
     return GKMTupleX(
         n, {tau: f.values[perm_embed(tau)] for tau in all_perms(n)}
     )

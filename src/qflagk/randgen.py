@@ -66,18 +66,19 @@ def random_xpoly(rng, n, terms=2, max_deg=2, max_coeff=3) -> XPoly:
     return XPoly(n, out)
 
 
-def random_quaternion(rng, bound=10) -> Quaternion:
+def random_quaternion(rng) -> Quaternion:
+    """Components p/q with -10 <= p <= 10 and 1 <= q <= 10."""
     return Quaternion(*[
-        Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        Fraction(rng.randint(-10, 10), rng.randint(1, 10))
         for _ in range(4)
     ])
 
 
-def random_invertible_matrix(rng, n, bound=10) -> QMatrix:
+def random_invertible_matrix(rng, n) -> QMatrix:
     """Dense random matrix, resampled until invertible."""
     while True:
         m = QMatrix(tuple(
-            tuple(random_quaternion(rng, bound) for _ in range(n))
+            tuple(random_quaternion(rng) for _ in range(n))
             for _ in range(n)
         ))
         try:
@@ -87,16 +88,16 @@ def random_invertible_matrix(rng, n, bound=10) -> QMatrix:
         return m
 
 
-def random_upper_triangular(rng, n, bound=10) -> QMatrix:
+def random_upper_triangular(rng, n) -> QMatrix:
     """Random invertible upper triangular matrix."""
     rows = []
     for i in range(n):
         row = [Quaternion.zero()] * i
-        diag = random_quaternion(rng, bound)
+        diag = random_quaternion(rng)
         while diag.is_zero():
-            diag = random_quaternion(rng, bound)
+            diag = random_quaternion(rng)
         row.append(diag)
-        row.extend(random_quaternion(rng, bound) for _ in range(n - i - 1))
+        row.extend(random_quaternion(rng) for _ in range(n - i - 1))
         rows.append(tuple(row))
     return QMatrix(tuple(rows))
 
@@ -111,9 +112,10 @@ def _combination(n, basis_elements, coeffs):
     return GKMTupleT(n, values)
 
 
-def random_t_tuple(rng, n, support=3) -> GKMTupleT:
-    """Random combination of Schubert classes with Laurent coefficients."""
-    basis = rng.sample(list(enumerate_weyl(n)), k=min(support, 2**n))
+def random_t_tuple(rng, n) -> GKMTupleT:
+    """Random combination of three Schubert classes (two at rank one) with
+    Laurent coefficients."""
+    basis = rng.sample(list(enumerate_weyl(n)), k=min(3, 2**n))
     coeffs = [random_laurent(rng, n, terms=1, max_exp=1, max_coeff=2) for _ in basis]
     return _combination(n, basis, coeffs)
 
@@ -142,13 +144,14 @@ def vertex_class_x(n, tau) -> GKMTupleX:
     return GKMTupleX(n, values)
 
 
-def random_x_tuple(rng, n, support=2) -> GKMTupleX:
-    """Random valid tuple: a constant plus combinations of vertex classes."""
+def random_x_tuple(rng, n) -> GKMTupleX:
+    """Random valid tuple: a constant plus a combination of two vertex classes
+    (one at rank one)."""
     perms = all_perms(n)
     values = {t: random_laurent(rng, n, terms=1, max_exp=1, max_coeff=2) for t in perms}
     const = values[perms[0]]
     values = {t: const for t in perms}
-    for tau in rng.sample(list(perms), k=min(support, len(perms))):
+    for tau in rng.sample(list(perms), k=min(2, len(perms))):
         a = random_laurent(rng, n, terms=1, max_exp=1, max_coeff=2)
         vc = vertex_class_x(n, tau)
         values = {t: values[t] + a * vc.values[t] for t in perms}
@@ -160,11 +163,12 @@ def random_invariant_t_tuple(rng, n) -> GKMTupleT:
     return pullback_pi(random_x_tuple(rng, n))
 
 
-def random_g_tuple(rng, n, terms=2) -> GKMTupleG:
-    """Random polynomial in the quotient-bundle classes with X coefficients."""
+def random_g_tuple(rng, n) -> GKMTupleG:
+    """Random polynomial in the quotient-bundle classes with X coefficients:
+    a sum of two terms."""
     perms = all_perms(n)
     values = {t: XPoly.zero(n) for t in perms}
-    for _ in range(terms):
+    for _ in range(2):
         coeff = random_xpoly(rng, n, terms=1, max_deg=1, max_coeff=2)
         factors = [rng.randint(1, n) for _ in range(rng.randint(0, 2))]
         for t in perms:

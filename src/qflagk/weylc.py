@@ -20,7 +20,6 @@ __all__ = [
     "Weight",
     "Perm",
     "SignedPerm",
-    "MaxNotUnique",
     "simple_root",
     "positive_roots",
     "is_root",
@@ -47,14 +46,6 @@ __all__ = [
 
 Weight = tuple  # integer coordinates in the L-basis
 Perm = tuple  # one-line notation, 1-based images
-
-
-class MaxNotUnique(RuntimeError):
-    """Two members of a sign-change coset tie for maximal length.
-
-    Never observed; it would break the basis indexed by maximal-length
-    representatives, so it is surfaced loudly instead of resolved silently.
-    """
 
 
 @dataclass(frozen=True)
@@ -350,24 +341,13 @@ def coset_map(w: SignedPerm) -> Perm:
 def max_length_rep(tau: Perm) -> SignedPerm:
     """The unique longest signed permutation whose underlying permutation is tau.
 
-    The coset of tau under the sign-change subgroup consists exactly of the
-    2^n sign decorations of tau; the longest is found by exhaustion and
-    checked to be unique.
+    It is tau with every sign negative, of length n^2 - inv(tau).  In
+    w = (tau, signs), the long root 2L^v goes negative iff signs[v] = -1.  For
+    a < b, the pair L^a - L^b, L^a + L^b contributes 1 when tau(a) > tau(b),
+    and otherwise 2 or 0 as signs[a] is -1 or +1.  So every sign -1 is the
+    unique maximum over the coset.
     """
-    n = len(tau)
-    best = None
-    best_len = -1
-    tie = False
-    for signs in product((1, -1), repeat=n):
-        w = SignedPerm(tuple(tau), signs)
-        lw = length(w)
-        if lw > best_len:
-            best, best_len, tie = w, lw, False
-        elif lw == best_len:
-            tie = True
-    if tie:
-        raise MaxNotUnique(f"coset of {tau} has two members of length {best_len}")
-    return best
+    return SignedPerm(tuple(tau), (-1,) * len(tau))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,10 @@ def test_verify_suites_pass_at_rank_two(capsys, suite):
 def test_verify_cells_suite(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "cells", "--n", "2", "--trials", "5")
     assert rc == 0, out
+    # one trial and two jobs: the only trial runs in this process
+    rc, out, _ = run(capsys, "verify", "--suite", "cells", "--n", "3", "--trials", "1",
+                     "--jobs", "2")
+    assert rc == 0, out
 
 
 def test_verify_rank_one_trivial_suites(capsys):
@@ -167,6 +171,8 @@ def test_schubert_bad_window(capsys):
     assert rc == 2
     rc, _, err = run(capsys, "schubert", "--n", "2", "--w", "[1]")
     assert rc == 2
+    rc, out, err = run(capsys, "schubert", "--n", "2", "--w", "[" * 30000 + "]" * 30000)
+    assert rc == 2 and out == "" and "bad window" in err
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +414,7 @@ def test_verify_reports_do_not_depend_on_jobs(capsys, suite):
         reports.append(report)
     assert reports[0] == reports[1]
     if "--mutate" in argv:
-        # --jobs 2 runs trials 0-2 and 3-5 in two workers
+        # --jobs 2 runs trial 0 first, then trials 1-3 and 4-5 in two workers
         assert {v["trial"] < 3 for v in reports[0]["violations"]} == {True, False}
 
 
@@ -448,7 +454,10 @@ T1 ={"model": "T", "rank": 1, "values": {"[1]": [["1", [0]]], "[-1]": [["1", [0]
     ("T", 1, {**T1, "values": {"[1]": [[True, [0]]], "[-1]": [["1", [0]]]}}),
     ("X", 2, {"model": "X", "rank": 2,
               "values": {"[true,2]": [["1", [0, 0]]], "[2,1]": [["1", [0, 0]]]}}),
-], ids=["rank-bool", "rank-float", "exponent-bool", "coefficient-bool", "vertex-bool"])
+    ("X", 2, {"model": "X", "rank": 2,
+              "values": {'["1","2"]': [["1", [0, 0]]], '["2","1"]': [["1", [0, 0]]]}}),
+], ids=["rank-bool", "rank-float", "exponent-bool", "coefficient-bool", "vertex-bool",
+        "vertex-string"])
 def test_tuple_integers_must_be_integers(tmp_path, capsys, model, n, doc):
     p = tmp_path / "t.json"
     p.write_text(json.dumps(doc))

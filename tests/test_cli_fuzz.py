@@ -1,11 +1,12 @@
 """Hypothesis fuzz of the CLI input layer.
 
 Arbitrary JSON documents go to ``decompose``, ``cell-index`` and ``check``,
-and arbitrary tokens to the counted flags of ``basis``.  Whatever the input,
-``main`` must return an exit code of the contract (0, 1, 2 or 3) without an
-exception escaping it.  Exponents in the tuple documents stay small: exact
-division by ``e^beta - 1`` walks the whole exponent span, so a huge exponent
-makes ``check`` slow, not wrong.
+arbitrary window text to ``schubert --w``, and arbitrary tokens to the
+counted flags of ``basis``.  Whatever the input, ``main`` must return an
+exit code of the contract (0, 1, 2 or 3) without an exception escaping it.
+Exponents in the tuple documents stay small: exact division by
+``e^beta - 1`` walks the whole exponent span, so a huge exponent makes
+``check`` slow, not wrong.
 """
 
 import contextlib
@@ -62,6 +63,20 @@ tuples = well_formed | st.fixed_dictionaries({
     ) | any_json,
 }) | any_json
 
+
+def signed_windows(n):
+    return st.permutations(range(1, n + 1)).flatmap(lambda perm: st.lists(
+        st.sampled_from([1, -1]), min_size=n, max_size=n,
+    ).map(lambda signs: [s * v for s, v in zip(signs, perm)]))
+
+
+# a valid window of the requested rank, of another rank, or anything else
+schubert_args = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    (signed_windows(n) | st.integers(1, 4).flatmap(signed_windows) | any_json).map(json.dumps)
+    | st.text(max_size=8),
+))
+
 tokens = st.sampled_from(["0", "1", "-1", "4", "5", "1_0", " 2", "+3", "1e3", "--n"]) \
     | st.integers(-10**30, 10**30).map(str) | st.text(max_size=5)
 
@@ -92,6 +107,13 @@ def test_matrix_commands_keep_the_exit_code_contract(doc, command):
 @given(doc=tuples, model=st.sampled_from(["T", "X", "G"]))
 def test_check_keeps_the_exit_code_contract(doc, model):
     _run_on_document(["check", "--model", model], doc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(args=schubert_args)
+def test_schubert_window_keeps_the_exit_code_contract(args):
+    n, window = args
+    _run(["schubert", "--n", str(n), "--w", window])
 
 
 @FUZZ

@@ -288,6 +288,13 @@ def test_schubert_word_independence_sampled_rank_three():
         assert schubert_class_from_word(n, word) == table.classes[w0]
 
 
+def test_schubert_class_matches_the_table():
+    table = schubert_table(3)
+    for w in enumerate_weyl(3):
+        assert schubert_class(w) == table.classes[w]
+    assert schubert_class(max_length_rep(perm_identity(4))) == GKMTupleT.constant(4, 1)
+
+
 def test_descent_invariance_exhaustive_rank_two():
     assert descent_invariance_check(schubert_table(2)) == []
 
@@ -327,7 +334,10 @@ def test_descend_rejects_non_invariant_with_witness():
     broken = GKMTupleT(n, values)
     with pytest.raises(TupleNotInvariant) as exc:
         descend_pi(broken)
-    assert exc.value.index is not None
+    v, index = exc.value.group_element, exc.value.index
+    assert v.is_sign_change()
+    w = SignedPerm.from_window(index)
+    assert weyl_act_tuple(v, broken).values[w] != broken.values[w]
 
 
 def test_j_maps_examples_and_roundtrip():

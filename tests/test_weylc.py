@@ -6,7 +6,6 @@ from collections import deque
 import pytest
 
 from qflagk.weylc import (
-    MaxNotUnique,
     SignedPerm,
     all_perms,
     bruhat_leq,
@@ -247,10 +246,12 @@ def test_max_length_rep_examples():
 
 
 def test_max_length_rep_dominates_its_coset():
-    for n in (1, 2, 3):
+    # brute force over each coset: the closed form is its unique longest member
+    for n in (1, 2, 3, 4):
         for tau in all_perms(n):
             w = max_length_rep(tau)
             assert coset_map(w) == tau
+            assert length(w) == n * n - perm_inversions(tau)
             for v in enumerate_sign_changes(n):
                 other = w * v
                 if other != w:
