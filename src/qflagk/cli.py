@@ -18,9 +18,11 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 from functools import partial
 
 from . import gkm, quatflag, randgen, ringcore, weylc
@@ -422,11 +424,48 @@ def _check_cap(cfg, size, what):
         )
 
 
+# A matrix component may have at most this many digits above and below the
+# line, in lowest terms.  At the default rank cap a dense matrix of such
+# components factors in well under a second, into components that print
+# inside the interpreter's limit on the digits of an int.
+MAX_COMPONENT_DIGITS = 30
+_COMPONENT_LIMIT = 10 ** MAX_COMPONENT_DIGITS
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
+
+
+def _check_components(data):
+    """Refuse a matrix document with a component beyond MAX_COMPONENT_DIGITS.
+
+    Components of the wrong type or shape are left to ``QMatrix.from_json``.
+    A nonzero m * 10**e whose |e| passes the length of m by more than the
+    bound is too long above or below the line, so it is refused before
+    ``Fraction`` expands 10**e (a zero written so is refused too).
+    """
+    for row in data if isinstance(data, list) else ():
+        for q in row if isinstance(row, list) else ():
+            for x in q if isinstance(q, list) else ():
+                if isinstance(x, str):
+                    m = _EXPONENT.search(x.strip())
+                    if m and abs(int(m.group(1))) > MAX_COMPONENT_DIGITS + m.start():
+                        raise ValueError(f"component exponent out of range: {x[:40]!r}")
+                    x = Fraction(x)
+                elif type(x) is not int:
+                    continue
+                if abs(x.numerator) >= _COMPONENT_LIMIT or x.denominator >= _COMPONENT_LIMIT:
+                    raise ValueError(
+                        f"a component has more than {MAX_COMPONENT_DIGITS} digits "
+                        "above or below the line"
+                    )
+
+
 def _read_matrix(cfg, path):
-    """The square matrix in the JSON file at path, of size 1 up to the rank cap."""
+    """The square matrix in the JSON file at path, of size 1 up to the rank
+    cap, with components of at most MAX_COMPONENT_DIGITS digits."""
     try:
         with open(path, encoding="utf-8") as fh:
-            g = quatflag.QMatrix.from_json(json.load(fh))
+            data = json.load(fh)
+        _check_components(data)
+        g = quatflag.QMatrix.from_json(data)
         if not g.n:
             raise ValueError("the matrix is empty")
     except _BAD_INPUT as exc:

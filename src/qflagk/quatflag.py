@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .weylc import Perm, bruhat_leq, perm_inverse, perm_inversions
 
@@ -47,18 +48,47 @@ def _frac(x):
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
-@dataclass(frozen=True)
 class Quaternion:
-    """a + b*i + c*j + d*k with exact rational components."""
+    """a + b*i + c*j + d*k with exact rational components.
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    Stored as four int numerators ``_x`` over one positive int ``_den``, in
+    lowest terms (gcd(*_x, _den) == 1), so equal quaternions have equal
+    fields.  Arithmetic stays in ints; ``a``..``d`` read the components back
+    as ``Fraction``.  Immutable.
+    """
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+    __slots__ = ("_x", "_den")
+
+    def __init__(self, a, b, c, d):
+        fs = (_frac(a), _frac(b), _frac(c), _frac(d))
+        den = lcm(*(f.denominator for f in fs))
+        _set_x(self, tuple(f.numerator * (den // f.denominator) for f in fs))
+        _set_den(self, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Quaternion is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Quaternion is immutable")
+
+    def __reduce__(self):
+        return _trusted, (*self._x, self._den)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._x[0], self._den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._x[1], self._den)
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self._x[2], self._den)
+
+    @property
+    def d(self) -> Fraction:
+        return Fraction(self._x[3], self._den)
 
     @classmethod
     def zero(cls):
@@ -80,40 +110,66 @@ class Quaternion:
     def k(cls):
         return cls(0, 0, 0, 1)
 
+    def __eq__(self, other):
+        if type(other) is not Quaternion:
+            return NotImplemented
+        return self._x == other._x and self._den == other._den
+
+    def __hash__(self):
+        return hash((self._x, self._den))
+
     def __add__(self, other):
-        return Quaternion(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
+        a1, b1, c1, d1 = self._x
+        a2, b2, c2, d2 = other._x
+        n1, n2 = self._den, other._den
+        if n1 == n2:
+            return _trusted(a1 + a2, b1 + b2, c1 + c2, d1 + d2, n1)
+        return _trusted(a1 * n2 + a2 * n1, b1 * n2 + b2 * n1,
+                        c1 * n2 + c2 * n1, d1 * n2 + d2 * n1, n1 * n2)
 
     def __sub__(self, other):
-        return Quaternion(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
+        a1, b1, c1, d1 = self._x
+        a2, b2, c2, d2 = other._x
+        n1, n2 = self._den, other._den
+        if n1 == n2:
+            return _trusted(a1 - a2, b1 - b2, c1 - c2, d1 - d2, n1)
+        return _trusted(a1 * n2 - a2 * n1, b1 * n2 - b2 * n1,
+                        c1 * n2 - c2 * n1, d1 * n2 - d2 * n1, n1 * n2)
 
     def __neg__(self):
-        return Quaternion(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self._x
+        return _trusted(-a, -b, -c, -d, self._den)
 
     def __mul__(self, other):
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        return Quaternion(
+        a1, b1, c1, d1 = self._x
+        a2, b2, c2, d2 = other._x
+        return _trusted(
             a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
             a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
             a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
             a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+            self._den * other._den,
         )
 
     def conjugate(self):
-        return Quaternion(self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self._x
+        return _trusted(a, -b, -c, -d, self._den)
 
     def norm2(self) -> Fraction:
-        return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
+        a, b, c, d = self._x
+        return Fraction(a * a + b * b + c * c + d * d, self._den * self._den)
 
     def is_zero(self):
-        return not (self.a or self.b or self.c or self.d)
+        return not any(self._x)
 
     def inverse(self):
-        n2 = self.norm2()
+        # conj(x / den) / (|x|^2 / den^2) = conj(x) * den / |x|^2
+        a, b, c, d = self._x
+        n2 = a * a + b * b + c * c + d * d
         if not n2:
             raise ZeroDivisionError("zero quaternion has no inverse")
-        q = self.conjugate()
-        return Quaternion(q.a / n2, q.b / n2, q.c / n2, q.d / n2)
+        den = self._den
+        return _trusted(a * den, -b * den, -c * den, -d * den, n2)
 
     def __repr__(self):
         return f"Quaternion({self.a}, {self.b}, {self.c}, {self.d})"
@@ -126,6 +182,23 @@ class Quaternion:
         if not isinstance(data, list) or len(data) != 4:  # a string is not its characters
             raise ValueError(f"quaternion encoding needs a list of 4 components: {data!r}")
         return cls(*data)
+
+
+_set_x = Quaternion._x.__set__
+_set_den = Quaternion._den.__set__
+_new = object.__new__
+
+
+def _trusted(a, b, c, d, den):
+    """The quaternion (a, b, c, d) / den for ints a..d and den > 0, reduced to
+    lowest terms.  Only for results of arithmetic; it checks no types."""
+    g = gcd(a, b, c, d, den)
+    if g != 1:
+        a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+    q = _new(Quaternion)
+    _set_x(q, (a, b, c, d))
+    _set_den(q, den)
+    return q
 
 
 _Q0 = Quaternion.zero()

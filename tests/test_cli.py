@@ -1,11 +1,12 @@
 """Command-line surface: suites, exit codes, file formats, determinism."""
 
 import json
+import random
 
 import pytest
 
 from qflagk import gkm, quatflag, ringcore
-from qflagk.cli import main
+from qflagk.cli import MAX_COMPONENT_DIGITS, main
 from qflagk.randgen import random_invertible_matrix, trial_rng
 
 
@@ -442,6 +443,71 @@ def test_quaternion_must_be_a_list_not_a_string(tmp_path, capsys, command):
     p.write_text(json.dumps([["1234"]]))
     rc, out, err = run(capsys, command, "--input", str(p))
     assert rc == 2 and out == "" and "cannot read matrix" in err
+
+
+# ---------------------------------------------------------------------------
+# matrix components are bounded at MAX_COMPONENT_DIGITS digits
+# ---------------------------------------------------------------------------
+
+Q_ONE = ["1", "0", "0", "0"]
+
+
+def _diagonal_doc(entry, n):
+    """The n x n matrix with ``entry`` on the diagonal and 1 elsewhere."""
+    return [[entry if i == j else Q_ONE for j in range(n)] for i in range(n)]
+
+
+def _dense_doc(digits, n=4, seed=0):
+    """A dense n x n matrix whose components are fractions with numerators
+    and denominators of exactly ``digits`` digits."""
+    rng = random.Random(seed)
+    low, high = 10 ** (digits - 1), 10 ** digits - 1
+    return [[[f"{rng.choice([-1, 1]) * rng.randint(low, high)}/{rng.randint(low, high)}"
+              for _ in range(4)] for _ in range(n)] for _ in range(n)]
+
+
+def test_huge_exponent_component_is_a_parse_error(tmp_path, capsys):
+    # 10**100000 over 1: the factors it led to overflowed the interpreter's
+    # limit on printing an int, and decompose raised instead of exiting 2
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(_diagonal_doc(["1e100000", "1", "1", "1"], 2)))
+    rc, out, err = run(capsys, "decompose", "--input", str(p))
+    assert rc == 2 and out == "" and "cannot read matrix" in err
+
+
+@pytest.mark.parametrize("command", MATRIX_COMMANDS)
+def test_huger_exponent_component_is_refused_before_it_is_expanded(tmp_path, capsys, command):
+    # at 3x3 with 10**1000000 the row reduction itself ran for minutes
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(_diagonal_doc(["1e1000000", "1", "1", "1"], 3)))
+    rc, out, err = run(capsys, command, "--input", str(p))
+    assert rc == 2 and out == "" and "cannot read matrix" in err
+
+
+@pytest.mark.parametrize("command", MATRIX_COMMANDS)
+def test_dense_matrix_beyond_the_component_bound_is_a_parse_error(tmp_path, capsys, command):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(_dense_doc(MAX_COMPONENT_DIGITS + 1)))
+    rc, out, err = run(capsys, command, "--input", str(p))
+    assert rc == 2 and out == "" and "cannot read matrix" in err
+    p.write_text(json.dumps(_dense_doc(50)))  # factors of about 4 700 digits
+    rc, out, err = run(capsys, command, "--input", str(p))
+    assert rc == 2 and out == "" and "cannot read matrix" in err
+
+
+def test_dense_matrix_at_the_component_bound_decomposes(tmp_path, capsys):
+    doc = _dense_doc(MAX_COMPONENT_DIGITS)
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(doc))
+    rc, out, _ = run(capsys, "decompose", "--input", str(p), "--format", "json")
+    assert rc == 0
+    data = json.loads(out)
+    g = quatflag.QMatrix.from_json(doc)
+    u = quatflag.QMatrix.from_json(data["u"])
+    b = quatflag.QMatrix.from_json(data["b"])
+    assert u * quatflag.perm_matrix(tuple(data["tau"])) * b == g
+    rc, out, _ = run(capsys, "cell-index", "--input", str(p), "--format", "json")
+    assert rc == 0 and json.loads(out)["tau"] == data["tau"]
 
 
 T1 ={"model": "T", "rank": 1, "values": {"[1]": [["1", [0]]], "[-1]": [["1", [0]]]}}

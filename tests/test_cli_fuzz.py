@@ -4,6 +4,8 @@ Arbitrary JSON documents go to ``decompose``, ``cell-index`` and ``check``,
 arbitrary window text to ``schubert --w``, and arbitrary tokens to the
 counted flags of ``basis``.  Whatever the input, ``main`` must return an
 exit code of the contract (0, 1, 2 or 3) without an exception escaping it.
+Matrix documents include dense 4x4 ones and components at and beyond the
+bound on their digits, such as ``"1e100000"`` and 60-digit numerators.
 Exponents in the tuple documents stay small: exact division by
 ``e^beta - 1`` walks the whole exponent span, so a huge exponent makes
 ``check`` slow, not wrong.
@@ -18,7 +20,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflagk.cli import main
+from qflagk.cli import MAX_COMPONENT_DIGITS, main
 
 FUZZ = settings(max_examples=120, deadline=None, derandomize=True)
 
@@ -28,12 +30,37 @@ any_json = st.recursive(
     | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=12,
 )
-rational = st.sampled_from(["0", "1", "-1", "1/2", "-2/3"]) | st.integers(-3, 3)
 junk = st.sampled_from(["1/0", "x", "", "1e999"]) | any_json
-quaternion = st.lists(rational, min_size=4, max_size=4) | st.lists(rational | junk, max_size=5)
-matrices = st.integers(0, 3).flatmap(
-    lambda n: st.lists(st.lists(quaternion, min_size=n, max_size=n), min_size=n, max_size=n)
-) | st.lists(st.lists(quaternion, max_size=3), max_size=3) | any_json
+
+
+def _signed(low, high):
+    return st.tuples(st.sampled_from([-1, 1]), st.integers(low, high)).map(lambda t: t[0] * t[1])
+
+
+# matrix components: small ones, ones at the bound on digits above and
+# below the line, and ones beyond it, which exit 2 however they are written
+D = MAX_COMPONENT_DIGITS
+BOUND = 10 ** D - 1
+at_bound = _signed(10 ** (D - 1), BOUND) | _signed(10 ** (D - 1), BOUND).map(str) | st.builds(
+    "{}/{}".format, _signed(1, BOUND), st.integers(1, BOUND))
+beyond = st.sampled_from(["1e100000", "-2.5e-100000", "1e1000000", "0e99999999", f"1e{D}",
+                          f"1e-{D}", f" 1e{D} "]) \
+    | _signed(10 ** 59, 10 ** 70) | _signed(10 ** 59, 10 ** 70).map(str) \
+    | st.builds("1/{}".format, st.integers(10 ** D, 10 ** 70))
+rational = st.sampled_from(["0", "1", "-1", "1/2", "-2/3"]) | st.integers(-3, 3) | at_bound
+clean_quaternion = st.lists(rational, min_size=4, max_size=4)
+quaternion = clean_quaternion | st.lists(rational | beyond | junk, max_size=5)
+
+
+def _square(n, entry):
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+# dense 4x4 documents at the default rank cap: all within the bound, or with
+# components beyond it mixed in
+dense = _square(4, clean_quaternion) | _square(4, st.lists(rational | beyond, min_size=4, max_size=4))
+matrices = st.integers(0, 3).flatmap(lambda n: _square(n, quaternion)) \
+    | st.lists(st.lists(quaternion, max_size=3), max_size=3) | dense | any_json
 
 # rank-2 fixed points: the T-model's signed windows, the X/G-models' permutations
 VERTICES = {

@@ -1,5 +1,8 @@
 """Quaternionic matrices, the triangular factorization, and cell combinatorics."""
 
+import copy
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -64,6 +67,101 @@ def test_quaternion_json_roundtrip():
     q = Quaternion(Fraction(3, 7), -2, 0, Fraction(-5, 11))
     assert Quaternion.from_json(q.to_json()) == q
     assert q.to_json() == ["3/7", "-2", "0", "-5/11"]
+
+
+# ---------------------------------------------------------------------------
+# quaternion properties against four-Fraction reference arithmetic
+# ---------------------------------------------------------------------------
+
+def _ref(q):
+    return (q.a, q.b, q.c, q.d)
+
+
+def _ref_mul(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+def _random_components(rng):
+    # zeros, integers and fractions with shared and coprime denominators
+    return tuple(
+        Fraction(rng.randint(-12, 12), rng.choice([1, 1, 2, 3, 4, 6, 7, 12, 35]))
+        if rng.random() > 0.2 else Fraction(0)
+        for _ in range(4)
+    )
+
+
+def test_quaternion_arithmetic_matches_fraction_reference():
+    rng = random.Random(2718)
+    for _ in range(400):
+        x, y = _random_components(rng), _random_components(rng)
+        p, q = Quaternion(*x), Quaternion(*y)
+        assert _ref(p) == x
+        assert _ref(p + q) == tuple(s + t for s, t in zip(x, y))
+        assert _ref(p - q) == tuple(s - t for s, t in zip(x, y))
+        assert _ref(-p) == tuple(-s for s in x)
+        assert _ref(p * q) == _ref_mul(x, y)
+        assert _ref(p.conjugate()) == (x[0], -x[1], -x[2], -x[3])
+        n2 = sum(s * s for s in x)
+        assert p.norm2() == n2 and type(p.norm2()) is Fraction
+        if n2:
+            assert _ref(p.inverse()) == tuple(s / n2 for s in _ref(p.conjugate()))
+            assert p * p.inverse() == ONE == p.inverse() * p
+        else:
+            assert p.is_zero() and p == ZERO
+            with pytest.raises(ZeroDivisionError):
+                p.inverse()
+        # every result is stored in lowest terms, whatever route built it
+        for r in (p + q, p - q, p * q, -p, p.conjugate()):
+            assert r == Quaternion(*_ref(r)) and hash(r) == hash(Quaternion(*_ref(r)))
+
+
+def test_quaternion_form_is_canonical():
+    half, also_half = Quaternion("2/4", 0, 0, 0), Quaternion("1/2", 0, 0, 0)
+    assert half == also_half and hash(half) == hash(also_half)
+    assert {half: "x"}[also_half] == "x" and len({half, also_half}) == 1
+    # a sum that cancels to an integer equals the integer
+    third = Quaternion(Fraction(1, 3), 0, Fraction(2, 3), 0)
+    assert third + third + third == Quaternion(1, 0, 2, 0)
+    assert third - third == ZERO and hash(third - third) == hash(ZERO)
+    assert Quaternion(1, 2, 3, 4) != (1, 2, 3, 4)
+
+
+def test_quaternion_is_immutable():
+    q = Quaternion(1, 2, 3, 4)
+    for name in ("a", "_x", "_den", "other"):
+        with pytest.raises(AttributeError):
+            setattr(q, name, 5)
+    with pytest.raises(AttributeError):
+        del q.a
+    assert q == Quaternion(1, 2, 3, 4)
+
+
+def test_quaternion_components_are_fractions():
+    q = Quaternion(3, "-1/2", 0, Fraction(5, 6))
+    assert all(type(getattr(q, name)) is Fraction for name in "abcd")
+    assert (q.a, q.b, q.c, q.d) == (3, Fraction(-1, 2), 0, Fraction(5, 6))
+
+
+def test_quaternion_strings_are_unchanged():
+    q = Quaternion(3, -2, 0, -7)
+    assert q.to_json() == ["3", "-2", "0", "-7"]
+    assert repr(q) == "Quaternion(3, -2, 0, -7)"
+    assert ZERO.to_json() == ["0", "0", "0", "0"]
+    assert repr(ZERO) == "Quaternion(0, 0, 0, 0)"
+    assert repr(Quaternion("-4/6", 0, "1/3", 0)) == "Quaternion(-2/3, 0, 1/3, 0)"
+
+
+def test_quaternion_pickles_and_copies():
+    q = Quaternion("2/3", -1, 0, "5/4")
+    assert pickle.loads(pickle.dumps(q)) == q
+    assert copy.deepcopy(q) == q
 
 
 # ---------------------------------------------------------------------------
