@@ -48,6 +48,7 @@ def _frac(x):
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Quaternion:
     """a + b*i + c*j + d*k with exact rational components.
 
@@ -57,19 +58,17 @@ class Quaternion:
     as ``Fraction``.  Immutable.
     """
 
+    # Slots declared by hand: before Python 3.12, slots=True builds a new
+    # class whose frozen __setattr__ raises TypeError for non-field names.
     __slots__ = ("_x", "_den")
+    _x: tuple
+    _den: int
 
     def __init__(self, a, b, c, d):
         fs = (_frac(a), _frac(b), _frac(c), _frac(d))
         den = lcm(*(f.denominator for f in fs))
         _set_x(self, tuple(f.numerator * (den // f.denominator) for f in fs))
         _set_den(self, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Quaternion is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Quaternion is immutable")
 
     def __reduce__(self):
         return _trusted, (*self._x, self._den)
@@ -110,20 +109,10 @@ class Quaternion:
     def k(cls):
         return cls(0, 0, 0, 1)
 
-    def __eq__(self, other):
-        if type(other) is not Quaternion:
-            return NotImplemented
-        return self._x == other._x and self._den == other._den
-
-    def __hash__(self):
-        return hash((self._x, self._den))
-
     def __add__(self, other):
         a1, b1, c1, d1 = self._x
         a2, b2, c2, d2 = other._x
         n1, n2 = self._den, other._den
-        if n1 == n2:
-            return _trusted(a1 + a2, b1 + b2, c1 + c2, d1 + d2, n1)
         return _trusted(a1 * n2 + a2 * n1, b1 * n2 + b2 * n1,
                         c1 * n2 + c2 * n1, d1 * n2 + d2 * n1, n1 * n2)
 
@@ -131,8 +120,6 @@ class Quaternion:
         a1, b1, c1, d1 = self._x
         a2, b2, c2, d2 = other._x
         n1, n2 = self._den, other._den
-        if n1 == n2:
-            return _trusted(a1 - a2, b1 - b2, c1 - c2, d1 - d2, n1)
         return _trusted(a1 * n2 - a2 * n1, b1 * n2 - b2 * n1,
                         c1 * n2 - c2 * n1, d1 * n2 - d2 * n1, n1 * n2)
 
