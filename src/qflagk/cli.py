@@ -484,7 +484,13 @@ def cmd_decompose(cfg) -> int:
     if u * quatflag.perm_matrix(tau) * b != g:
         print("internal error: recomposition mismatch", file=sys.stderr)
         return 3
-    payload = {"u": u.to_json(), "tau": list(tau), "b": b.to_json()}
+    try:
+        payload = {"u": u.to_json(), "tau": list(tau), "b": b.to_json()}
+    except ValueError:  # a component past the interpreter's limit on int digits
+        raise _UsageError(
+            "cannot print the factors: a component has more digits than the "
+            "interpreter converts to text"
+        ) from None
     _emit(cfg, payload, json.dumps(payload, indent=2))
     return 0
 
@@ -515,7 +521,10 @@ def cmd_check(cfg) -> int:
         f = getattr(gkm, f"GKMTuple{model}").from_json(data)
     except _BAD_INPUT as exc:
         raise _UsageError(f"cannot read tuple: {exc}") from None
-    violations = [v.to_json() for v in getattr(gkm, f"gkm_check_{model.lower()}")(f)]
+    try:
+        violations = [v.to_json() for v in getattr(gkm, f"gkm_check_{model.lower()}")(f)]
+    except OverflowError as exc:  # exponents inside the limit, divisions beyond it
+        raise _UsageError(f"cannot check tuple: {exc}") from None
     payload = {"model": model, "rank": f.rank, "violations": violations}
     text = "OK" if not violations else "\n".join(
         ["FAILED"] + [json.dumps(v, sort_keys=True) for v in violations]

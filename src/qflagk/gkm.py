@@ -237,13 +237,16 @@ _G = _Model(
 )
 
 
+@lru_cache(maxsize=None)
 def _edges(model, n):
     """Each edge u -- v of the model's GKM graph once, as (u, v, edge, divisor)."""
-    for edge, move, divisor in model.reflections(n):
-        for u in model.vertices(n):
-            v = move(u)
-            if model.label(u) < model.label(v):
-                yield u, v, edge, divisor
+    return tuple(
+        (u, v, edge, divisor)
+        for edge, move, divisor in model.reflections(n)
+        for u in model.vertices(n)
+        for v in (move(u),)
+        if model.label(u) < model.label(v)
+    )
 
 
 @dataclass
@@ -409,6 +412,19 @@ def point_class(n: int) -> GKMTupleT:
     return GKMTupleT(n, values)
 
 
+@lru_cache(maxsize=None)
+def _demazure_steps(n, i):
+    """(w, w s_i, e^{w(alpha_i)}, e^{w(alpha_i)} - 1) for each w, in
+    ``enumerate_weyl`` order."""
+    s = simple_reflection(i, n)
+    alpha = simple_root(i, n)
+    return tuple(
+        (w, w * s, LaurentPoly.monomial(n, walpha), BinomialDivisor([walpha]))
+        for w in enumerate_weyl(n)
+        for walpha in (w.act(alpha),)
+    )
+
+
 def demazure(i: int, f: GKMTupleT) -> GKMTupleT:
     """Demazure operator: at w, (f_w - e^{w(alpha_i)} f_{w s_i}) / (1 - e^{w(alpha_i)}).
 
@@ -417,22 +433,20 @@ def demazure(i: int, f: GKMTupleT) -> GKMTupleT:
     value is zero, and no numerator is formed.
     """
     n = f.rank
-    s = simple_reflection(i, n)
-    alpha = simple_root(i, n)
+    values = f.values
     zero = LaurentPoly.zero(n)
     out = {}
-    for w in enumerate_weyl(n):
-        fw, fws = f.values[w], f.values[w * s]
+    for w, ws, e_walpha, divisor in _demazure_steps(n, i):
+        fw, fws = values[w], values[ws]
         if not fw and not fws:
             out[w] = zero
             continue
-        walpha = w.act(alpha)
-        numerator = fw - LaurentPoly.monomial(n, walpha) * fws
+        numerator = fw - e_walpha * fws
         if not numerator:
             out[w] = zero
             continue
         try:
-            q = divide_exact(numerator, BinomialDivisor([walpha]))
+            q = divide_exact(numerator, divisor)
         except NotDivisible:
             raise InexactDivision(w, i, numerator) from None
         out[w] = -q  # numerator = q * (e^{w(alpha)} - 1) = -q * (1 - e^{w(alpha)})

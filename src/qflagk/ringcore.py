@@ -6,17 +6,57 @@ generated by X_v, which embeds into the Laurent ring through X_v = x_v +
 x_v^{-1}.  Coefficients are Python ints throughout, so every operation is
 exact at arbitrary size; there is no floating point anywhere.
 
-Values are immutable after construction (by convention: nothing here mutates
-a ``terms`` dict once the owning polynomial exists) and may be shared freely.
+Packed exponents (Kronecker substitution with balanced fields).  A
+polynomial is one dict from a packed key to a nonzero int coefficient.  The
+key of the exponent vector e is ``sum(e[i] << (FIELD_BITS * i))``: the
+vector read as the digits of one int in base 2^FIELD_BITS, each digit a
+signed value in (-EXPONENT_LIMIT, EXPONENT_LIMIT), EXPONENT_LIMIT =
+2^(FIELD_BITS - 1).  Packing is additive, so a monomial shift is ``k + E``
+and a long-division step is ``k - F``; adding 2^(FIELD_BITS - 1) to every
+field makes each one a plain base-2^FIELD_BITS digit, which a shift and a
+mask read back.
 
-Every outside input is validated once, at construction.  Results of
-arithmetic skip re-validation: their term dicts are built from terms that
-were already valid, with zero sums dropped as they arise, so they are clean
-by construction.
+No-carry invariant: every key of every polynomial has all its fields
+strictly inside the limit, so the map from exponent vectors to keys is
+injective and ``k + E`` is the key of the sum of the two vectors, never a
+carry into a neighbouring field.  Each polynomial carries ``_bound``, an
+upper bound on |e| over its terms, and every operation checks the bound of
+its result before it forms a key:
+
+* ``__init__`` refuses (``ValueError``) an exponent with |e| at or beyond
+  the limit, and records the true maximum.
+* ``+`` and ``-`` form only keys of their operands: the bound is the max of
+  the operands' bounds.
+* ``*`` adds one key of each operand, so |e| is at most the sum of the
+  bounds; a sum at or beyond the limit raises ``OverflowError``.
+* An exact quotient by e^F - 1 (or by X_mu - X_nu) keeps the bound: the
+  Newton polytope of the dividend is that of the quotient summed with the
+  segment [0, F] (or [0, e_mu - e_nu]), so it contains the quotient's, and
+  |e| is largest at a vertex, which is a term of the dividend.  The long
+  division also forms transient terms, each moved by -F once per bucket
+  of the leading variable it passes: at most (hi - lo) // |d| times, hi -
+  lo the spread of that variable and d its exponent in F.  So |e| stays at
+  most ``bound + (hi - lo) // |d| * max|F|``; that figure is checked
+  before the first step (``OverflowError``) and bounds a remainder
+  witness.  Synthetic division by X_mu - X_nu raises the exponent of X_nu
+  by one per step, at most max e_mu steps, so its figure is ``bound + max
+  e_mu``.
+* ``weyl_act_poly`` permutes and negates exponents; ``x_expand`` and
+  ``basis_decompose`` write x^k through X^j with |j| <= |k| and the other
+  way round: all three keep the bound.
+
+The ``terms`` attribute is a read-only view, a new dict from exponent
+tuples to coefficients, decoded on each read; arithmetic never reads it.
+Values are immutable after construction and may be shared freely.  Outside
+input is validated once, at construction; results of arithmetic skip
+re-validation (``_PolyBase._trusted``) because they are clean by
+construction.
 """
 
 from __future__ import annotations
 
+import struct
+from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -26,6 +66,7 @@ __all__ = [
     "BinomialDivisor",
     "NotDivisible",
     "NotInvariant",
+    "EXPONENT_LIMIT",
     "divide_exact",
     "xpoly_divide_exact",
     "weyl_act_poly",
@@ -34,6 +75,11 @@ __all__ = [
     "sym_in_x",
     "sigma_k",
 ]
+
+# Width of one exponent field of a packed key; |e| < EXPONENT_LIMIT.
+FIELD_BITS = 16
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
+_MASK = (1 << FIELD_BITS) - 1
 
 
 class NotDivisible(ArithmeticError):
@@ -59,59 +105,57 @@ class NotInvariant(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# term-dict helpers (exponent tuple -> nonzero int coefficient)
+# packed keys and term dicts (packed key -> nonzero int coefficient)
 # ---------------------------------------------------------------------------
 
-def _acc(terms, exps, c):
-    new = terms.get(exps, 0) + c
+def _pack(exps):
+    """The key of an exponent vector whose entries are inside the limit."""
+    key = 0
+    for e in reversed(exps):
+        key = (key << FIELD_BITS) + e
+    return key
+
+
+@lru_cache(maxsize=None)
+def _bias(rank):
+    # EXPONENT_LIMIT in every field: key + bias has the digits e_i + limit
+    return _pack((EXPONENT_LIMIT,) * rank)
+
+
+@lru_cache(maxsize=None)
+def _layout(rank):
+    # rank fields, each a signed FIELD_BITS-bit int, least significant first
+    return struct.Struct("<%d%s" % (rank, {16: "h", 32: "i", 64: "q"}[FIELD_BITS]))
+
+
+def _unpack(key, rank):
+    # the xor turns each digit e_i + limit into e_i mod 2^FIELD_BITS, which
+    # the layout reads back as the signed e_i
+    bias = _bias(rank)
+    layout = _layout(rank)
+    return layout.unpack(((key + bias) ^ bias).to_bytes(layout.size, "little"))
+
+
+def _acc(terms, key, c):
+    new = terms.get(key, 0) + c
     if new:
-        terms[exps] = new
+        terms[key] = new
     else:
-        terms.pop(exps, None)
+        terms.pop(key, None)
 
 
-def _term_add(a, b):
-    out = dict(a)
-    for exps, c in b.items():
-        _acc(out, exps, c)
-    return out
+def _check_reach(reach, what):
+    if reach >= EXPONENT_LIMIT:
+        raise OverflowError(
+            f"{what} could reach an exponent of {reach}, beyond the limit "
+            f"|e| < {EXPONENT_LIMIT}"
+        )
 
 
-def _term_mul(a, b):
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) == 1:
-        # a monomial shifts keys injectively: no collisions, no zero products
-        ((ea, ca),) = a.items()
-        return {tuple(x + y for x, y in zip(ea, eb)): ca * cb for eb, cb in b.items()}
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            _acc(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
-    return out
-
-
-def _term_neg(a):
-    return {exps: -c for exps, c in a.items()}
-
-
-def _term_scale(a, k):
-    if k == 0:
-        return {}
-    return {exps: k * c for exps, c in a.items()}
-
-
-def _canonical_order(exps_iterable):
-    # graded lexicographic, largest first: total degree, then lex on vectors
-    return sorted(exps_iterable, key=lambda e: (sum(e), e), reverse=True)
-
-
-def _render(terms, var):
-    if not terms:
-        return "0"
+def _render(items, var):
+    """Text of (exponent tuple, coefficient) pairs in canonical order."""
     pieces = []
-    for exps in _canonical_order(terms):
-        c = terms[exps]
+    for exps, c in items:
         factors = [
             f"{var}{i + 1}" + (f"^{e}" if e != 1 else "")
             for i, e in enumerate(exps)
@@ -129,40 +173,66 @@ def _render(terms, var):
             pieces.append(body if c > 0 else f"-{body}")
         else:
             pieces.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(pieces)
+    return " ".join(pieces) or "0"
 
 
 class _PolyBase:
     """Shared plumbing for the two concrete polynomial classes."""
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ("rank", "_packed", "_bound")
 
     def __init__(self, rank, terms=None):
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         clean = {}
+        bound = 0
         for exps, c in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != rank:
                 raise ValueError(f"exponent vector {exps} has wrong length for rank {rank}")
+            if any(not isinstance(e, int) for e in exps):
+                raise TypeError(f"exponents must be integers: {exps}")
             self._check_exps(exps)
+            top = max(map(abs, exps))
+            if top >= EXPONENT_LIMIT:
+                raise ValueError(
+                    f"an exponent is outside the limit |e| < {EXPONENT_LIMIT}"
+                )
             if c:
-                _acc(clean, exps, int(c))
+                bound = max(bound, top)
+                _acc(clean, _pack(exps), int(c))
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_packed", clean)
+        object.__setattr__(self, "_bound", bound)
 
     @classmethod
-    def _trusted(cls, rank, terms):
-        """Wrap a term dict that is already clean: tuple keys of length
-        ``rank`` that pass ``_check_exps``, nonzero int coefficients.  Only for
-        results of arithmetic on validated polynomials; it checks nothing."""
+    def _trusted(cls, rank, packed, bound):
+        """Wrap a packed term dict that is already clean: keys whose fields
+        are inside ``bound`` < EXPONENT_LIMIT and pass ``_check_exps``,
+        nonzero int coefficients.  Only for results of arithmetic on
+        validated polynomials; it checks nothing."""
         self = object.__new__(cls)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_packed", packed)
+        object.__setattr__(self, "_bound", bound)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def terms(self):
+        """A new dict from exponent tuples to coefficients, decoded on each read."""
+        return {_unpack(k, self.rank): c for k, c in self._packed.items()}
+
+    def _items(self):
+        # (exponent tuple, coefficient) pairs in canonical order: graded
+        # lexicographic, largest first (total degree, then lex on vectors)
+        return sorted(
+            ((_unpack(k, self.rank), c) for k, c in self._packed.items()),
+            key=lambda t: (sum(t[0]), t[0]),
+            reverse=True,
+        )
 
     @staticmethod
     def _check_exps(exps):
@@ -194,7 +264,7 @@ class _PolyBase:
         return other
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._packed)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -202,37 +272,75 @@ class _PolyBase:
         return (
             type(other) is type(self)
             and self.rank == other.rank
-            and self.terms == other.terms
+            and self._packed == other._packed
         )
 
     __hash__ = None
 
     def __add__(self, other):
         other = self._coerce(other)
-        return self._trusted(self.rank, _term_add(self.terms, other.terms))
+        out = dict(self._packed)
+        get = out.get
+        for k, c in other._packed.items():
+            c += get(k, 0)
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        return self._trusted(self.rank, out, max(self._bound, other._bound))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return self._trusted(self.rank, _term_add(self.terms, _term_neg(other.terms)))
+        out = dict(self._packed)
+        get = out.get
+        for k, c in other._packed.items():
+            c = get(k, 0) - c
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        return self._trusted(self.rank, out, max(self._bound, other._bound))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return self._trusted(self.rank, _term_neg(self.terms))
+        return self._trusted(self.rank, {k: -c for k, c in self._packed.items()}, self._bound)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self._trusted(self.rank, _term_scale(self.terms, other))
+            if not other:
+                return self._trusted(self.rank, {}, 0)
+            return self._trusted(
+                self.rank, {k: other * c for k, c in self._packed.items()}, self._bound
+            )
         other = self._coerce(other)
-        return self._trusted(self.rank, _term_mul(self.terms, other.terms))
+        a, b = self._packed, other._packed
+        if not a or not b:
+            return self._trusted(self.rank, {}, 0)
+        bound = self._bound + other._bound
+        _check_reach(bound, "a product")
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            # a monomial shifts keys injectively: no collisions, no zero products
+            ((ka, ca),) = a.items()
+            return self._trusted(self.rank, {ka + kb: ca * cb for kb, cb in b.items()}, bound)
+        out = {}
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                _acc(out, ka + kb, ca * cb)
+        return self._trusted(self.rank, out, bound)
 
     __rmul__ = __mul__
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), 0)
+        exps = tuple(exps)
+        if len(exps) != self.rank or any(abs(e) >= EXPONENT_LIMIT for e in exps):
+            return 0
+        return self._packed.get(_pack(exps), 0)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.rank}, {self})"
@@ -242,7 +350,7 @@ class _PolyBase:
     # (graded-lex descending) order.
 
     def to_json(self):
-        return [[str(self.terms[e]), list(e)] for e in _canonical_order(self.terms)]
+        return [[str(c), list(e)] for e, c in self._items()]
 
     @classmethod
     def from_json(cls, rank, data):
@@ -250,7 +358,8 @@ class _PolyBase:
         for coeff, exps in data:
             if any(type(e) is not int for e in exps):
                 raise ValueError(f"exponents must be integers: {exps!r}")
-            _acc(terms, tuple(exps), int(str(coeff)))  # str(): true and 1.5 are not integers
+            exps = tuple(exps)
+            terms[exps] = terms.get(exps, 0) + int(str(coeff))  # str(): true and 1.5 are not integers
         return cls(rank, terms)
 
 
@@ -269,7 +378,7 @@ class LaurentPoly(_PolyBase):
         return cls(rank, {tuple(exps): 1})
 
     def __str__(self):
-        return _render(self.terms, "x")
+        return _render(self._items(), "x")
 
 
 class XPoly(_PolyBase):
@@ -292,7 +401,7 @@ class XPoly(_PolyBase):
         return cls(rank, {tuple(exps): 1})
 
     def __str__(self):
-        return _render(self.terms, "X")
+        return _render(self._items(), "X")
 
 
 class BinomialDivisor:
@@ -303,7 +412,7 @@ class BinomialDivisor:
     univariate division with a clean remainder criterion.
     """
 
-    __slots__ = ("rank", "factors")
+    __slots__ = ("rank", "factors", "_steps")
 
     def __init__(self, factors):
         factors = tuple(tuple(f) for f in factors)
@@ -315,10 +424,19 @@ class BinomialDivisor:
                 raise ValueError("factor exponent vectors have mixed lengths")
             if all(e == 0 for e in f):
                 raise ValueError("factor monomial must differ from 1")
+            if max(map(abs, f)) >= EXPONENT_LIMIT:
+                raise ValueError(f"a factor exponent is outside the limit |e| < {EXPONENT_LIMIT}")
         if len(set(factors)) != len(factors):
             raise ValueError("factors must be pairwise distinct")
         self.rank = rank
         self.factors = factors
+        # per factor: the factor, the division's leading variable v, its
+        # exponent there, the factor's packed key and its largest |exponent|
+        steps = []
+        for f in factors:
+            v = next(i for i, a in enumerate(f) if a)
+            steps.append((f, v, f[v], _pack(f), max(map(abs, f))))
+        self._steps = tuple(steps)
 
     def as_poly(self):
         out = LaurentPoly.one(self.rank)
@@ -327,7 +445,7 @@ class BinomialDivisor:
         return out
 
     def __repr__(self):
-        pieces = "".join(f"({_render({f: 1}, 'x')} - 1)" for f in self.factors)
+        pieces = "".join(f"({_render([(f, 1)], 'x')} - 1)" for f in self.factors)
         return f"BinomialDivisor[{pieces}]"
 
 
@@ -335,53 +453,60 @@ class BinomialDivisor:
 # exact division
 # ---------------------------------------------------------------------------
 
-def _flip_var(terms, v):
-    return {e[:v] + (-e[v],) + e[v + 1:]: c for e, c in terms.items()}
+def _divide_one_factor(terms, bound, rank, v, d, key, fmax):
+    """Quotient, remainder and remainder bound of a packed term dict by
+    (m - 1), m = x^factor, with ``key`` the factor's packed key.
 
-
-def _divide_one_factor(terms, factor):
-    """Quotient and remainder of a term dict by (m - 1), m = x^factor.
-
-    The dividend is treated as univariate in the first variable occurring in
-    ``factor``, with Laurent coefficients in the others; long division by the
-    unit leading coefficient terminates with a remainder whose exponent
-    spread in that variable is smaller than the factor's, so the remainder
+    The dividend is treated as univariate in x_v, the first variable
+    occurring in the factor, with Laurent coefficients in the others; long
+    division by the unit leading coefficient terminates with a remainder
+    whose exponent spread in x_v is smaller than |d|, so the remainder
     vanishes exactly when the division is exact.
 
-    Bucket k holds the terms whose exponent in that variable is k, each keyed
-    by its full exponent vector, so a quotient term's key is the dividend
-    term's key minus ``factor`` and lands in bucket k - d.
+    Bucket j holds the terms whose x_v-digit (exponent plus the limit) is j.
+    A term c x^k of the leading bucket is c x^(k - factor) (m - 1) +
+    c x^(k - factor): it gives the quotient term at key k - ``key`` and moves
+    there, into bucket j - d.  For d > 0 the walk goes down from the top
+    bucket, for d < 0 up from the bottom one.  ``fmax`` is the factor's
+    largest |exponent|, what one step can add to a transient term's.
     """
-    if not terms:
-        return {}, {}
-    v = next(i for i, a in enumerate(factor) if a != 0)
-    if factor[v] < 0:
-        # divide through the automorphism x_v -> x_v^{-1}
-        q, r = _divide_one_factor(
-            _flip_var(terms, v), factor[:v] + (-factor[v],) + factor[v + 1:]
-        )
-        return _flip_var(q, v), _flip_var(r, v)
-    d = factor[v]
+    shift = FIELD_BITS * v
+    bias = _bias(rank)
     buckets = {}
-    for exps, c in terms.items():
-        buckets.setdefault(exps[v], {})[exps] = c
+    for k, c in terms.items():
+        j = (k + bias) >> shift & _MASK
+        bucket = buckets.get(j)
+        if bucket is None:
+            buckets[j] = {k: c}
+        else:
+            bucket[k] = c
     lo = min(buckets)
     hi = max(buckets)
+    reach = bound + (hi - lo) // abs(d) * fmax
+    _check_reach(reach, "a division")
+    walk = range(hi, lo + d - 1, -1) if d > 0 else range(lo, hi + d + 1)
     quotient = {}
-    for k in range(hi, lo + d - 1, -1):
-        bucket = buckets.pop(k, None)
+    for j in walk:
+        bucket = buckets.pop(j, None)
         if not bucket:
             continue
-        target = buckets.setdefault(k - d, {})
-        for exps, c in bucket.items():
-            # c x^exps = c x^(exps - factor) * (m - 1) + c x^(exps - factor)
-            shifted = tuple(e - a for e, a in zip(exps, factor))
-            _acc(quotient, shifted, c)
-            _acc(target, shifted, c)
+        moved = {k - key: c for k, c in bucket.items()}
+        quotient.update(moved)  # keys of one walk never repeat: no collisions
+        target = buckets.get(j - d)
+        if not target:
+            buckets[j - d] = moved
+            continue
+        get = target.get
+        for k, c in moved.items():
+            c += get(k, 0)
+            if c:
+                target[k] = c
+            else:
+                del target[k]
     remainder = {}
     for bucket in buckets.values():
         remainder.update(bucket)
-    return quotient, remainder
+    return quotient, remainder, reach
 
 
 def divide_exact(f: LaurentPoly, divisor) -> LaurentPoly:
@@ -390,18 +515,22 @@ def divide_exact(f: LaurentPoly, divisor) -> LaurentPoly:
     Factors are divided out in their listed order; the result is
     order-independent because the quotient, when it exists, is unique.
     Raises :class:`NotDivisible` with the first failing factor and a nonzero
-    remainder witness.
+    remainder witness, and ``OverflowError`` before a term of the long
+    division could leave the exponent limit.
     """
     if not isinstance(divisor, BinomialDivisor):
         divisor = BinomialDivisor(divisor)
-    if divisor.rank != f.rank:
-        raise ValueError(f"rank mismatch: {f.rank} vs {divisor.rank}")
-    terms = f.terms
-    for factor in divisor.factors:
-        terms, remainder = _divide_one_factor(terms, factor)
+    rank = f.rank
+    if divisor.rank != rank:
+        raise ValueError(f"rank mismatch: {rank} vs {divisor.rank}")
+    terms, bound = f._packed, f._bound
+    for factor, v, d, key, fmax in divisor._steps:
+        if not terms:
+            break
+        terms, remainder, reach = _divide_one_factor(terms, bound, rank, v, d, key, fmax)
         if remainder:
-            raise NotDivisible(factor, LaurentPoly._trusted(f.rank, remainder))
-    return LaurentPoly._trusted(f.rank, terms)
+            raise NotDivisible(factor, LaurentPoly._trusted(rank, remainder, reach))
+    return LaurentPoly._trusted(rank, terms, bound)
 
 
 def xpoly_divide_exact(f: XPoly, mu: int, nu: int) -> XPoly:
@@ -409,34 +538,43 @@ def xpoly_divide_exact(f: XPoly, mu: int, nu: int) -> XPoly:
 
     Synthetic division in the variable X_mu with coefficients in the other
     generators; divisibility holds exactly when the final remainder (the
-    image of f under X_mu := X_nu) vanishes.
+    image of f under X_mu := X_nu) vanishes.  X-exponents are nonnegative,
+    so each field of a key is a plain digit.
     """
     if mu == nu:
         raise ValueError("need two distinct indices")
     if not (1 <= mu <= f.rank and 1 <= nu <= f.rank):
         raise ValueError(f"indices ({mu}, {nu}) out of range for rank {f.rank}")
-    m, v = mu - 1, nu - 1
-    buckets = {}
-    for exps, c in f.terms.items():
-        rest = exps[:m] + (0,) + exps[m + 1:]
-        buckets.setdefault(exps[m], {})[rest] = c
+    shift = FIELD_BITS * (mu - 1)
+    step = 1 << (FIELD_BITS * (nu - 1))  # times X_nu
+    buckets = {}  # X_mu-degree -> {key with that degree cleared: coefficient}
+    for k, c in f._packed.items():
+        e = k >> shift & _MASK
+        buckets.setdefault(e, {})[k - (e << shift)] = c
     if not buckets:
         return XPoly.zero(f.rank)
     top = max(buckets)
+    reach = f._bound + top
+    _check_reach(reach, "a division")
 
-    def shift_nu(termdict):
-        return {e[:v] + (e[v] + 1,) + e[v + 1:]: c for e, c in termdict.items()}
+    def times_nu_plus(terms, carry):
+        # terms + carry * X_nu
+        out = dict(terms)
+        for rest, c in carry.items():
+            _acc(out, rest + step, c)
+        return out
 
     quotient = {}
     carry = {}  # q_k, built downward: q_{k-1} = c_k + q_k * X_nu
     for k in range(top, 0, -1):
-        carry = _term_add(buckets.get(k, {}), shift_nu(carry))
+        carry = times_nu_plus(buckets.get(k, {}), carry)
+        lift = (k - 1) << shift
         for rest, c in carry.items():
-            _acc(quotient, rest[:m] + (k - 1,) + rest[m + 1:], c)
-    remainder = _term_add(buckets.get(0, {}), shift_nu(carry))
+            quotient[rest + lift] = c  # one X_mu-degree per k: no collisions
+    remainder = times_nu_plus(buckets.get(0, {}), carry)
     if remainder:
-        raise NotDivisible((mu, nu), XPoly._trusted(f.rank, remainder))
-    return XPoly._trusted(f.rank, quotient)
+        raise NotDivisible((mu, nu), XPoly._trusted(f.rank, remainder, reach))
+    return XPoly._trusted(f.rank, quotient, f._bound)
 
 
 # ---------------------------------------------------------------------------
@@ -449,45 +587,47 @@ def weyl_act_poly(w, f: LaurentPoly) -> LaurentPoly:
     ``w`` needs ``perm`` (1-based images) and ``signs`` attributes; this is a
     ring automorphism and composes covariantly with the group law.
     """
-    if len(w.perm) != f.rank:
-        raise ValueError(f"rank mismatch: {len(w.perm)} vs {f.rank}")
+    n = f.rank
+    if len(w.perm) != n:
+        raise ValueError(f"rank mismatch: {len(w.perm)} vs {n}")
+    # field i of the image holds signs[j] * e_j for the j with perm[j] = i + 1
+    source = [0] * n
+    for j, p in enumerate(w.perm):
+        source[p - 1] = j
     out = {}
-    for exps, c in f.terms.items():
-        new = [0] * f.rank
-        for i, e in enumerate(exps):
-            new[w.perm[i] - 1] = w.signs[i] * e
-        out[tuple(new)] = c
-    return LaurentPoly._trusted(f.rank, out)
+    for k, c in f._packed.items():
+        exps = _unpack(k, n)
+        out[_pack([w.signs[j] * exps[j] for j in source])] = c
+    return LaurentPoly._trusted(n, out, f._bound)
 
 
 # ---------------------------------------------------------------------------
 # the sign-symmetric subring Z[X1,...,Xn]
 # ---------------------------------------------------------------------------
 
-def _x_power_expansion(k):
-    # (x + x^{-1})^k as a univariate exponent->coefficient dict
-    return {k - 2 * j: comb(k, j) for j in range(k + 1)}
+def _x_power_expansion(k, i):
+    # (x_i + x_i^{-1})^k (i 0-based) as (packed key, coefficient) pairs
+    return [((k - 2 * j) << (FIELD_BITS * i), comb(k, j)) for j in range(k + 1)]
 
 
 def x_expand(g: XPoly) -> LaurentPoly:
-    """Substitute X_v := x_v + x_v^{-1}; the image is sign-change invariant."""
+    """Substitute X_v := x_v + x_v^{-1}; the image is sign-change invariant
+    and has the same exponent bound."""
+    n = g.rank
     out = {}
-    for exps, c in g.terms.items():
-        partial = {(): c}
-        for k in exps:
-            uni = _x_power_expansion(k)
-            partial = {
-                prefix + (e,): cc * u
-                for prefix, cc in partial.items()
-                for e, u in uni.items()
-            }
-        for exps2, cc in partial.items():
-            _acc(out, exps2, cc)
-    return LaurentPoly._trusted(g.rank, out)
+    for k, c in g._packed.items():
+        partial = {0: c}
+        for i, e in enumerate(_unpack(k, n)):
+            if e:
+                uni = _x_power_expansion(e, i)
+                partial = {p + u: cc * cu for p, cc in partial.items() for u, cu in uni}
+        for key, cc in partial.items():
+            _acc(out, key, cc)
+    return LaurentPoly._trusted(n, out, g._bound)
 
 
 # x^k = a_k(X)*1 + b_k(X)*x^{-1} over Z[X]; both recurrences come from
-# x^{k+1} = X*x^k - x^{k-1}.
+# x^{k+1} = X*x^k - x^{k-1}.  Both have degree at most |k|.
 _HALF_BASIS = {0: ({0: 1}, {}), -1: ({}, {0: 1})}
 
 
@@ -527,20 +667,27 @@ def basis_decompose(f: LaurentPoly) -> dict:
     """
     n = f.rank
     out = {eps: {} for eps in product((0, -1), repeat=n)}
-    for exps, c in f.terms.items():
-        partial = [((), (), c)]  # (eps bits, X-degrees, coefficient)
-        for k in exps:
-            a, b = _half_basis(k)
+    for k, c in f._packed.items():
+        partial = [((), 0, c)]  # (eps bits, packed X-degrees, coefficient)
+        for i, e in enumerate(_unpack(k, n)):
+            a, b = _half_basis(e)
+            shift = FIELD_BITS * i
             nxt = []
             for bits, degs, cc in partial:
-                for e, u in a.items():
-                    nxt.append((bits + (0,), degs + (e,), cc * u))
-                for e, u in b.items():
-                    nxt.append((bits + (-1,), degs + (e,), cc * u))
+                for d, u in a.items():
+                    nxt.append((bits + (0,), degs + (d << shift), cc * u))
+                for d, u in b.items():
+                    nxt.append((bits + (-1,), degs + (d << shift), cc * u))
             partial = nxt
         for bits, degs, cc in partial:
             _acc(out[bits], degs, cc)
-    return {eps: XPoly._trusted(n, terms) for eps, terms in out.items()}
+    return {eps: XPoly._trusted(n, terms, f._bound) for eps, terms in out.items()}
+
+
+def _flip_var(packed, rank, v):
+    # the sign change x_v -> x_v^{-1} on a packed term dict
+    shift = FIELD_BITS * v
+    return {k - (2 * _unpack(k, rank)[v] << shift): c for k, c in packed.items()}
 
 
 def sym_in_x(f: LaurentPoly) -> XPoly:
@@ -554,7 +701,7 @@ def sym_in_x(f: LaurentPoly) -> XPoly:
     if all(not p for eps, p in dec.items() if eps != zero_eps):
         return dec[zero_eps]
     for v in range(f.rank):
-        if _flip_var(f.terms, v) != f.terms:
+        if _flip_var(f._packed, f.rank, v) != f._packed:
             raise NotInvariant(v + 1)
     raise AssertionError("decomposition and sign-change test disagree")
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qflagk import gkm, quatflag, ringcore
+from qflagk import gkm, quatflag, ringcore, weylc
 from qflagk.cli import MAX_COMPONENT_DIGITS, main
 from qflagk.randgen import random_invertible_matrix, trial_rng
 
@@ -277,6 +277,19 @@ def test_check_perturbed_class_fails_with_witness(tmp_path, capsys):
     assert sorted([v["index"], v["partner"]]) == [[1, 2], [2, 1]]
 
 
+def test_check_division_past_the_exponent_limit_exits_2(tmp_path, capsys):
+    # both exponents are inside the limit, but dividing x1^21845 + x2 by
+    # x1 x2^-1 - 1 walks 21845 steps, each adding 1 to the exponent of x2
+    limit = ringcore.EXPONENT_LIMIT
+    values = {w: ringcore.LaurentPoly.zero(2) for w in gkm.GKMTupleT.model.vertices(2)}
+    values[weylc.SignedPerm.identity(2)] = ringcore.LaurentPoly(
+        2, {(limit * 2 // 3, 0): 1, (0, 1): 1})
+    p = tmp_path / "t.json"
+    _write_tuple(p, gkm.GKMTupleT(2, values))
+    rc, out, err = run(capsys, "check", "--model", "T", "--input", str(p))
+    assert rc == 2 and out == "" and "cannot check tuple" in err
+
+
 def test_check_wrong_model_tag(tmp_path, capsys):
     p = tmp_path / "t.json"
     _write_tuple(p, gkm.GKMTupleT.constant(2, 1))
@@ -508,6 +521,16 @@ def test_dense_matrix_at_the_component_bound_decomposes(tmp_path, capsys):
     assert u * quatflag.perm_matrix(tuple(data["tau"])) * b == g
     rc, out, _ = run(capsys, "cell-index", "--input", str(p), "--format", "json")
     assert rc == 0 and json.loads(out)["tau"] == data["tau"]
+
+
+def test_unprintable_factors_above_the_cap_exit_2(tmp_path, capsys):
+    # above the cap the bound no longer keeps the factors printable: a dense
+    # 5x5 at the bound factors into components past the interpreter's limit
+    # on the digits of an int, which used to raise from Fraction.__str__
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(_dense_doc(MAX_COMPONENT_DIGITS, n=5, seed=0)))
+    rc, out, err = run(capsys, "decompose", "--input", str(p), "--unsafe-n")
+    assert rc == 2 and out == "" and "cannot print the factors" in err
 
 
 T1 ={"model": "T", "rank": 1, "values": {"[1]": [["1", [0]]], "[-1]": [["1", [0]]]}}

@@ -8,7 +8,9 @@ Matrix documents include dense 4x4 ones and components at and beyond the
 bound on their digits, such as ``"1e100000"`` and 60-digit numerators.
 Exponents in the tuple documents stay small: exact division by
 ``e^beta - 1`` walks the whole exponent span, so a huge exponent makes
-``check`` slow, not wrong.
+``check`` slow, not wrong.  Exponents at and beyond the ring's limit
+(``ringcore.EXPONENT_LIMIT``), such as 2^62 and 10^30, are refused with
+exit 2 wherever they appear in a well-formed document.
 """
 
 import contextlib
@@ -21,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflagk.cli import MAX_COMPONENT_DIGITS, main
+from qflagk.ringcore import EXPONENT_LIMIT
 
 FUZZ = settings(max_examples=120, deadline=None, derandomize=True)
 
@@ -80,6 +83,8 @@ well_formed = st.sampled_from("TXG").flatmap(lambda model: st.fixed_dictionaries
     "rank": st.just(2),
     "values": st.fixed_dictionaries({key: polynomial for key in VERTICES[model]}),
 }))
+# exponents at and beyond the limit, which no model reads
+beyond_limit = st.sampled_from([EXPONENT_LIMIT, -EXPONENT_LIMIT, 2**62, -2**62, 10**30, -10**30])
 tuples = well_formed | st.fixed_dictionaries({
     "model": st.sampled_from("TXG") | any_json,
     "rank": st.sampled_from([2, 1, 3, 0, -1, "2", 2.5, 1e999]) | any_json,
@@ -134,6 +139,19 @@ def test_matrix_commands_keep_the_exit_code_contract(doc, command):
 @given(doc=tuples, model=st.sampled_from(["T", "X", "G"]))
 def test_check_keeps_the_exit_code_contract(doc, model):
     _run_on_document(["check", "--model", model], doc)
+
+
+@FUZZ
+@given(doc=well_formed, exponent=beyond_limit, data=st.data())
+def test_check_refuses_exponents_beyond_the_limit(doc, exponent, data):
+    # one term of one fixed point gets the exponent, in one of its slots
+    key = data.draw(st.sampled_from(sorted(doc["values"])))
+    terms = doc["values"][key]
+    if not terms:
+        terms.append(["1", [0, 0]])
+    term = data.draw(st.sampled_from(terms))
+    term[1][data.draw(st.integers(0, 1))] = exponent
+    assert _run_on_document(["check", "--model", doc["model"]], doc) == 2
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

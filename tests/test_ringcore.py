@@ -1,10 +1,14 @@
 """Exact ring arithmetic: divisibility, decompositions, Weyl action."""
 
+import itertools
+import json
+import math
 import random
 
 import pytest
 
 from qflagk.ringcore import (
+    EXPONENT_LIMIT,
     BinomialDivisor,
     LaurentPoly,
     NotDivisible,
@@ -18,7 +22,7 @@ from qflagk.ringcore import (
     x_expand,
     xpoly_divide_exact,
 )
-from qflagk.weylc import enumerate_sign_changes, enumerate_weyl, simple_reflection
+from qflagk.weylc import SignedPerm, enumerate_sign_changes, enumerate_weyl, simple_reflection
 
 
 def x(i, n=2):
@@ -464,3 +468,322 @@ def test_maps_results_are_clean():
         g, h = _random_pair(rng, XPoly, n)
         _assert_clean(x_expand(g + h))
         _assert_clean(x_expand(g * h))
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel against a tuple-keyed reference
+# ---------------------------------------------------------------------------
+
+LIMIT = EXPONENT_LIMIT
+
+
+def _ref_acc(terms, exps, c):
+    new = terms.get(exps, 0) + c
+    if new:
+        terms[exps] = new
+    else:
+        terms.pop(exps, None)
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        _ref_acc(out, e, sign * c)
+    return out
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            _ref_acc(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+    return out
+
+
+def _ref_flip(terms, v):
+    return {e[:v] + (-e[v],) + e[v + 1:]: c for e, c in terms.items()}
+
+
+def _ref_divide_one(terms, factor):
+    # long division in the first variable of the factor, through the
+    # automorphism x_v -> x_v^{-1} when its exponent there is negative
+    if not terms:
+        return {}, {}
+    v = next(i for i, a in enumerate(factor) if a)
+    if factor[v] < 0:
+        q, r = _ref_divide_one(_ref_flip(terms, v), factor[:v] + (-factor[v],) + factor[v + 1:])
+        return _ref_flip(q, v), _ref_flip(r, v)
+    d = factor[v]
+    rem = dict(terms)
+    quotient = {}
+    lo = min(e[v] for e in terms)
+    for k in range(max(e[v] for e in terms), lo + d - 1, -1):
+        for e in [e for e in rem if e[v] == k]:
+            c = rem.pop(e)
+            shifted = tuple(x - a for x, a in zip(e, factor))
+            _ref_acc(quotient, shifted, c)
+            _ref_acc(rem, shifted, c)
+    return quotient, rem
+
+
+def _ref_divide(terms, factors):
+    """('ok', quotient) or ('fail', factor, remainder)."""
+    for factor in factors:
+        terms, rem = _ref_divide_one(terms, factor)
+        if rem:
+            return "fail", factor, rem
+    return "ok", terms
+
+
+def _ref_xdivide(terms, mu, nu):
+    # synthetic division in X_mu: the remainder is f at X_mu := X_nu
+    m, v = mu - 1, nu - 1
+    rem = dict(terms)
+    quotient = {}
+    for k in range(max((e[m] for e in terms), default=0), 0, -1):
+        for e in [e for e in rem if e[m] == k]:
+            c = rem.pop(e)
+            lower = e[:m] + (k - 1,) + e[m + 1:]
+            _ref_acc(quotient, lower, c)
+            moved = lower[:v] + (lower[v] + 1,) + lower[v + 1:]
+            _ref_acc(rem, moved, c)
+    return quotient, rem
+
+
+def _ref_x_expand(terms, n):
+    out = {}
+    for exps, c in terms.items():
+        partial = {(): c}
+        for k in exps:
+            partial = {p + (k - 2 * j,): cc * math.comb(k, j)
+                       for p, cc in partial.items() for j in range(k + 1)}
+        for e, cc in partial.items():
+            _ref_acc(out, e, cc)
+    return out
+
+
+def _ref_weyl_act(w, terms):
+    out = {}
+    for exps, c in terms.items():
+        new = [0] * len(exps)
+        for i, e in enumerate(exps):
+            new[w.perm[i] - 1] = w.signs[i] * e
+        out[tuple(new)] = c
+    return out
+
+
+def _ref_basis_decompose(terms, n):
+    # x^k = a_k(X) + b_k(X) x^{-1}, from x^{k+1} = X x^k - x^{k-1}
+    def half(k):
+        a, b = {0: 1}, {}
+        a1, b1 = {}, {0: 1}  # x^0 and x^{-1}
+        if k >= 0:
+            prev, cur = (a1, b1), (a, b)
+            for _ in range(k):
+                prev, cur = cur, tuple(
+                    _ref_add({e + 1: c for e, c in p.items()}, q, -1)
+                    for p, q in zip(cur, prev))
+            return cur
+        prev, cur = (a, b), (a1, b1)
+        for _ in range(-k - 1):
+            prev, cur = cur, tuple(
+                _ref_add({e + 1: c for e, c in p.items()}, q, -1)
+                for p, q in zip(cur, prev))
+        return cur
+
+    out = {eps: {} for eps in itertools.product((0, -1), repeat=n)}
+    for exps, c in terms.items():
+        partial = [((), (), c)]
+        for k in exps:
+            a, b = half(k)
+            partial = [
+                (bits + (bit,), degs + (e,), cc * u)
+                for bits, degs, cc in partial
+                for bit, part in ((0, a), (-1, b))
+                for e, u in part.items()
+            ]
+        for bits, degs, cc in partial:
+            _ref_acc(out[bits], degs, cc)
+    return out
+
+
+def _assert_bounded(p):
+    # the no-carry invariant: every exponent inside the carried bound, and
+    # the bound inside the limit
+    assert 0 <= p._bound < LIMIT
+    assert all(abs(e) <= p._bound for exps in p.terms for e in exps)
+
+
+def _random_terms(rng, n, lo=-3, hi=3, size=6):
+    terms = {}
+    for _ in range(rng.randint(0, size)):
+        _ref_acc(terms, tuple(rng.randint(lo, hi) for _ in range(n)), rng.choice([-3, -1, 1, 2, 5]))
+    return terms
+
+
+def _random_factor(rng, n, span=2):
+    while True:
+        f = tuple(rng.randint(-span, span) for _ in range(n))
+        if any(f):
+            return f
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_packed_ring_operations_match_the_reference(n):
+    rng = random.Random(f"packed:ops:{n}")
+    for cls, lo in ((LaurentPoly, -3), (XPoly, 0)):
+        for _ in range(60):
+            a, b = _random_terms(rng, n, lo), _random_terms(rng, n, lo)
+            pa, pb = cls(n, a), cls(n, b)
+            for got, want in (
+                (pa + pb, _ref_add(a, b)),
+                (pa - pb, _ref_add(a, b, -1)),
+                (pa * pb, _ref_mul(a, b)),
+                (-pa, {e: -c for e, c in a.items()}),
+                (3 * pa, {e: 3 * c for e, c in a.items()}),
+            ):
+                assert got.terms == want
+                _assert_bounded(got)
+            for exps in list(a)[:2]:
+                assert pa.coefficient(exps) == a[exps]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_packed_division_matches_the_reference(n):
+    rng = random.Random(f"packed:divide:{n}")
+    negative_lead = exact = failed = 0
+    for _ in range(80):
+        k = rng.randint(1, min(3, n + 1))
+        factors = []
+        while len(factors) < k:
+            f = _random_factor(rng, n)
+            if f not in factors:
+                factors.append(f)
+        negative_lead += any(next(a for a in f if a) < 0 for f in factors)
+        d = BinomialDivisor(factors)
+        q = _random_terms(rng, n, size=4)
+        for terms in (_ref_mul(q, d.as_poly().terms), _random_terms(rng, n)):
+            want = _ref_divide(terms, factors)
+            f = LaurentPoly(n, terms)
+            try:
+                got = divide_exact(f, d)
+            except NotDivisible as exc:
+                failed += 1
+                assert want[0] == "fail"
+                assert exc.factor == want[1]
+                assert exc.remainder.terms == want[2]
+                _assert_bounded(exc.remainder)
+            else:
+                exact += 1
+                assert want == ("ok", got.terms)
+                _assert_bounded(got)
+    assert negative_lead and exact and failed
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_packed_xpoly_division_matches_the_reference(n):
+    rng = random.Random(f"packed:xdivide:{n}")
+    exact = failed = 0
+    for _ in range(80):
+        mu, nu = rng.sample(range(1, n + 1), 2)
+        q = _random_terms(rng, n, 0, 3, size=4)
+        linear = {tuple(int(i == mu - 1) for i in range(n)): 1,
+                  tuple(int(i == nu - 1) for i in range(n)): -1}
+        for terms in (_ref_mul(q, linear), _random_terms(rng, n, 0, 3)):
+            quotient, rem = _ref_xdivide(terms, mu, nu)
+            try:
+                got = xpoly_divide_exact(XPoly(n, terms), mu, nu)
+            except NotDivisible as exc:
+                failed += 1
+                assert rem and exc.factor == (mu, nu)
+                assert exc.remainder.terms == rem
+                _assert_bounded(exc.remainder)
+            else:
+                exact += 1
+                assert not rem and got.terms == quotient
+                _assert_bounded(got)
+    assert exact and failed
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_packed_maps_match_the_reference(n):
+    rng = random.Random(f"packed:maps:{n}")
+    for _ in range(30):
+        g = _random_terms(rng, n, 0, 3, size=3)
+        got = x_expand(XPoly(n, g))
+        assert got.terms == _ref_x_expand(g, n)
+        _assert_bounded(got)
+        f = _random_terms(rng, n, size=4)
+        dec = basis_decompose(LaurentPoly(n, f))
+        assert {eps: p.terms for eps, p in dec.items()} == _ref_basis_decompose(f, n)
+        for p in dec.values():
+            _assert_bounded(p)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        w = SignedPerm(tuple(perm), tuple(rng.choice((1, -1)) for _ in range(n)))
+        got = weyl_act_poly(w, LaurentPoly(n, f))
+        assert got.terms == _ref_weyl_act(w, f)
+        _assert_bounded(got)
+
+
+@pytest.mark.parametrize("cls", [LaurentPoly, XPoly])
+def test_exponents_next_to_the_limit_survive_json(cls):
+    top = LIMIT - 1
+    for n in range(1, 6):
+        low = 0 if cls is XPoly else -top
+        terms = {(top,) + (0,) * (n - 1): 3, (low,) * n: -2, (0,) * (n - 1) + (top,): 1}
+        f = cls(n, terms)
+        assert f.terms == terms
+        assert cls.from_json(n, f.to_json()) == f
+        assert json.loads(json.dumps(f.to_json())) == f.to_json()
+        assert all(f.coefficient(e) == c for e, c in terms.items())
+        # a vector past the limit is never a key, whatever it would pack to
+        assert f.coefficient((0,) * (n - 1) + (top + 1,)) == 0
+        assert f.coefficient((LIMIT * 2,) + (0,) * (n - 1)) == 0
+
+
+@pytest.mark.parametrize("cls", [LaurentPoly, XPoly])
+def test_exponents_at_or_beyond_the_limit_are_refused(cls):
+    for e in (LIMIT, -LIMIT, LIMIT + 1, 2**62, -10**30):
+        if cls is XPoly and e < 0:
+            continue
+        with pytest.raises(ValueError):
+            cls(2, {(0, e): 1})
+        with pytest.raises(ValueError):
+            cls(2, {(e, 0): 0, (0, 0): 1})  # even with a zero coefficient
+        with pytest.raises(ValueError):
+            cls.from_json(2, [["1", [e, 0]]])
+        with pytest.raises(ValueError):
+            cls.monomial(2, (e, 1))
+    with pytest.raises(ValueError):
+        BinomialDivisor([(LIMIT, 0)])
+
+
+def test_a_product_past_the_limit_raises_before_it_wraps():
+    half = LaurentPoly.monomial(2, (LIMIT // 2, 0))
+    assert (half * LaurentPoly.monomial(2, (LIMIT // 2 - 1, 0))).terms == {(LIMIT - 1, 0): 1}
+    with pytest.raises(OverflowError):
+        half * half
+    top = LaurentPoly(2, {(0, LIMIT - 1): 1, (0, 0): 1})
+    with pytest.raises(OverflowError):
+        top * LaurentPoly.x(2, 2)
+    with pytest.raises(OverflowError):
+        XPoly.X(1, 1) * XPoly.monomial(1, (LIMIT - 1,))
+
+
+def test_a_division_past_the_limit_raises_before_it_wraps():
+    # by x1 x2^1000 - 1, long division in x1 moves a term 1000 steps in x2
+    # for each step in x1: x1^40 - 1 would carry a term to x2^-40000
+    factor = (1, 1000)
+    with pytest.raises(OverflowError):
+        divide_exact(LaurentPoly.monomial(2, (40, 0)) - 1, [factor])
+    # the same factor near the limit, where every term stays inside
+    q = LaurentPoly(2, {(0, LIMIT - 4000): 1, (1, 5): -2})
+    f = q * (LaurentPoly.monomial(2, factor) - 1)
+    assert divide_exact(f, [factor]) == q
+    with pytest.raises(NotDivisible) as exc:
+        divide_exact(f + 1, [factor])
+    _assert_bounded(exc.value.remainder)
+    # synthetic division by X1 - X2 raises X2 by one per step in X1
+    with pytest.raises(OverflowError):
+        xpoly_divide_exact(XPoly(2, {(LIMIT // 2 + 1, LIMIT // 2): 1}), 1, 2)
