@@ -522,9 +522,13 @@ def cmd_check(cfg) -> int:
     except _BAD_INPUT as exc:
         raise _UsageError(f"cannot read tuple: {exc}") from None
     try:
-        violations = [v.to_json() for v in getattr(gkm, f"gkm_check_{model.lower()}")(f)]
+        found = getattr(gkm, f"gkm_check_{model.lower()}")(f)
     except OverflowError as exc:  # exponents inside the limit, divisions beyond it
         raise _UsageError(f"cannot check tuple: {exc}") from None
+    try:
+        violations = [v.to_json() for v in found]
+    except ValueError:  # a remainder past the interpreter's limit on int digits
+        raise _UsageError("cannot print the violations: a remainder is too long") from None
     payload = {"model": model, "rank": f.rank, "violations": violations}
     text = "OK" if not violations else "\n".join(
         ["FAILED"] + [json.dumps(v, sort_keys=True) for v in violations]

@@ -25,12 +25,12 @@ Those 2^n n! classes do not descend to the quaternionic flag space: each is
 nonzero at the identity, so a class fixed by the sign change -1 would also be
 nonzero at the longest element -1, which only the class of -1 itself is.  The
 n! classes that do descend are built in the G-model, which is the type-A GKM
-graph with edge weights X_mu - X_nu: ``quaternionic_schubert_classes`` starts
-from the point class at the longest plain permutation and applies type-A
-divided differences, with the signs recorded in ``QUATERNIONIC_CONVENTION``.
-Their restrictions are the double Schubert polynomials S_tau(x; y) at
-x_i = X_{sigma(i)}, y_j = X_j; ``pullback_pi(j_expand(...))`` turns them
-into sign-change-invariant T-tuples.
+graph with edge weights X_mu - X_nu.  ``quaternionic_schubert_classes``
+builds them by Billey's formula, without division, so the G- and X-checks
+reuse no division of their construction; ``QUATERNIONIC_CONVENTION`` records
+their signs.  Their restrictions are the double Schubert polynomials
+S_tau(x; y) at x_i = X_{sigma(i)}, y_j = X_j; ``pullback_pi(j_expand(...))``
+turns them into sign-change-invariant T-tuples.
 """
 
 from __future__ import annotations
@@ -456,36 +456,34 @@ def demazure(i: int, f: GKMTupleT) -> GKMTupleT:
 def quaternionic_schubert_classes(n: int) -> dict:
     """The n! Schubert classes of the quaternionic flag space as G-tuples.
 
-    The class of w0 = (n, ..., 1) is prod_{a<b} (X_{w0(a)} - X_{w0(b)}) at w0
-    and zero elsewhere.  Whenever tau(i) > tau(i+1), the class of tau * s_i
-    is the divided difference of the class f of tau, whose value at sigma is
-    (f(sigma) - f(sigma * s_i)) / (X_{sigma(i)} - X_{sigma(i+1)}); sigma and
-    sigma * s_i share an edge with exactly that weight, so the division is
-    exact.  Returns a dict from plain permutations to :class:`GKMTupleG`.
+    Billey's formula, without division.  S[sigma] maps tau to the value of
+    the class of tau at sigma: S[e] = {e: 1}, and with sigma = p * s_i, i the
+    smallest descent of sigma, S[sigma] is S[p] plus (X_{p(i+1)} - X_{p(i)})
+    * S[p][d] added at d * s_i for each d that s_i lengthens (the nil-Hecke
+    product drops the rest).  These are the divided differences of the point
+    class at w0 = (n, ..., 1), signs as in ``QUATERNIONIC_CONVENTION``.
+    Returns a dict from plain permutations to :class:`GKMTupleG`, from w0
+    down in the order the divided differences reach them.
     """
     perms = all_perms(n)
-    w0 = perms[-1]
-    top = XPoly.one(n)
-    for a in range(n):
-        for b in range(a + 1, n):
-            top = top * (XPoly.X(n, w0[a]) - XPoly.X(n, w0[b]))
-    values = {sigma: XPoly.zero(n) for sigma in perms}
-    values[w0] = top
-    classes = {w0: GKMTupleG(n, values)}
-    for tau in reversed(perms):  # by decreasing length
-        f = classes[tau].values
-        for i in range(n - 1):
-            s = perm_transposition(n, i + 1, i + 2)
-            lower = perm_compose(tau, s)
-            if tau[i] < tau[i + 1] or lower in classes:
-                continue
-            classes[lower] = GKMTupleG(n, {
-                sigma: xpoly_divide_exact(
-                    f[sigma] - f[perm_compose(sigma, s)], sigma[i], sigma[i + 1]
-                )
-                for sigma in perms
-            })
-    return classes
+    simple = [perm_transposition(n, i + 1, i + 2) for i in range(n - 1)]
+    zero = XPoly.zero(n)
+    subwords = {perms[0]: {perms[0]: XPoly.one(n)}}
+    for sigma in perms[1:]:  # by increasing length
+        i = next(i for i in range(n - 1) if sigma[i] > sigma[i + 1])
+        p = perm_compose(sigma, simple[i])
+        weight = XPoly.X(n, p[i + 1]) - XPoly.X(n, p[i])
+        s = subwords[sigma] = dict(subwords[p])
+        for d, c in subwords[p].items():
+            if d[i] < d[i + 1]:
+                ds = perm_compose(d, simple[i])
+                s[ds] = s.get(ds, zero) + weight * c
+    order = dict.fromkeys([perms[-1]] + [perm_compose(tau, simple[i]) for tau in reversed(perms)
+                                         for i in range(n - 1) if tau[i] > tau[i + 1]])
+    return {
+        tau: GKMTupleG(n, {sigma: subwords[sigma].get(tau, zero) for sigma in perms})
+        for tau in order
+    }
 
 
 def schubert_class_from_word(n: int, word) -> GKMTupleT:

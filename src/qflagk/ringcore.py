@@ -38,9 +38,10 @@ its result before it forms a key:
   lo the spread of that variable and d its exponent in F.  So |e| stays at
   most ``bound + (hi - lo) // |d| * max|F|``; that figure is checked
   before the first step (``OverflowError``) and bounds a remainder
-  witness.  Synthetic division by X_mu - X_nu raises the exponent of X_nu
-  by one per step, at most max e_mu steps, so its figure is ``bound + max
-  e_mu``.
+  witness.  Division by X_mu - X_nu is this division by X_mu X_nu^{-1} - 1
+  (d = 1, max|F| = 1), so its transient figure is ``bound + (hi - lo)``;
+  its witness f(X_mu := X_nu) reaches ``bound + hi``, checked before it
+  is formed.
 * ``weyl_act_poly`` permutes and negates exponents; ``x_expand`` and
   ``basis_decompose`` write x^k through X^j with |j| <= |k| and the other
   way round: all three keep the bound.
@@ -91,9 +92,13 @@ class NotDivisible(ArithmeticError):
     """
 
     def __init__(self, factor, remainder):
+        super().__init__(factor, remainder)
         self.factor = factor
         self.remainder = remainder
-        super().__init__(f"not divisible; factor={factor}, remainder={remainder}")
+
+    def __str__(self):
+        # rendered on demand: a witness may hold ints too long to print
+        return f"not divisible; factor={self.factor}, remainder={self.remainder}"
 
 
 class NotInvariant(ValueError):
@@ -536,45 +541,28 @@ def divide_exact(f: LaurentPoly, divisor) -> LaurentPoly:
 def xpoly_divide_exact(f: XPoly, mu: int, nu: int) -> XPoly:
     """Exact quotient of ``f`` by X_mu - X_nu (indices 1-based, mu != nu).
 
-    Synthetic division in the variable X_mu with coefficients in the other
-    generators; divisibility holds exactly when the final remainder (the
-    image of f under X_mu := X_nu) vanishes.  X-exponents are nonnegative,
-    so each field of a key is a plain digit.
+    X_mu - X_nu = X_nu (X_mu X_nu^{-1} - 1): long division in X_mu by the
+    binomial, then a shift by -e_nu.  Its remainder is (X_mu / X_nu)^lo
+    f(X_mu := X_nu), lo the least X_mu-degree of f; the witness is f(X_mu :=
+    X_nu).  X-exponents are nonnegative, so each key field is a plain digit.
     """
     if mu == nu:
         raise ValueError("need two distinct indices")
     if not (1 <= mu <= f.rank and 1 <= nu <= f.rank):
         raise ValueError(f"indices ({mu}, {nu}) out of range for rank {f.rank}")
-    shift = FIELD_BITS * (mu - 1)
-    step = 1 << (FIELD_BITS * (nu - 1))  # times X_nu
-    buckets = {}  # X_mu-degree -> {key with that degree cleared: coefficient}
-    for k, c in f._packed.items():
-        e = k >> shift & _MASK
-        buckets.setdefault(e, {})[k - (e << shift)] = c
-    if not buckets:
+    if not f:
         return XPoly.zero(f.rank)
-    top = max(buckets)
-    reach = f._bound + top
-    _check_reach(reach, "a division")
-
-    def times_nu_plus(terms, carry):
-        # terms + carry * X_nu
-        out = dict(terms)
-        for rest, c in carry.items():
-            _acc(out, rest + step, c)
-        return out
-
-    quotient = {}
-    carry = {}  # q_k, built downward: q_{k-1} = c_k + q_k * X_nu
-    for k in range(top, 0, -1):
-        carry = times_nu_plus(buckets.get(k, {}), carry)
-        lift = (k - 1) << shift
-        for rest, c in carry.items():
-            quotient[rest + lift] = c  # one X_mu-degree per k: no collisions
-    remainder = times_nu_plus(buckets.get(0, {}), carry)
+    shift = FIELD_BITS * (mu - 1)
+    e_nu = 1 << (FIELD_BITS * (nu - 1))
+    key = (1 << shift) - e_nu  # the packed e_mu - e_nu
+    quotient, remainder, reach = _divide_one_factor(f._packed, f._bound, f.rank, mu - 1, 1, key, 1)
     if remainder:
-        raise NotDivisible((mu, nu), XPoly._trusted(f.rank, remainder, reach))
-    return XPoly._trusted(f.rank, quotient, f._bound)
+        lo = next(iter(remainder)) >> shift & _MASK  # the one bucket left
+        reach += lo  # bound + hi, what the witness reaches
+        _check_reach(reach, "a division")
+        witness = {k - lo * key: c for k, c in remainder.items()}
+        raise NotDivisible((mu, nu), XPoly._trusted(f.rank, witness, reach))
+    return XPoly._trusted(f.rank, {k - e_nu: c for k, c in quotient.items()}, f._bound)
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,19 @@ def test_check_division_past_the_exponent_limit_exits_2(tmp_path, capsys):
     assert rc == 2 and out == "" and "cannot check tuple" in err
 
 
+def test_check_unprintable_remainder_exits_2(tmp_path, capsys):
+    # c of 4 300 nines reads and prints, but the witness of c*X1 + c*X2 at
+    # [1,2] against 0 at [2,1] is 2c*X2, one digit past the interpreter's
+    # limit on printing an int
+    c = int("9" * 4300)
+    values = {tau: ringcore.XPoly.zero(2) for tau in weylc.all_perms(2)}
+    values[(1, 2)] = ringcore.XPoly(2, {(1, 0): c, (0, 1): c})
+    p = tmp_path / "g.json"
+    _write_tuple(p, gkm.GKMTupleG(2, values))
+    rc, out, err = run(capsys, "check", "--model", "G", "--input", str(p))
+    assert rc == 2 and out == "" and "cannot print the violations" in err
+
+
 def test_check_wrong_model_tag(tmp_path, capsys):
     p = tmp_path / "t.json"
     _write_tuple(p, gkm.GKMTupleT.constant(2, 1))

@@ -300,6 +300,19 @@ def test_xpoly_divide_examples():
     with pytest.raises(NotDivisible) as exc:
         xpoly_divide_exact(X(1), 1, 2)
     assert exc.value.factor == (1, 2)
+    # the witness is f(X_mu := X_nu), also where every term of f has
+    # X_mu-degree >= 1, for mu < nu and for mu > nu
+    for f, (mu, nu), witness in (
+        ({(2, 1): 1, (1, 0): 1}, (1, 2), {(0, 3): 1, (0, 1): 1}),
+        ({(1, 2): 1, (0, 1): 1}, (2, 1), {(3, 0): 1, (1, 0): 1}),
+        ({(2, 1): 1, (1, 1): -3}, (1, 2), {(0, 3): 1, (0, 2): -3}),
+        ({(0, 3): 1, (2, 1): 1}, (2, 1), {(3, 0): 2}),
+    ):
+        f, witness = XPoly(2, f), XPoly(2, witness)
+        with pytest.raises(NotDivisible) as exc:
+            xpoly_divide_exact(f, mu, nu)
+        assert exc.value.factor == (mu, nu)
+        assert exc.value.remainder == witness, (f, mu, nu)
     with pytest.raises(ValueError):
         xpoly_divide_exact(X(1), 1, 1)
 
@@ -784,6 +797,10 @@ def test_a_division_past_the_limit_raises_before_it_wraps():
     with pytest.raises(NotDivisible) as exc:
         divide_exact(f + 1, [factor])
     _assert_bounded(exc.value.remainder)
-    # synthetic division by X1 - X2 raises X2 by one per step in X1
+    # dividing by X1 - X2, the witness f(X1 := X2) would be X2^(LIMIT + 1)
     with pytest.raises(OverflowError):
         xpoly_divide_exact(XPoly(2, {(LIMIT // 2 + 1, LIMIT // 2): 1}), 1, 2)
+    # an exact quotient there is found: its transient terms reach only
+    # bound + (hi - lo), one more than the dividend's bound
+    g = XPoly(2, {(LIMIT // 2, LIMIT // 2): 1})
+    assert xpoly_divide_exact(g * (X(1) - X(2)), 1, 2) == g
