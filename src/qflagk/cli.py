@@ -72,8 +72,11 @@ class SuiteReport:
 def _emit(cfg, payload, text: str):
     body = json.dumps(payload, indent=2, sort_keys=True) if cfg.fmt == "json" else text
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(body + "\n")
+        try:
+            with open(cfg.output, "w", encoding="utf-8") as fh:
+                fh.write(body + "\n")
+        except OSError as exc:
+            raise _UsageError(f"cannot write --output: {exc}") from None
     else:
         print(body)
 

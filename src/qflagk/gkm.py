@@ -56,7 +56,6 @@ from .ringcore import (
 from .weylc import (
     SignedPerm,
     all_perms,
-    bruhat_leq,
     coset_map,
     enumerate_weyl,
     length,
@@ -128,6 +127,9 @@ class InexactDivision(ArithmeticError):
         self.numerator = numerator
         super().__init__(f"inexact Demazure division at {w} for simple index {i}")
 
+    def __reduce__(self):
+        return (type(self), (self.w, self.i, self.numerator))
+
 
 class NotInTupleSpan(ArithmeticError):
     """A tuple is not a combination of the requested Schubert classes."""
@@ -137,6 +139,9 @@ class NotInTupleSpan(ArithmeticError):
         self.residual = residual
         super().__init__(f"nonzero residual at {witness_index}")
 
+    def __reduce__(self):
+        return (type(self), (self.witness_index, self.residual))
+
 
 class TupleNotInvariant(ValueError):
     """A tuple moved under a group element that was required to fix it."""
@@ -145,6 +150,9 @@ class TupleNotInvariant(ValueError):
         self.group_element = group_element
         self.index = index
         super().__init__(f"component at {index} moved under {group_element}")
+
+    def __reduce__(self):
+        return (type(self), (self.group_element, self.index))
 
 
 @dataclass(frozen=True)
@@ -400,15 +408,11 @@ def coeff_act_tuple(v: SignedPerm, f: GKMTupleX) -> GKMTupleX:
 # ---------------------------------------------------------------------------
 
 def point_class(n: int) -> GKMTupleT:
-    """The class of the base point: the K-theoretic Euler product at the
-    identity, zero elsewhere."""
-    euler = LaurentPoly.one(n)
-    for alpha in positive_roots(n):
-        sign = CONVENTION["euler_exponent_sign"]
-        mono = LaurentPoly.monomial(n, tuple(sign * a for a in alpha))
-        euler = euler * (LaurentPoly.one(n) - mono)
+    """The class of the base point: the K-theoretic Euler product
+    prod_{alpha > 0} (1 - e^alpha) at the identity, zero elsewhere."""
+    roots = positive_roots(n)
     values = {w: LaurentPoly.zero(n) for w in enumerate_weyl(n)}
-    values[SignedPerm.identity(n)] = euler
+    values[SignedPerm.identity(n)] = (-1) ** len(roots) * BinomialDivisor(roots).as_poly()
     return GKMTupleT(n, values)
 
 
@@ -524,7 +528,7 @@ def descent_invariance_check(table: SchubertTable):
         cls = table.classes[w]
         for i in range(1, n + 1):
             s = simple_reflection(i, n)
-            if bruhat_leq(w * s, w) and weyl_act_tuple(s, cls) != cls:
+            if length(w * s) < length(w) and weyl_act_tuple(s, cls) != cls:
                 bad.append((w, i))
     return bad
 

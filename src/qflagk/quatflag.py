@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .weylc import Perm, bruhat_leq, perm_inverse, perm_inversions
+from .weylc import Perm, bruhat_leq, perm_identity, perm_inverse, perm_inversions
 
 __all__ = [
     "Quaternion",
@@ -211,9 +211,7 @@ class QMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(tuple(
-            tuple(_Q1 if i == j else _Q0 for j in range(n)) for i in range(n)
-        ))
+        return perm_matrix(perm_identity(n))
 
     @classmethod
     def from_rows(cls, rows):

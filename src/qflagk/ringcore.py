@@ -108,6 +108,9 @@ class NotInvariant(ValueError):
         self.sign_index = sign_index
         super().__init__(f"not invariant under the sign change at x_{sign_index}")
 
+    def __reduce__(self):
+        return (type(self), (self.sign_index,))
+
 
 # ---------------------------------------------------------------------------
 # packed keys and term dicts (packed key -> nonzero int coefficient)
@@ -224,6 +227,10 @@ class _PolyBase:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # the default restore of slot state would go through __setattr__
+        return (self._trusted, (self.rank, self._packed, self._bound))
 
     @property
     def terms(self):
@@ -614,35 +621,21 @@ def x_expand(g: XPoly) -> LaurentPoly:
     return LaurentPoly._trusted(n, out, g._bound)
 
 
-# x^k = a_k(X)*1 + b_k(X)*x^{-1} over Z[X]; both recurrences come from
-# x^{k+1} = X*x^k - x^{k-1}.  Both have degree at most |k|.
-_HALF_BASIS = {0: ({0: 1}, {}), -1: ({}, {0: 1})}
-
-
-def _uni_shift_sub(p, q):
-    # X*p - q on univariate dicts
-    out = {}
-    for e, c in p.items():
-        _acc(out, e + 1, c)
-    for e, c in q.items():
-        _acc(out, e, -c)
-    return out
-
-
+@lru_cache(maxsize=None)
 def _half_basis(k):
-    hi = max(_HALF_BASIS)
-    while k > hi:
-        a1, b1 = _HALF_BASIS[hi]
-        a0, b0 = _HALF_BASIS[hi - 1]
-        _HALF_BASIS[hi + 1] = (_uni_shift_sub(a1, a0), _uni_shift_sub(b1, b0))
-        hi += 1
-    lo = min(_HALF_BASIS)
-    while k < lo:
-        a1, b1 = _HALF_BASIS[lo]
-        a2, b2 = _HALF_BASIS[lo + 1]
-        _HALF_BASIS[lo - 1] = (_uni_shift_sub(a1, a2), _uni_shift_sub(b1, b2))
-        lo -= 1
-    return _HALF_BASIS[k]
+    """x^k = a(X) + b(X) x^{-1} over Z[X], as (a, b), each a tuple of
+    (X-degree, coefficient) pairs of degree at most |k|.
+
+    From x^{k+1} = X x^k - x^{k-1}: (a, b) = (S_k, -S_{k-1}), where S_k =
+    sum_j (-1)^j C(k-j, j) X^(k-2j) for k >= 0, S_{-1} = 0 and S_{-k-2} =
+    -S_k.
+    """
+    def s(m, sign):
+        if m < 0:  # S_{-1} = 0 comes out as the empty sum at m = -1
+            m, sign = -m - 2, -sign
+        return tuple((m - 2 * j, sign * (-1) ** j * comb(m - j, j)) for j in range(m // 2 + 1))
+
+    return s(k, 1), s(k - 1, -1)
 
 
 def basis_decompose(f: LaurentPoly) -> dict:
@@ -662,9 +655,9 @@ def basis_decompose(f: LaurentPoly) -> dict:
             shift = FIELD_BITS * i
             nxt = []
             for bits, degs, cc in partial:
-                for d, u in a.items():
+                for d, u in a:
                     nxt.append((bits + (0,), degs + (d << shift), cc * u))
-                for d, u in b.items():
+                for d, u in b:
                     nxt.append((bits + (-1,), degs + (d << shift), cc * u))
             partial = nxt
         for bits, degs, cc in partial:
@@ -684,14 +677,10 @@ def sym_in_x(f: LaurentPoly) -> XPoly:
     Raises :class:`NotInvariant` with a witnessing sign-change index when f
     is moved by some x_v -> x_v^{-1}.
     """
-    dec = basis_decompose(f)
-    zero_eps = (0,) * f.rank
-    if all(not p for eps, p in dec.items() if eps != zero_eps):
-        return dec[zero_eps]
     for v in range(f.rank):
         if _flip_var(f._packed, f.rank, v) != f._packed:
             raise NotInvariant(v + 1)
-    raise AssertionError("decomposition and sign-change test disagree")
+    return basis_decompose(f)[(0,) * f.rank]
 
 
 def sigma_k(k: int, args) -> object:

@@ -165,32 +165,20 @@ def positive_roots(n: int) -> tuple:
 
 
 def is_root(alpha) -> bool:
-    nonzero = [(i, c) for i, c in enumerate(alpha) if c]
-    if len(nonzero) == 1:
-        return nonzero[0][1] in (2, -2)
-    if len(nonzero) == 2:
-        return all(c in (1, -1) for _, c in nonzero)
-    return False
+    alpha = tuple(alpha)
+    return is_positive_root(alpha) or is_positive_root(tuple(-c for c in alpha))
 
 
 def is_positive_root(alpha) -> bool:
-    # a root is positive exactly when its first nonzero coordinate is
-    if not is_root(alpha):
-        return False
-    return next(c for c in alpha if c) > 0
+    alpha = tuple(alpha)
+    return alpha in positive_roots(len(alpha))
 
 
+@cache
 def simple_reflection(i: int, n: int) -> SignedPerm:
-    """s_i: the transposition (i, i+1) for i < n, the sign flip at n for i = n."""
-    if not 1 <= i <= n:
-        raise ValueError(f"simple reflection index {i} out of range for rank {n}")
-    perm = list(range(1, n + 1))
-    signs = [1] * n
-    if i < n:
-        perm[i - 1], perm[i] = perm[i], perm[i - 1]
-    else:
-        signs[n - 1] = -1
-    return SignedPerm(tuple(perm), tuple(signs))
+    """s_i: the reflection in alpha_i, the transposition (i, i+1) for i < n
+    and the sign flip at n for i = n."""
+    return reflection(simple_root(i, n))
 
 
 def reflection(alpha) -> SignedPerm:

@@ -140,6 +140,14 @@ def test_output_file(tmp_path, capsys):
     assert report["violations"] == []
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_output_exits_2(tmp_path, capsys, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+    rc, out, err = run(capsys, "basis", "--n", "2", "--output", str(target))
+    assert rc == 2 and out == ""
+    assert "cannot write --output" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # schubert
 # ---------------------------------------------------------------------------

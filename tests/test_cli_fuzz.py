@@ -1,8 +1,9 @@
 """Hypothesis fuzz of the CLI input layer.
 
 Arbitrary JSON documents go to ``decompose``, ``cell-index`` and ``check``,
-arbitrary window text to ``schubert --w``, and arbitrary tokens to the
-counted flags of ``basis``.  Whatever the input, ``main`` must return an
+arbitrary window text to ``schubert --w``, arbitrary tokens to the
+counted flags of ``basis``, and ``verify`` flag values, well-formed or with
+one flag broken, to ``verify --jobs 1``.  Whatever the input, ``main`` must return an
 exit code of the contract (0, 1, 2 or 3) without an exception escaping it.
 Matrix documents include dense 4x4 ones and components at and beyond the
 bound on their digits, such as ``"1e100000"`` and 60-digit numerators.
@@ -22,7 +23,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflagk.cli import MAX_COMPONENT_DIGITS, main
+from qflagk.cli import MAX_COMPONENT_DIGITS, SUITES, main
 from qflagk.ringcore import EXPONENT_LIMIT
 
 FUZZ = settings(max_examples=120, deadline=None, derandomize=True)
@@ -165,3 +166,35 @@ def test_schubert_window_keeps_the_exit_code_contract(args):
 @given(flag=st.sampled_from(["--n", "--trials", "--jobs"]), token=tokens)
 def test_count_flags_keep_the_exit_code_contract(flag, token):
     _run(["basis", flag, token])
+
+
+
+# verify flags: well-formed values, and values that break the flag
+VERIFY_FLAGS = {
+    "--suite": (st.sampled_from(sorted(SUITES)),
+                st.sampled_from(["", "Roots", "gkm", "--n"]) | st.text(max_size=5)
+                .filter(lambda s: s not in SUITES)),
+    "--n": (st.sampled_from(["1", "2"]), st.sampled_from(["5", "0", "-1", "x", "1.5", ""])),
+    "--trials": (st.integers(1, 3).map(str), st.sampled_from(["0", "-1", "x", "1.5", ""])),
+    "--mutate": (st.integers(0, 2).map(str), st.sampled_from(["-1", "x", "1.5", "", "1e3"])),
+    "--seed": (st.integers(-3, 12).map(str), st.sampled_from(["x", "1.5", "", "1e3"])),
+}
+
+
+@st.composite
+def verify_argv(draw):
+    # at most one broken flag, so that a well-formed run is drawn often
+    broken = draw(st.sampled_from([None] * 5 + list(VERIFY_FLAGS)))
+    argv = ["verify"]
+    for flag, (good, bad) in VERIFY_FLAGS.items():
+        argv += [flag, draw(bad if flag == broken else good)]
+    return broken, argv + ["--jobs", "1"]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(drawn=verify_argv())
+def test_verify_keeps_the_exit_code_contract(drawn):
+    # one process and no --output: every outcome comes back through main
+    broken, argv = drawn
+    rc = _run(argv)
+    assert (rc == 2) == (broken is not None), (argv, rc)

@@ -1,5 +1,7 @@
 """The three fixed-point models, Schubert classes, and the maps between them."""
 
+import pickle
+
 import pytest
 
 from qflagk.gkm import (
@@ -185,6 +187,19 @@ def test_point_class_rank_two_is_the_four_factor_product():
         expected = expected * (1 - LaurentPoly.monomial(2, exps))
     assert pc.values[SignedPerm.identity(2)] == expected
     assert gkm_check_t(pc) == []
+    # and at ranks 3 and 4, prod (1 - e^alpha) over L^a -+ L^b (a < b) and 2L^a
+    for n in (3, 4):
+        unit = [tuple(int(v == a) for v in range(n)) for a in range(n)]
+        roots = [tuple(2 * c for c in unit[a]) for a in range(n)] + [
+            tuple(p + s * q for p, q in zip(unit[a], unit[b]))
+            for a in range(n) for b in range(a + 1, n) for s in (-1, 1)
+        ]
+        expected = LaurentPoly.one(n)
+        for exps in roots:
+            expected = expected * (1 - LaurentPoly.monomial(n, exps))
+        pc = point_class(n)
+        assert pc.values[SignedPerm.identity(n)] == expected
+        assert all(not p for w, p in pc.values.items() if w != SignedPerm.identity(n))
 
 
 def test_demazure_fixes_constants():
@@ -222,6 +237,26 @@ def test_demazure_inexact_on_corrupted_input():
         mono = LaurentPoly.monomial(n, e.act(simple_root(i, n)))
         assert exc.numerator == values[e] - mono * values[e * s]
         assert exc.numerator
+
+
+def test_gkm_exceptions_survive_pickling():
+    n = 2
+    values = {w: LaurentPoly.zero(n) for w in enumerate_weyl(n)}
+    values[SignedPerm.identity(n)] = LaurentPoly.one(n)
+    with pytest.raises(InexactDivision) as inexact:
+        demazure(1, GKMTupleT(n, values))
+    with pytest.raises(NotInTupleSpan) as outside:
+        expand_in_schubert(pullback_pi(vertex_class_x(n, (2, 1))),
+                           [max_length_rep(tau) for tau in all_perms(n)])
+    with pytest.raises(TupleNotInvariant) as moved:
+        j_descend(GKMTupleX(n, {(1, 2): LaurentPoly.x(n, 1), (2, 1): LaurentPoly.one(n)}))
+    for caught, fields in ((inexact, ("w", "i", "numerator")),
+                           (outside, ("witness_index", "residual")),
+                           (moved, ("group_element", "index"))):
+        exc = pickle.loads(pickle.dumps(caught.value))
+        assert type(exc) is caught.type and str(exc) == str(caught.value)
+        for name in fields:
+            assert getattr(exc, name) == getattr(caught.value, name)
 
 
 def test_demazure_rank_four_is_word_independent():

@@ -3,7 +3,9 @@
 import itertools
 import json
 import math
+import pickle
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -22,6 +24,7 @@ from qflagk.ringcore import (
     x_expand,
     xpoly_divide_exact,
 )
+from qflagk.ringcore import _half_basis
 from qflagk.weylc import SignedPerm, enumerate_sign_changes, enumerate_weyl, simple_reflection
 
 
@@ -620,6 +623,14 @@ def _ref_basis_decompose(terms, n):
     return out
 
 
+def test_half_basis_closed_form_matches_the_recurrence():
+    for k in range(-40, 41):
+        want = _ref_basis_decompose({(k,): 1}, 1)
+        a, b = _half_basis(k)
+        assert {(d,): c for d, c in a} == want[(0,)]
+        assert {(d,): c for d, c in b} == want[(-1,)]
+
+
 def _assert_bounded(p):
     # the no-carry invariant: every exponent inside the carried bound, and
     # the bound inside the limit
@@ -804,3 +815,38 @@ def test_a_division_past_the_limit_raises_before_it_wraps():
     # bound + (hi - lo), one more than the dividend's bound
     g = XPoly(2, {(LIMIT // 2, LIMIT // 2): 1})
     assert xpoly_divide_exact(g * (X(1) - X(2)), 1, 2) == g
+
+
+# ---------------------------------------------------------------------------
+# pickling: values and failures cross process boundaries intact
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [
+    LaurentPoly(2, {(3, -2): 5, (0, 0): -1}),
+    XPoly(3, {(2, 0, 1): 7, (0, 4, 0): -3 ** 80}),
+    XPoly.zero(1),
+], ids=["laurent", "xpoly", "zero"])
+def test_polynomials_survive_pickling(p):
+    q = pickle.loads(pickle.dumps(p))
+    assert type(q) is type(p) and q == p and q._bound == p._bound
+    with pytest.raises(AttributeError):
+        q.rank = 5
+
+
+def test_ring_exceptions_survive_pickling():
+    with pytest.raises(NotDivisible) as caught:
+        divide_exact(x(1) + 2, [(1, 0)])
+    exc = pickle.loads(pickle.dumps(caught.value))
+    assert exc.factor == (1, 0) and exc.remainder == caught.value.remainder
+    assert str(exc) == str(caught.value)
+    exc = pickle.loads(pickle.dumps(NotInvariant(2)))
+    assert exc.sign_index == 2 and str(exc) == str(NotInvariant(2))
+
+
+def test_not_divisible_crosses_a_process_pool():
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(xpoly_divide_exact, X(1) * X(1) + 1, 1, 2)
+        with pytest.raises(NotDivisible) as caught:
+            future.result()
+    assert caught.value.factor == (1, 2)
+    assert caught.value.remainder == X(2) * X(2) + 1

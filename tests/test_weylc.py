@@ -2,6 +2,7 @@
 
 import math
 from collections import deque
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,8 @@ from qflagk.weylc import (
     descents,
     enumerate_sign_changes,
     enumerate_weyl,
+    is_positive_root,
+    is_root,
     length,
     max_length_rep,
     perm_embed,
@@ -55,6 +58,43 @@ def test_simple_reflections_at_rank_two():
     assert s1 * s1 == SignedPerm.identity(2)
     with pytest.raises(ValueError):
         simple_reflection(3, 2)
+
+
+def _ref_simple_reflection(i, n):
+    # the transposition (i, i+1) for i < n, the sign flip at n for i = n
+    perm = list(range(1, n + 1))
+    signs = [1] * n
+    if i < n:
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    else:
+        signs[n - 1] = -1
+    return SignedPerm(tuple(perm), tuple(signs))
+
+
+def test_simple_reflections_match_the_explicit_formula():
+    for n in range(1, 7):
+        for i in range(1, n + 1):
+            assert simple_reflection(i, n) == _ref_simple_reflection(i, n)
+        with pytest.raises(ValueError):
+            simple_reflection(0, n)
+
+
+def _ref_is_root(alpha):
+    # one coordinate +-2, or two coordinates +-1, and zeros elsewhere
+    nonzero = [c for c in alpha if c]
+    if len(nonzero) == 1:
+        return nonzero[0] in (2, -2)
+    return len(nonzero) == 2 and all(c in (1, -1) for c in nonzero)
+
+
+def test_root_tests_match_the_coordinate_rule():
+    for n in range(1, 5):
+        for alpha in product(range(-3, 4), repeat=n):
+            assert is_root(alpha) == _ref_is_root(alpha), alpha
+            # a root is positive exactly when its first nonzero coordinate is
+            positive = _ref_is_root(alpha) and next(c for c in alpha if c) > 0
+            assert is_positive_root(alpha) == positive, alpha
+            assert is_root(list(alpha)) == _ref_is_root(alpha)
 
 
 def test_reflection_case_table():
