@@ -14,6 +14,11 @@ Three models, all tuples of characters indexed by fixed points:
 The models differ only in their fixed points, edges with divisors, ring and
 divide routine; one table entry per model (``_T``, ``_X``, ``_G``) holds
 these, and one tuple type, edge walk, checker and JSON codec serve all three.
+The checker decides an edge by residues modulo each binomial x^F - 1 of its
+divisor, which needs no quotient.  That is exact for the X divisor too: its
+factors have the exponents e_mu - e_nu and e_mu + e_nu, distinct primitive
+vectors, so they are irreducible and not associate in the factorial ring
+Z[x^±1], and their product divides a difference iff each of them does.
 
 Schubert classes are built by the Demazure recursion from the point class;
 the two sign choices that recursion leaves open (the exponent sign in the
@@ -46,6 +51,7 @@ from .ringcore import (
     NotDivisible,
     NotInvariant,
     XPoly,
+    _difference_divisible,
     divide_exact,
     sigma_k,
     sym_in_x,
@@ -194,17 +200,24 @@ def _pair_divisor(n, mu, nu):
     return BinomialDivisor([hi, lo])
 
 
+def _g_residue(n, mu, nu):
+    """X_mu X_nu^{-1} - 1: the G-model's residue divisor, the binomial that
+    ``xpoly_divide_exact`` divides X_mu - X_nu by."""
+    return BinomialDivisor(_pair_divisor(n, mu, nu).factors[:1])
+
+
 def _root_reflections(n):
     for alpha in positive_roots(n):
-        yield alpha, reflection(alpha).__mul__, BinomialDivisor([alpha])
+        divisor = BinomialDivisor([alpha])
+        yield alpha, reflection(alpha).__mul__, divisor, divisor
 
 
-def _pair_reflections(divisor):
+def _pair_reflections(divisor, residue):
     def reflections(n):
         for mu in range(1, n + 1):
             for nu in range(mu + 1, n + 1):
                 swap = perm_transposition(n, mu, nu)
-                yield (mu, nu), partial(perm_compose, swap), divisor(n, mu, nu)
+                yield (mu, nu), partial(perm_compose, swap), divisor(n, mu, nu), residue(n, mu, nu)
 
     return reflections
 
@@ -214,9 +227,12 @@ class _Model:
     """What tells one GKM model from another.
 
     ``reflections(n)`` yields (edge, left multiplication by its reflection,
-    divisor); ``label`` is a fixed point as violations report it, and edges
-    are checked from the endpoint with the smaller label.  In JSON a fixed
-    point is keyed by its label (``_key``) and read back by ``from_label``.
+    divisor, residue divisor): ``divide`` takes the divisor, and the residue
+    divisor is the product of binomials x^F - 1 whose residues decide the
+    edge (``ringcore._difference_divisible``).  ``label`` is a fixed point
+    as violations report it, and edges are checked from the endpoint with
+    the smaller label.  In JSON a fixed point is keyed by its label
+    (``_key``) and read back by ``from_label``.
     """
 
     name: str
@@ -234,12 +250,12 @@ _T = _Model(
     SignedPerm.window, SignedPerm.from_window,
 )
 _X = _Model(
-    "X", LaurentPoly, all_perms, _pair_reflections(_pair_divisor),
+    "X", LaurentPoly, all_perms, _pair_reflections(_pair_divisor, _pair_divisor),
     lambda diff, divisor: divide_exact(diff, divisor),
     tuple, _perm_from_label,
 )
 _G = _Model(
-    "G", XPoly, all_perms, _pair_reflections(lambda n, mu, nu: (mu, nu)),
+    "G", XPoly, all_perms, _pair_reflections(lambda n, mu, nu: (mu, nu), _g_residue),
     lambda diff, pair: xpoly_divide_exact(diff, *pair),
     tuple, _perm_from_label,
 )
@@ -247,10 +263,11 @@ _G = _Model(
 
 @lru_cache(maxsize=None)
 def _edges(model, n):
-    """Each edge u -- v of the model's GKM graph once, as (u, v, edge, divisor)."""
+    """Each edge u -- v of the model's GKM graph once, as (u, v, edge,
+    divisor, residue divisor)."""
     return tuple(
-        (u, v, edge, divisor)
-        for edge, move, divisor in model.reflections(n)
+        (u, v, edge, divisor, residue)
+        for edge, move, divisor, residue in model.reflections(n)
         for u in model.vertices(n)
         for v in (move(u),)
         if model.label(u) < model.label(v)
@@ -347,13 +364,23 @@ class SchubertTable:
 # ---------------------------------------------------------------------------
 
 def _check(model, f):
+    """The violations of ``f`` in ``model``'s edge order.
+
+    An edge passes when the residues of its two values modulo each binomial
+    x^F - 1 of the residue divisor agree (``_difference_divisible``), so
+    that every factor, and with them their product (see the module
+    docstring), divides the difference.  Otherwise ``model.divide`` decides
+    and forms the remainder witness; it also decides, or raises
+    ``OverflowError``, where the values reach past a third of the exponent
+    limit and the residues could leave it.
+    """
     violations = []
-    for u, v, edge, divisor in _edges(model, f.rank):
-        diff = f.values[u] - f.values[v]
-        if not diff:
+    values = f.values
+    for u, v, edge, divisor, residue in _edges(model, f.rank):
+        if _difference_divisible(values[u], values[v], residue):
             continue
         try:
-            model.divide(diff, divisor)
+            model.divide(values[u] - values[v], divisor)
         except NotDivisible as exc:
             violations.append(
                 EdgeViolation(model.name, model.label(u), model.label(v), edge, exc.remainder)

@@ -1,11 +1,14 @@
 """The three fixed-point models, Schubert classes, and the maps between them."""
 
 import pickle
+from functools import partial
 
 import pytest
 
+from qflagk import gkm, ringcore
 from qflagk.gkm import (
     CONVENTION,
+    EdgeViolation,
     GKMTupleG,
     GKMTupleT,
     GKMTupleX,
@@ -41,12 +44,14 @@ from qflagk.randgen import (
     vertex_class_x,
 )
 from qflagk.ringcore import (
+    EXPONENT_LIMIT,
     BinomialDivisor,
     LaurentPoly,
     NotDivisible,
     XPoly,
     divide_exact,
     x_expand,
+    xpoly_divide_exact,
 )
 from qflagk.weylc import (
     SignedPerm,
@@ -58,6 +63,7 @@ from qflagk.weylc import (
     length,
     max_length_rep,
     perm_identity,
+    perm_inversions,
     simple_reflection,
     simple_root,
 )
@@ -115,6 +121,187 @@ def test_tuple_totality_enforced():
         GKMTupleT(1, {SignedPerm.identity(1): LaurentPoly.one(1)})
     with pytest.raises(ValueError):
         GKMTupleX(2, {(1, 2): LaurentPoly.one(2)})
+
+
+# ---------------------------------------------------------------------------
+# residue verdicts against long division
+# ---------------------------------------------------------------------------
+
+CHECKS = {gkm._T: gkm_check_t, gkm._X: gkm_check_x, gkm._G: gkm_check_g}
+THIRD = EXPONENT_LIMIT // 3
+
+
+def _check_by_division(model, f):
+    """The checker that long-divides every nonzero difference: the reference
+    the residue verdicts must reproduce, witnesses included."""
+    violations = []
+    for u, v, edge, divisor, _ in gkm._edges(model, f.rank):
+        diff = f.values[u] - f.values[v]
+        if not diff:
+            continue
+        try:
+            model.divide(diff, divisor)
+        except NotDivisible as exc:
+            violations.append(
+                EdgeViolation(model.name, model.label(u), model.label(v), edge, exc.remainder)
+            )
+    return violations
+
+
+def _outcome(check, f):
+    # the violation list down to each witness's packed terms and bound, or
+    # the overflow a division raised
+    try:
+        return [
+            (v.model, v.index, v.partner, v.edge, v.remainder._packed, v.remainder._bound)
+            for v in check(f)
+        ]
+    except OverflowError as exc:
+        return ("OverflowError", str(exc))
+
+
+def _assert_same_verdicts(f):
+    model = type(f).model
+    assert _outcome(CHECKS[model], f) == _outcome(partial(_check_by_division, model), f)
+
+
+def _times(f, mono):
+    return type(f)(f.rank, {k: mono * p for k, p in f.values.items()})
+
+
+def _shifted_sum(a, b, mono):
+    # a + mono * b: valid when a and b are, over a wide exponent span
+    return type(a)(a.rank, {k: a.values[k] + mono * b.values[k] for k in a.values})
+
+
+def _mutated(rng, f, vertices=2):
+    # +1 at some vertices, or a monomial that is odd in x_1 (or X_1)
+    ring = type(f).model.ring
+    bump = rng.choice([ring.one(f.rank), ring.monomial(f.rank, (1,) + (0,) * (f.rank - 1), -2)])
+    hit = rng.sample(list(f.values), min(vertices, len(f.values)))
+    return type(f)(f.rank, {k: p + bump if k in hit else p for k, p in f.values.items()})
+
+
+def _qs_combination(rng, n, max_length=None):
+    # quaternionic classes with coefficients in {+-1, +-2}, as G-tuples
+    perms = all_perms(n)
+    values = {t: XPoly.zero(n) for t in perms}
+    for tau, cls in quaternionic_schubert_classes(n).items():
+        if max_length is None or perm_inversions(tau) <= max_length:
+            a = rng.choice((-2, -1, 1, 2))
+            values = {t: values[t] + a * cls.values[t] for t in perms}
+    return GKMTupleG(n, values)
+
+
+def _seeded_tuples(rng, n):
+    """Valid T-, X- and G-tuples of rank n: random ones, Schubert
+    combinations and their images, some shifted by monomials whose exponents
+    are odd in x_1 (odd differences across the long-root edges of 2e_1)."""
+    odd = LaurentPoly.monomial(n, (3,) + (-1,) * (n - 1))
+    g = [random_g_tuple(rng, n), _qs_combination(rng, n)]
+    x = [random_x_tuple(rng, n), j_expand(g[1])]
+    t = [random_t_tuple(rng, n), random_maxrep_combination(rng, n)[0], pullback_pi(x[0])]
+    return (
+        t + [_times(t[0], odd), _shifted_sum(t[2], pullback_pi(x[1]), odd)]
+        + x + [_shifted_sum(x[0], x[1], odd)]
+        + g + [_shifted_sum(g[0], g[1], XPoly.monomial(n, (3,) + (0,) * (n - 1)))]
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_residue_verdicts_match_the_division_on_seeded_tuples(n):
+    for trial in range(3 if n < 3 else 1):
+        rng = trial_rng(40 + n, trial)
+        for f in _seeded_tuples(rng, n):
+            assert CHECKS[type(f).model](f) == []
+            _assert_same_verdicts(f)
+            _assert_same_verdicts(_mutated(rng, f))
+
+
+def test_residue_verdicts_match_the_division_on_rank_four_workload_tuples():
+    # built as the rank-4 membership benchmark builds them: quaternionic
+    # combinations, their images, and sums shifted by a monomial of degree 9
+    n = 4
+    rng = trial_rng(44, 0)
+    g = _qs_combination(rng, n)
+    x = j_expand(g)
+    t = pullback_pi(j_expand(_qs_combination(rng, n, max_length=1)))
+    wide = LaurentPoly.monomial(n, (9, 0, -2, 0))
+    tuples = [
+        g, _shifted_sum(g, random_g_tuple(rng, n), XPoly.monomial(n, (0, 9, 0, 0))),
+        x, _shifted_sum(random_x_tuple(rng, n), x, wide),
+        _times(t, wide),
+    ]
+    for f in tuples:
+        _assert_same_verdicts(f)
+        _assert_same_verdicts(_mutated(rng, f, vertices=3))
+
+
+def test_residue_verdicts_match_the_division_across_a_third_of_the_limit():
+    # values spread over [-E, E] with E near a third of the limit: below it
+    # the residues decide, from there on the division decides or raises
+    # OverflowError
+    outcomes = []
+    for offset in (-30, -6, -3, -1, 0, 1, 2, 4):
+        rng = trial_rng(45, offset)
+        e = THIRD + offset
+        tuples = []
+        for n in (1, 2):
+            for f in (random_t_tuple(rng, n), random_x_tuple(rng, n)):
+                ring = type(f).model.ring
+                span = ring.monomial(n, (e,) + (0,) * (n - 1)) + ring.monomial(n, (-e,) * n)
+                tuples.append(_times(f, span))
+            g = random_g_tuple(rng, n)
+            tuples.append(_shifted_sum(g, g, XPoly.monomial(n, (0,) * (n - 1) + (e,))))
+        for f in tuples + [_mutated(rng, f) for f in tuples]:
+            _assert_same_verdicts(f)
+            outcomes.append(_outcome(CHECKS[type(f).model], f))
+    # passes, witnesses and overflows all occur
+    assert [] in outcomes
+    assert any(o and isinstance(o, list) for o in outcomes)
+    assert any(isinstance(o, tuple) for o in outcomes)
+
+
+def test_valid_tuples_pass_without_long_division_whatever_the_span(monkeypatch):
+    # a shift of width 10 000 is below a third of the limit: the verdict is
+    # the residue's, and no division runs
+    def refuse(*args):
+        raise AssertionError("a valid tuple was long-divided")
+
+    n = 3
+    rng = trial_rng(46, 0)
+    e = 10_000
+    laurent = LaurentPoly.monomial(n, (e, -e, 0))
+    valid = [
+        _shifted_sum(random_t_tuple(rng, n), random_t_tuple(rng, n), laurent),
+        _shifted_sum(random_x_tuple(rng, n), random_x_tuple(rng, n), laurent),
+        _shifted_sum(random_g_tuple(rng, n), random_g_tuple(rng, n), XPoly.monomial(n, (0, e, 0))),
+    ]
+    mutated = [_mutated(rng, f) for f in valid]
+    expected = [_outcome(partial(_check_by_division, type(f).model), f) for f in mutated]
+    assert all(expected)
+
+    monkeypatch.setattr(ringcore, "_divide_one_factor", refuse)
+    for f in valid:
+        assert CHECKS[type(f).model](f) == []
+    monkeypatch.undo()
+
+    # a failing edge still gets the division's witness, and only a failing
+    # edge is divided
+    calls = []
+
+    def counted(divide):
+        def wrapped(*args):
+            calls.append(args)
+            return divide(*args)
+        return wrapped
+
+    monkeypatch.setattr(gkm, "divide_exact", counted(divide_exact))
+    monkeypatch.setattr(gkm, "xpoly_divide_exact", counted(xpoly_divide_exact))
+    for f, want in zip(mutated, expected):
+        calls.clear()
+        assert _outcome(CHECKS[type(f).model], f) == want
+        assert len(calls) == len(want)
 
 
 # ---------------------------------------------------------------------------
