@@ -48,5 +48,5 @@ for w in sorted(enumerate_weyl(n), key=length):
 print()
 
 combo, coeffs = random_maxrep_combination(trial_rng(7, 0), n)
-got = expand_in_schubert(combo, list(coeffs), table)
+got = expand_in_schubert(combo, list(coeffs))
 print("a random combination of two classes is recovered exactly:", got == coeffs)

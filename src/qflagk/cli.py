@@ -149,8 +149,8 @@ def _suite_schubert(n):
         for viol in gkm.gkm_check_t(cls):
             violations.append({"check": "gkm-valid", "class": list(w.window()), **viol.to_json()})
         checks += 1
-        if not cls.values[w]:
-            violations.append({"check": "diagonal-nonzero", "class": list(w.window())})
+        if cls.values[w] != gkm._diagonal(w):
+            violations.append({"check": "diagonal-closed-form", "class": list(w.window())})
         for v in W:
             checks += 1
             if cls.values[v] and not weylc.bruhat_leq(v, w):

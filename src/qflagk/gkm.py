@@ -24,7 +24,9 @@ Schubert classes are built by the Demazure recursion from the point class;
 the two sign choices that recursion leaves open (the exponent sign in the
 K-theoretic Euler product and in the Demazure denominator) are pinned by
 requiring the rank-one recursion to reach the constant tuple 1, and the
-chosen convention is recorded on the table.
+chosen convention is recorded on the table.  At w, the class of w is
+prod (1 - e^alpha) over the positive roots alpha with w^{-1}(alpha) > 0
+(``_diagonal``): the closed-form divisor of the Schubert expansion.
 
 Those 2^n n! classes do not descend to the quaternionic flag space: each is
 nonzero at the identity, so a class fixed by the sign change -1 would also be
@@ -64,6 +66,7 @@ from .weylc import (
     all_perms,
     coset_map,
     enumerate_weyl,
+    is_positive_root,
     length,
     perm_compose,
     perm_embed,
@@ -648,58 +651,53 @@ def presentation_check(n: int):
 # ---------------------------------------------------------------------------
 
 def _diagonal_roots(w: SignedPerm):
-    # positive roots alpha with w^{-1}(alpha) still positive: the diagonal
-    # value of the class of w is a unit monomial times prod (1 - e^alpha)
-    # over this set (the full set at the identity, empty at the long element)
+    """The positive roots alpha with w^{-1}(alpha) still positive: all of
+    them at the identity, none at the longest element -1."""
     winv = w.inverse()
-    from .weylc import is_positive_root
-
     return [a for a in positive_roots(w.rank) if is_positive_root(winv.act(a))]
 
 
-def _unit_inverse(poly: LaurentPoly) -> LaurentPoly:
-    ((exps, c),) = poly.terms.items()
-    if c not in (1, -1):
-        raise ValueError(f"{poly} is not a unit monomial")
-    return LaurentPoly.monomial(poly.rank, tuple(-e for e in exps), c)
+def _diagonal(w: SignedPerm) -> LaurentPoly:
+    """The class of w at w: prod (1 - e^alpha) over ``_diagonal_roots(w)``."""
+    out = LaurentPoly.one(w.rank)
+    for a in _diagonal_roots(w):
+        out = out * (1 - LaurentPoly.monomial(w.rank, a))
+    return out
 
 
-def expand_in_schubert(f: GKMTupleT, basis, table: SchubertTable | None = None):
+def expand_in_schubert(f: GKMTupleT, basis):
     """Solve f = sum a_w * class_w over the given basis elements.
 
     The system is triangular in the Bruhat order: scanning the basis by
-    decreasing length, the residual value at w must be a_w times the diagonal
-    value of class_w, which is a unit monomial times a product of binomials
-    (1 - e^alpha); the unit is stripped first and the binomial product is
-    divided out exactly.  A division failure or a nonzero final residual
-    raises :class:`NotInTupleSpan`.
+    decreasing length, the residual value at w must be a_w times the
+    diagonal value of class_w, which is prod (1 - e^alpha) over the positive
+    roots alpha with w^{-1}(alpha) > 0 (Graham 2002).  At the identity that
+    is the point class.  A Demazure step up to v = w s_i > w divides the
+    diagonal by 1 - e^{w(alpha_i)}, because class_w vanishes at v; and
+    w(alpha_i) is the one positive root that v^{-1} makes negative and
+    w^{-1} does not.  So a_w is (-1)^|D| times the residual at w divided
+    exactly by prod (e^alpha - 1) over that set D, and the residual itself
+    at the longest element -1, where D is empty.  A division failure or a
+    nonzero final residual raises :class:`NotInTupleSpan`.
     """
     n = f.rank
-    if table is None:
-        table = schubert_table(n)
+    table = schubert_table(n)
     residual = dict(f.values)
     coeffs = {}
     for w in sorted(basis, key=lambda u: (-length(u), u.window())):
         rw = residual[w]
-        cls = table.classes[w]
         if not rw:
             coeffs[w] = LaurentPoly.zero(n)
             continue
         roots = _diagonal_roots(w)
-        divisor = BinomialDivisor(roots) if roots else None
-        diag = cls.values[w]
-        if divisor is None:
-            unit = diag
-        else:
-            unit = divide_exact(diag, divisor)
-        try:
-            if divisor is None:
-                a = rw * _unit_inverse(unit)
-            else:
-                a = divide_exact(rw, divisor) * _unit_inverse(unit)
-        except NotDivisible as exc:
-            raise NotInTupleSpan(w.window(), exc.remainder) from None
+        a = rw
+        if roots:
+            try:
+                a = (-1) ** len(roots) * divide_exact(rw, BinomialDivisor(roots))
+            except NotDivisible as exc:
+                raise NotInTupleSpan(w.window(), exc.remainder) from None
         coeffs[w] = a
+        cls = table.classes[w]
         for v in enumerate_weyl(n):
             residual[v] = residual[v] - a * cls.values[v]
     for v in enumerate_weyl(n):

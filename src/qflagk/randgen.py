@@ -18,7 +18,6 @@ from .gkm import (
     GKMTupleT,
     GKMTupleX,
     _pair_divisor,
-    canonical_class,
     pullback_pi,
     schubert_table,
 )
@@ -174,6 +173,6 @@ def random_g_tuple(rng, n) -> GKMTupleG:
         for t in perms:
             term = coeff
             for nu in factors:
-                term = term * canonical_class(nu, n).values[t]
+                term = term * XPoly.X(n, t[nu - 1])
             values[t] = values[t] + term
     return GKMTupleG(n, values)

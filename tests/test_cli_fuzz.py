@@ -2,9 +2,10 @@
 
 Arbitrary JSON documents go to ``decompose``, ``cell-index`` and ``check``,
 arbitrary window text to ``schubert --w``, arbitrary tokens to the
-counted flags of ``basis``, and ``verify`` flag values, well-formed or with
-one flag broken, to ``verify --jobs 1``.  Whatever the input, ``main`` must return an
-exit code of the contract (0, 1, 2 or 3) without an exception escaping it.
+counted flags of ``basis``, and flag values, well-formed or with one flag
+broken, to ``verify --jobs 1`` and to ``schubert`` at ranks 1 to 3.
+Whatever the input, ``main`` must return an exit code of the contract
+(0, 1, 2 or 3) without an exception escaping it.
 Matrix documents include dense 4x4 ones and components at and beyond the
 bound on their digits, such as ``"1e100000"`` and 60-digit numerators.
 Exponents in the tuple documents are small (-2..2) or +-10 000, below a
@@ -196,6 +197,38 @@ def verify_argv(draw):
 @given(drawn=verify_argv())
 def test_verify_keeps_the_exit_code_contract(drawn):
     # one process and no --output: every outcome comes back through main
+    broken, argv = drawn
+    rc = _run(argv)
+    assert (rc == 2) == (broken is not None), (argv, rc)
+
+
+# schubert flags: --w or --all, --n and --format, with at most one broken;
+# a broken target is a bad window, both --w and --all, or neither
+BAD_WINDOWS = st.sampled_from(["", "x", "[0,1]", "[1,1]", "[1,2", "[1.0]", "[true]", "[[1]]"])
+
+
+@st.composite
+def schubert_argv(draw):
+    broken = draw(st.sampled_from([None] * 4 + ["target", "--n", "--format"]))
+    n = draw(st.integers(1, 3))
+    window = json.dumps(draw(signed_windows(n)))
+    argv = ["schubert",
+            "--n", draw(VERIFY_FLAGS["--n"][1]) if broken == "--n" else str(n),
+            "--format", draw(st.sampled_from(["xml", "", "JSON"]) if broken == "--format"
+                             else st.sampled_from(["json", "text"]))]
+    if broken == "target":
+        wrong_rank = st.integers(1, 4).filter(lambda m: m != n).flatmap(signed_windows)
+        target = draw(st.sampled_from([[], ["--all", "--w", window]])
+                      | (BAD_WINDOWS | wrong_rank.map(json.dumps)).map(lambda w: ["--w", w]))
+    else:
+        target = draw(st.sampled_from([["--all"], ["--w", window]]))
+    return broken, argv + target
+
+
+# 60 examples: a rank-3 --all run prints the whole table, about 0.2 s
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drawn=schubert_argv())
+def test_schubert_keeps_the_exit_code_contract(drawn):
     broken, argv = drawn
     rc = _run(argv)
     assert (rc == 2) == (broken is not None), (argv, rc)
