@@ -20,13 +20,15 @@ factors have the exponents e_mu - e_nu and e_mu + e_nu, distinct primitive
 vectors, so they are irreducible and not associate in the factorial ring
 Z[x^±1], and their product divides a difference iff each of them does.
 
-Schubert classes are built by the Demazure recursion from the point class;
-the two sign choices that recursion leaves open (the exponent sign in the
-K-theoretic Euler product and in the Demazure denominator) are pinned by
-requiring the rank-one recursion to reach the constant tuple 1, and the
-chosen convention is recorded on the table.  At w, the class of w is
-prod (1 - e^alpha) over the positive roots alpha with w^{-1}(alpha) > 0
-(``_diagonal``): the closed-form divisor of the Schubert expansion.
+Schubert classes are built by the Demazure recursion from the point class,
+with one exact division per pair {w, w s_i}, as the operator takes the same
+value at both (``demazure``).  The two sign choices that recursion leaves
+open (the exponent sign in the K-theoretic Euler product and in the Demazure
+denominator) are pinned by requiring the rank-one recursion to reach the
+constant tuple 1, and the chosen convention is recorded on the table.  At w,
+the class of w is prod (1 - e^alpha) over the positive roots alpha with
+w^{-1}(alpha) > 0 (``_diagonal``): the closed-form divisor of the Schubert
+expansion.
 
 Those 2^n n! classes do not descend to the quaternionic flag space: each is
 nonzero at the identity, so a class fixed by the sign change -1 would also be
@@ -266,12 +268,14 @@ _G = _Model(
 
 @lru_cache(maxsize=None)
 def _edges(model, n):
-    """Each edge u -- v of the model's GKM graph once, as (u, v, edge,
-    divisor, residue divisor)."""
+    """Each edge u -- v of the model's GKM graph once, as (u, v, positions
+    of u and v in ``model.vertices(n)``, edge, divisor, residue divisor)."""
+    vertices = model.vertices(n)
+    position = {u: k for k, u in enumerate(vertices)}
     return tuple(
-        (u, v, edge, divisor, residue)
+        (u, v, position[u], position[v], edge, divisor, residue)
         for edge, move, divisor, residue in model.reflections(n)
-        for u in model.vertices(n)
+        for u in vertices
         for v in (move(u),)
         if model.label(u) < model.label(v)
     )
@@ -303,12 +307,19 @@ class _GKMTuple:
         return cls(rank, {v: poly for v in cls.model.vertices(rank)})
 
     def to_json(self):
+        # a value shared by several fixed points is rendered once, and its
+        # JSON list shared; the objects stay alive in self.values, so their
+        # ids are not reused meanwhile
         m = self.model
-        return {
-            "model": m.name,
-            "rank": self.rank,
-            "values": {_key(m.label(v)): self.values[v].to_json() for v in m.vertices(self.rank)},
-        }
+        rendered = {}
+        values = {}
+        for v in m.vertices(self.rank):
+            p = self.values[v]
+            js = rendered.get(id(p))
+            if js is None:
+                js = rendered[id(p)] = p.to_json()
+            values[_key(m.label(v))] = js
+        return {"model": m.name, "rank": self.rank, "values": values}
 
     @classmethod
     def from_json(cls, data):
@@ -378,12 +389,13 @@ def _check(model, f):
     limit and the residues could leave it.
     """
     violations = []
-    values = f.values
-    for u, v, edge, divisor, residue in _edges(model, f.rank):
-        if _difference_divisible(values[u], values[v], residue):
+    values = [f.values[u] for u in model.vertices(f.rank)]
+    for u, v, iu, iv, edge, divisor, residue in _edges(model, f.rank):
+        fu, fv = values[iu], values[iv]
+        if _difference_divisible(fu, fv, residue):
             continue
         try:
-            model.divide(values[u] - values[v], divisor)
+            model.divide(fu - fv, divisor)
         except NotDivisible as exc:
             violations.append(
                 EdgeViolation(model.name, model.label(u), model.label(v), edge, exc.remainder)
@@ -448,43 +460,58 @@ def point_class(n: int) -> GKMTupleT:
 
 @lru_cache(maxsize=None)
 def _demazure_steps(n, i):
-    """(w, w s_i, e^{w(alpha_i)}, e^{w(alpha_i)} - 1) for each w, in
-    ``enumerate_weyl`` order."""
+    """(w, w s_i, their positions in ``enumerate_weyl(n)``, e^{w(alpha_i)},
+    e^{w(alpha_i)} - 1) for each pair {w, w s_i} once, in that order.  w is
+    the pair's first element there: the shorter one, as that order is by
+    length, so w(alpha_i) > 0."""
     s = simple_reflection(i, n)
     alpha = simple_root(i, n)
+    weyl = enumerate_weyl(n)
+    position = {w: k for k, w in enumerate(weyl)}
     return tuple(
-        (w, w * s, LaurentPoly.monomial(n, walpha), BinomialDivisor([walpha]))
-        for w in enumerate_weyl(n)
+        (w, ws, position[w], position[ws],
+         LaurentPoly.monomial(n, walpha), BinomialDivisor([walpha]))
+        for w in weyl
         for walpha in (w.act(alpha),)
+        if is_positive_root(walpha)
+        for ws in (w * s,)
     )
 
 
 def demazure(i: int, f: GKMTupleT) -> GKMTupleT:
     """Demazure operator: at w, (f_w - e^{w(alpha_i)} f_{w s_i}) / (1 - e^{w(alpha_i)}).
 
-    Exact division is required at every fixed point and the operator is
-    idempotent on valid tuples.  Where f_w and f_{w s_i} are both zero the
-    value is zero, and no numerator is formed.
+    The value at w s_i is the value at w.  With beta = w(alpha_i), w s_i
+    sends alpha_i to -beta, so there the numerator is
+    f_{w s_i} - e^{-beta} f_w = -e^{-beta} (f_w - e^beta f_{w s_i}) and the
+    divisor is 1 - e^{-beta} = -e^{-beta} (1 - e^beta); the unit cancels.
+    So each pair {w, w s_i} takes one numerator and one exact division, at
+    its first element w in ``enumerate_weyl`` order, and both fixed points
+    share the result.  The division is exact at w s_i iff it is at w, so a
+    failure raises :class:`InexactDivision` with the same (w, i, numerator)
+    as a walk over every fixed point in that order: its first failing point
+    is the first element of its pair.  Where the numerator is zero, or f_w
+    and f_{w s_i} both are (then none is formed), the pair's value is zero.
+    The operator is idempotent on valid tuples, and its result is keyed in
+    ``enumerate_weyl`` order.
     """
     n = f.rank
     values = f.values
-    zero = LaurentPoly.zero(n)
-    out = {}
-    for w, ws, e_walpha, divisor in _demazure_steps(n, i):
+    weyl = enumerate_weyl(n)
+    out = [LaurentPoly.zero(n)] * len(weyl)
+    for w, ws, k, kws, e_walpha, divisor in _demazure_steps(n, i):
         fw, fws = values[w], values[ws]
         if not fw and not fws:
-            out[w] = zero
             continue
         numerator = fw - e_walpha * fws
         if not numerator:
-            out[w] = zero
             continue
         try:
             q = divide_exact(numerator, divisor)
         except NotDivisible:
             raise InexactDivision(w, i, numerator) from None
-        out[w] = -q  # numerator = q * (e^{w(alpha)} - 1) = -q * (1 - e^{w(alpha)})
-    return GKMTupleT(n, out)
+        out[k] = out[kws] = -q  # numerator = q * (e^beta - 1) = -q * (1 - e^beta)
+    return GKMTupleT(n, dict(zip(weyl, out)))
 
 
 def quaternionic_schubert_classes(n: int) -> dict:

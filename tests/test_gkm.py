@@ -135,7 +135,7 @@ def _check_by_division(model, f):
     """The checker that long-divides every nonzero difference: the reference
     the residue verdicts must reproduce, witnesses included."""
     violations = []
-    for u, v, edge, divisor, _ in gkm._edges(model, f.rank):
+    for u, v, _, _, edge, divisor, _ in gkm._edges(model, f.rank):
         diff = f.values[u] - f.values[v]
         if not diff:
             continue
@@ -463,6 +463,76 @@ def test_demazure_rank_four_is_word_independent():
     assert cls.values[w]
     for i in descents(w):
         assert demazure(i, cls) == cls
+
+
+def _demazure_by_point(i, f):
+    """The Demazure operator with one numerator and one exact division at
+    every fixed point, in ``enumerate_weyl`` order: the second route the
+    paired operator must reproduce.  Returns the tuple and the number of
+    divisions."""
+    n = f.rank
+    alpha, s = simple_root(i, n), simple_reflection(i, n)
+    out, divisions = {}, 0
+    for w in enumerate_weyl(n):
+        beta = w.act(alpha)
+        numerator = f.values[w] - LaurentPoly.monomial(n, beta) * f.values[w * s]
+        out[w] = LaurentPoly.zero(n)
+        if numerator:
+            divisions += 1
+            try:
+                out[w] = -divide_exact(numerator, BinomialDivisor([beta]))
+            except NotDivisible:
+                raise InexactDivision(w, i, numerator) from None
+    return GKMTupleT(n, out), divisions
+
+
+def _demazure_outcome(demazure_fn, i, f):
+    try:
+        return demazure_fn(i, f)
+    except InexactDivision as exc:
+        return ("InexactDivision", exc.w, exc.i, exc.numerator)
+
+
+def test_demazure_matches_the_per_point_route_with_half_the_divisions(monkeypatch):
+    # every class of rank <= 3 and every simple index: equal values, and one
+    # division per pair {w, w s_i} with a nonzero numerator, half as many as
+    # the per-point route
+    calls = []
+
+    def counted(numerator, divisor):
+        calls.append(divisor)
+        return divide_exact(numerator, divisor)
+
+    monkeypatch.setattr(gkm, "divide_exact", counted)
+    total = 0
+    for n in (1, 2, 3):
+        for cls in schubert_table(n).classes.values():
+            for i in range(1, n + 1):
+                want, divisions = _demazure_by_point(i, cls)
+                calls.clear()
+                got = demazure(i, cls)
+                assert got == want
+                assert list(got.values) == list(enumerate_weyl(n))
+                assert 2 * len(calls) == divisions
+                total += divisions
+    assert total
+
+
+def test_demazure_witness_matches_the_per_point_route():
+    # +1 at one or two fixed points of a class: the same InexactDivision
+    # (w, i, numerator) as the per-point route, or the same tuple
+    raised = 0
+    for n in (2, 3):
+        rng = trial_rng(15, n)
+        W = enumerate_weyl(n)
+        for cls in schubert_table(n).classes.values():
+            hit = rng.sample(W, rng.choice((1, 2)))
+            bad = GKMTupleT(n, {w: p + 1 if w in hit else p for w, p in cls.values.items()})
+            for i in range(1, n + 1):
+                want = _demazure_outcome(lambda i, f: _demazure_by_point(i, f)[0], i, bad)
+                assert _demazure_outcome(demazure, i, bad) == want
+                raised += type(want) is tuple
+    assert raised
 
 
 # ---------------------------------------------------------------------------
