@@ -69,8 +69,14 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _emit(cfg, payload, text: str):
-    body = json.dumps(payload, indent=2, sort_keys=True) if cfg.fmt == "json" else text
+def _emit(cfg, payload, text=None):
+    """Print ``payload`` as JSON, or under ``--format text`` what ``text()``
+    returns; without ``text`` both formats print the JSON.  Only the chosen
+    form is rendered."""
+    if cfg.fmt == "json" or text is None:
+        body = json.dumps(payload, indent=2, sort_keys=True)
+    else:
+        body = text()
     if cfg.output:
         try:
             with open(cfg.output, "w", encoding="utf-8") as fh:
@@ -405,7 +411,7 @@ def cmd_verify(cfg) -> int:
     except (gkm.InexactDivision, ringcore.NotDivisible) as exc:
         print(f"internal inexact division: {exc}", file=sys.stderr)
         return 3
-    _emit(cfg, report.to_json_dict(), report.to_text())
+    _emit(cfg, report.to_json_dict(), report.to_text)
     return 0 if not report.violations else 1
 
 
@@ -420,7 +426,7 @@ def cmd_schubert(cfg) -> int:
         if w.rank != cfg.n:
             raise _UsageError(f"window {cfg.w!r} has rank {w.rank}, expected {cfg.n}")
         payload = gkm.schubert_class(w).to_json()
-    _emit(cfg, payload, json.dumps(payload, indent=2, sort_keys=True))
+    _emit(cfg, payload)
     return 0
 
 
@@ -498,7 +504,7 @@ def cmd_decompose(cfg) -> int:
             "cannot print the factors: a component has more digits than the "
             "interpreter converts to text"
         ) from None
-    _emit(cfg, payload, json.dumps(payload, indent=2))
+    _emit(cfg, payload, lambda: json.dumps(payload, indent=2))
     return 0
 
 
@@ -510,7 +516,7 @@ def cmd_cell_index(cfg) -> int:
         print("matrix is singular", file=sys.stderr)
         return 1
     payload = {"tau": list(tau)}
-    _emit(cfg, payload, json.dumps(payload))
+    _emit(cfg, payload, lambda: json.dumps(payload))
     return 0
 
 
@@ -537,10 +543,9 @@ def cmd_check(cfg) -> int:
     except ValueError:  # a remainder past the interpreter's limit on int digits
         raise _UsageError("cannot print the violations: a remainder is too long") from None
     payload = {"model": model, "rank": f.rank, "violations": violations}
-    text = "OK" if not violations else "\n".join(
+    _emit(cfg, payload, lambda: "OK" if not violations else "\n".join(
         ["FAILED"] + [json.dumps(v, sort_keys=True) for v in violations]
-    )
-    _emit(cfg, payload, text)
+    ))
     return 0 if not violations else 1
 
 
@@ -550,8 +555,9 @@ def cmd_basis(cfg) -> int:
         for tau in weylc.all_perms(cfg.n)
     }
     payload = {"rank": cfg.n, "representatives": reps}
-    text = "\n".join(f"{k} -> {json.dumps(v)}" for k, v in sorted(reps.items()))
-    _emit(cfg, payload, text)
+    _emit(cfg, payload, lambda: "\n".join(
+        f"{k} -> {json.dumps(v)}" for k, v in sorted(reps.items())
+    ))
     return 0
 
 

@@ -18,7 +18,11 @@ The checker decides an edge by residues modulo each binomial x^F - 1 of its
 divisor, which needs no quotient.  That is exact for the X divisor too: its
 factors have the exponents e_mu - e_nu and e_mu + e_nu, distinct primitive
 vectors, so they are irreducible and not associate in the factorial ring
-Z[x^±1], and their product divides a difference iff each of them does.
+Z[x^±1], and their product divides a difference iff each of them does.  A
+residue is formed once per distinct value and edge factor, not at both ends
+of every edge: the tuples repeat their values, as a Schubert class does on
+the cosets of its descent parabolic and a pullback on the cosets of the
+sign changes.
 
 Schubert classes are built by the Demazure recursion from the point class,
 with one exact division per pair {w, w s_i}, as the operator takes the same
@@ -55,7 +59,8 @@ from .ringcore import (
     NotDivisible,
     NotInvariant,
     XPoly,
-    _difference_divisible,
+    _residue,
+    _same_residue,
     divide_exact,
     sigma_k,
     sym_in_x,
@@ -233,8 +238,9 @@ class _Model:
 
     ``reflections(n)`` yields (edge, left multiplication by its reflection,
     divisor, residue divisor): ``divide`` takes the divisor, and the residue
-    divisor is the product of binomials x^F - 1 whose residues decide the
-    edge (``ringcore._difference_divisible``).  ``label`` is a fixed point
+    divisor is the product of binomials x^F - 1 whose residues
+    (``ringcore._residue``, one per distinct value and factor) decide the
+    edges of that reflection.  ``label`` is a fixed point
     as violations report it, and edges are checked from the endpoint with
     the smaller label.  In JSON a fixed point is keyed by its label
     (``_key``) and read back by ``from_label``.
@@ -268,16 +274,19 @@ _G = _Model(
 
 @lru_cache(maxsize=None)
 def _edges(model, n):
-    """Each edge u -- v of the model's GKM graph once, as (u, v, positions
-    of u and v in ``model.vertices(n)``, edge, divisor, residue divisor)."""
+    """The edges of the model's GKM graph by reflection, as (edge, divisor,
+    residue divisor, pairs), where pairs lists each edge u -- v of that
+    reflection once as (u, v, positions of u and v in ``model.vertices(n)``)."""
     vertices = model.vertices(n)
     position = {u: k for k, u in enumerate(vertices)}
     return tuple(
-        (u, v, position[u], position[v], edge, divisor, residue)
+        (edge, divisor, residue, tuple(
+            (u, v, position[u], position[v])
+            for u in vertices
+            for v in (move(u),)
+            if model.label(u) < model.label(v)
+        ))
         for edge, move, divisor, residue in model.reflections(n)
-        for u in vertices
-        for v in (move(u),)
-        if model.label(u) < model.label(v)
     )
 
 
@@ -377,29 +386,87 @@ class SchubertTable:
 # membership checkers
 # ---------------------------------------------------------------------------
 
+def _content_index(values):
+    """Per value, an index shared by all values with the same terms, whether
+    or not they are the same object; and per index the one of them with the
+    largest bound.  Its residue stands for all of them: where its reach
+    check holds, each of theirs does.
+
+    Values are matched by object first, then by term count and key sum, and
+    compared term by term only within such a group, so no term is copied.
+    """
+    by_id = {}
+    groups = {}
+    distinct = []
+    index = []
+    for p in values:
+        i = by_id.get(id(p))
+        if i is None:
+            packed = p._packed
+            group = groups.setdefault((len(packed), sum(packed)), [])
+            i = next((j for j in group if distinct[j]._packed == packed), None)
+            if i is None:
+                i = len(distinct)
+                distinct.append(p)
+                group.append(i)
+            elif p._bound > distinct[i]._bound:
+                distinct[i] = p
+            by_id[id(p)] = i
+        index.append(i)
+    return index, distinct
+
+
+def _residues_agree(a, b, distinct, steps, residues):
+    """True when the values of content index a and b have the same residue
+    modulo every factor of ``steps``; ``residues`` holds, per factor, the
+    residues formed so far by content index, and gains the missing ones."""
+    for step, known in zip(steps, residues):
+        for i in (a, b):
+            if i not in known:
+                known[i] = _residue(distinct[i], step)
+            if known[i] is None:
+                return False
+        if not _same_residue(known[a], known[b]):
+            return False
+    return True
+
+
 def _check(model, f):
     """The violations of ``f`` in ``model``'s edge order.
 
-    An edge passes when the residues of its two values modulo each binomial
-    x^F - 1 of the residue divisor agree (``_difference_divisible``), so
-    that every factor, and with them their product (see the module
-    docstring), divides the difference.  Otherwise ``model.divide`` decides
-    and forms the remainder witness; it also decides, or raises
-    ``OverflowError``, where the values reach past a third of the exponent
-    limit and the residues could leave it.
+    An edge passes when its two values have the same terms, or the same
+    residue modulo each binomial x^F - 1 of the residue divisor, so that
+    every factor, and with them their product (see the module docstring),
+    divides the difference.  Within the edges of one reflection each
+    distinct value is reduced at most once per factor, and each pair of
+    distinct values decided once.  Otherwise ``model.divide`` decides, edge
+    by edge, and forms the remainder witness; it also decides, or raises
+    ``OverflowError``, where a value reaches past a third of the exponent
+    limit and its residue could leave it.
     """
     violations = []
     values = [f.values[u] for u in model.vertices(f.rank)]
-    for u, v, iu, iv, edge, divisor, residue in _edges(model, f.rank):
-        fu, fv = values[iu], values[iv]
-        if _difference_divisible(fu, fv, residue):
-            continue
-        try:
-            model.divide(fu - fv, divisor)
-        except NotDivisible as exc:
-            violations.append(
-                EdgeViolation(model.name, model.label(u), model.label(v), edge, exc.remainder)
-            )
+    index, distinct = _content_index(values)
+    for edge, divisor, residue, pairs in _edges(model, f.rank):
+        steps = residue._steps
+        residues = [{} for _ in steps]
+        verdicts = {}
+        for u, v, iu, iv in pairs:
+            a, b = index[iu], index[iv]
+            if a == b:
+                continue
+            pair = (a, b) if a < b else (b, a)
+            agree = verdicts.get(pair)
+            if agree is None:
+                agree = verdicts[pair] = _residues_agree(a, b, distinct, steps, residues)
+            if agree:
+                continue
+            try:
+                model.divide(values[iu] - values[iv], divisor)
+            except NotDivisible as exc:
+                violations.append(
+                    EdgeViolation(model.name, model.label(u), model.label(v), edge, exc.remainder)
+                )
     return violations
 
 

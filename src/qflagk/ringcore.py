@@ -42,11 +42,13 @@ its result before it forms a key:
   (d = 1, max|F| = 1), so its transient figure is ``bound + (hi - lo)``;
   its witness f(X_mu := X_nu) reaches ``bound + hi``, checked before it
   is formed.
-* The residue of a term modulo e^F - 1 (``_difference_divisible``) moves it
-  by -t F with |t| <= 2 * bound // |d|, so it reaches at most ``bound + 2 *
+* The residue of a term modulo e^F - 1 (``_residue``, one value at a time,
+  so that a caller forms it once per distinct value and factor) moves it by
+  -t F with |t| <= 2 * bound // |d|, so it reaches at most ``bound + 2 *
   bound // |d| * max|F|``, which is also what the long division of a
-  difference of two such values can reach.  At or beyond the limit no
-  residue is formed: the division decides, or raises ``OverflowError``.
+  difference of two values within the bound can reach.  At or beyond the
+  limit no residue is formed: the division decides, or raises
+  ``OverflowError``.
 * ``weyl_act_poly`` permutes and negates exponents; ``x_expand`` and
   ``basis_decompose`` write x^k through X^j with |j| <= |k| and the other
   way round: all three keep the bound.
@@ -63,8 +65,9 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import comb
+from operator import countOf, eq
 
 __all__ = [
     "LaurentPoly",
@@ -526,42 +529,50 @@ def _divide_one_factor(terms, bound, rank, v, d, key, fmax):
     return quotient, remainder, reach
 
 
-def _difference_divisible(a, b, divisor):
-    """True when every factor x^F - 1 of ``divisor`` divides a - b, decided
-    by residues; False when some residue is nonzero or could leave the
-    exponent limit, so that only the division can decide.
+def _residue(f, step):
+    """The residue of ``f`` modulo one factor x^F - 1 of a divisor, ``step``
+    its entry of ``BinomialDivisor._steps``: a packed term dict, in which
+    terms that cancelled keep a zero coefficient (``_same_residue`` compares
+    two residues), or None where it could leave the exponent limit.
 
-    The residue of a term c x^k modulo x^F - 1 is c x^(k - t F), t = floor(e_v
-    / d), with e_v its exponent in the leading variable x_v and d the
-    factor's exponent there: x^F is 1 modulo the factor, and the residue's
-    x_v-exponent is e_v mod d, one of |d| values.  The monomials with those
-    x_v-exponents are a basis of the quotient ring over the other variables,
-    so the residues of the terms of a and of -b cancel exactly when the
-    factor divides a - b; neither the difference nor a quotient is formed.
-    The reach checked first is the one in the module docstring.  The steps
-    and key reads are those of ``_divide_one_factor``, so X-polynomials go
-    through too: modulo X_mu X_nu^{-1} - 1 the residue is f(X_mu := X_nu).
+    The residue of a term c x^k is c x^(k - t F), t = floor(e_v / d), with
+    e_v its exponent in the leading variable x_v and d the factor's exponent
+    there: x^F is 1 modulo the factor, and the residue's x_v-exponent is e_v
+    mod d, one of |d| values.  The monomials with those x_v-exponents are a
+    basis of the quotient ring over the other variables, so the factor
+    divides a - b exactly when a and b have the same residue; neither the
+    difference nor a quotient is formed.  The reach checked first is the one
+    in the module docstring, at the bound of ``f``; where it fails only the
+    division can decide.  The steps and key reads are those of
+    ``_divide_one_factor``, so X-polynomials go through too: modulo X_mu
+    X_nu^{-1} - 1 the residue is f(X_mu := X_nu).
     """
-    if a._packed == b._packed:  # a - b = 0
-        return True
-    bound = max(a._bound, b._bound)
-    bias = _bias(a.rank)
+    _, v, d, key, fmax = step
+    bound = f._bound
     limit = EXPONENT_LIMIT
-    for _, v, d, key, fmax in divisor._steps:
-        if bound + 2 * bound // abs(d) * fmax >= limit:
-            return False
-        shift = FIELD_BITS * v
-        residue = {}
-        get = residue.get
-        for k, c in a._packed.items():
-            r = k - (((k + bias) >> shift & _MASK) - limit) // d * key
-            residue[r] = get(r, 0) + c
-        for k, c in b._packed.items():
-            r = k - (((k + bias) >> shift & _MASK) - limit) // d * key
-            residue[r] = get(r, 0) - c
-        if any(residue.values()):
-            return False
-    return True
+    if bound + 2 * bound // abs(d) * fmax >= limit:
+        return None
+    shift = FIELD_BITS * v
+    bias = _bias(f.rank)
+    residue = {}
+    get = residue.get
+    for k, c in f._packed.items():
+        r = k - (((k + bias) >> shift & _MASK) - limit) // d * key
+        residue[r] = get(r, 0) + c
+    return residue
+
+
+def _same_residue(a, b):
+    """True when two residues from ``_residue`` have the same nonzero terms.
+
+    Either the dicts are equal, or they hold as many nonzero coefficients
+    and each coefficient of ``a`` is the one ``b`` has at its key (0 where
+    it has none); no copy without the zeros is made.
+    """
+    return a == b or (
+        len(a) - countOf(a.values(), 0) == len(b) - countOf(b.values(), 0)
+        and all(map(eq, map(b.get, a, repeat(0)), a.values()))
+    )
 
 
 def divide_exact(f: LaurentPoly, divisor) -> LaurentPoly:

@@ -242,6 +242,32 @@ def test_cell_index_command(tmp_path, capsys):
     assert json.loads(out)["tau"] == [2, 3, 1]
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_commands_render_only_the_form_they_print(tmp_path, capsys, monkeypatch, fmt):
+    # one rendering of the payload per command, in either format
+    p = tmp_path / "m.json"
+    _write_matrix(p, quatflag.perm_matrix((2, 3, 1)))
+    rendered = []
+    dumps = json.dumps
+
+    def counted(obj, *args, **kwargs):
+        if isinstance(obj, dict):
+            rendered.append(sorted(obj))
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted)
+    for argv, keys in (
+        (["schubert", "--n", "2", "--all"], ["classes", "convention", "rank"]),
+        (["schubert", "--n", "2", "--w", "[2,1]"], ["model", "rank", "values"]),
+        (["decompose", "--input", str(p)], ["b", "tau", "u"]),
+        (["cell-index", "--input", str(p)], ["tau"]),
+    ):
+        rendered.clear()
+        rc, _, _ = run(capsys, *argv, "--format", fmt)
+        assert rc == 0
+        assert rendered == [keys]
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------

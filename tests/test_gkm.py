@@ -1,5 +1,6 @@
 """The three fixed-point models, Schubert classes, and the maps between them."""
 
+import copy
 import pickle
 from functools import partial
 
@@ -135,16 +136,17 @@ def _check_by_division(model, f):
     """The checker that long-divides every nonzero difference: the reference
     the residue verdicts must reproduce, witnesses included."""
     violations = []
-    for u, v, _, _, edge, divisor, _ in gkm._edges(model, f.rank):
-        diff = f.values[u] - f.values[v]
-        if not diff:
-            continue
-        try:
-            model.divide(diff, divisor)
-        except NotDivisible as exc:
-            violations.append(
-                EdgeViolation(model.name, model.label(u), model.label(v), edge, exc.remainder)
-            )
+    for edge, divisor, _, pairs in gkm._edges(model, f.rank):
+        for u, v, _, _ in pairs:
+            diff = f.values[u] - f.values[v]
+            if not diff:
+                continue
+            try:
+                model.divide(diff, divisor)
+            except NotDivisible as exc:
+                violations.append(
+                    EdgeViolation(model.name, model.label(u), model.label(v), edge, exc.remainder)
+                )
     return violations
 
 
@@ -302,6 +304,108 @@ def test_valid_tuples_pass_without_long_division_whatever_the_span(monkeypatch):
         calls.clear()
         assert _outcome(CHECKS[type(f).model], f) == want
         assert len(calls) == len(want)
+
+
+def _unshared(f):
+    # the same tuple with every value a separate object with its own terms
+    return type(f)(f.rank, {k: copy.deepcopy(p) for k, p in f.values.items()})
+
+
+def test_residue_verdicts_match_the_division_on_every_schubert_class():
+    # equal values that are separate objects share one residue; +1 at one or
+    # two seeded fixed points breaks some edges
+    rng = trial_rng(47, 0)
+    for n in (1, 2, 3):
+        for cls in schubert_table(n).classes.values():
+            f = _unshared(cls)
+            _assert_same_verdicts(f)
+            for vertices in (1, 2):
+                _assert_same_verdicts(_unshared(_mutated(rng, cls, vertices)))
+
+
+def test_residue_verdicts_match_the_division_on_repeated_values():
+    rng = trial_rng(48, 0)
+    for n in (2, 3):
+        x = random_x_tuple(rng, n)
+        f = pullback_pi(x)
+        # each value a product of its own: 2^n equal values per sign-change orbit
+        _assert_same_verdicts(_times(f, LaurentPoly.monomial(n, (2,) + (-1,) * (n - 1))))
+        _assert_same_verdicts(_times(x, LaurentPoly.monomial(n, (1,) * n)))
+        # +1 on the whole orbit over one permutation: every edge leaving it
+        # fails with the same pair of values, and each edge is reported
+        tau = rng.choice(all_perms(n))
+        bumped = GKMTupleT(n, {w: p + 1 if w.perm == tau else p for w, p in f.values.items()})
+        _assert_same_verdicts(bumped)
+        found = gkm_check_t(bumped)
+
+        def content(window):
+            return frozenset(bumped.values[SignedPerm.from_window(window)]._packed.items())
+
+        assert len(found) > len({(content(v.index), content(v.partner), v.edge) for v in found})
+
+
+def test_residue_verdicts_read_the_largest_bound_among_equal_values():
+    # (p + m) - m has the terms of p and the bound of m.  At the last fixed
+    # point of a pullback it shares its terms with values of a smaller bound
+    # before it; past a third of the limit the division decides its edges,
+    # and near the limit it raises OverflowError on the first of them
+    outcomes = []
+    for n in (2, 3):
+        for e in (THIRD + 1, EXPONENT_LIMIT - 2):
+            rng = trial_rng(50, e)
+            for f in (pullback_pi(random_x_tuple(rng, n)), random_x_tuple(rng, n)):
+                m = LaurentPoly.monomial(n, (e,) + (0,) * (n - 1))
+                last = type(f).model.vertices(n)[-1]
+                inflated = type(f)(n, {**f.values, last: (f.values[last] + m) - m})
+                assert inflated.values[last] == f.values[last]
+                _assert_same_verdicts(inflated)
+                outcomes.append(_outcome(CHECKS[type(f).model], inflated))
+    assert [] in outcomes
+    assert any(isinstance(o, tuple) for o in outcomes)
+
+
+def _distinct_residue_count(model, f):
+    # the (content, factor) pairs at the ends of the edges whose values
+    # differ, the unordered pairs of contents those edges join per factor,
+    # and what reducing both ends of each such edge per factor costs
+    content = {k: frozenset(p._packed.items()) for k, p in f.values.items()}
+    ends = set()
+    joined = set()
+    per_edge = 0
+    for edge, _, residue, pairs in gkm._edges(model, f.rank):
+        for u, v, _, _ in pairs:
+            if content[u] != content[v]:
+                for step in residue._steps:
+                    ends.update({(content[u], step), (content[v], step)})
+                    joined.add((frozenset({content[u], content[v]}), step))
+                per_edge += 2 * len(residue._steps)
+    return len(ends), len(joined), per_edge
+
+
+def test_each_distinct_value_is_reduced_once_per_edge_factor(monkeypatch):
+    # every class of the rank-3 table and one pullback, all valid, so every
+    # edge whose values differ is decided by one residue per factor at each
+    # end, and each pair of distinct values by one comparison per factor
+    n = 3
+    tuples = list(schubert_table(n).classes.values())
+    tuples.append(pullback_pi(random_x_tuple(trial_rng(49, 0), n)))
+    ends, joined, per_edge = (sum(c) for c in zip(*(_distinct_residue_count(gkm._T, f) for f in tuples)))
+    residues = []
+    comparisons = []
+
+    def counted(calls, fn):
+        def wrapped(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(gkm, "_residue", counted(residues, ringcore._residue))
+    monkeypatch.setattr(gkm, "_same_residue", counted(comparisons, ringcore._same_residue))
+    assert all(gkm_check_t(f) == [] for f in tuples)
+    assert (len(residues), len(comparisons)) == (ends, joined)
+    # two residues per edge factor, one at each end, would take 3.8 times as
+    # many residues, over 4 067 edges instead of 1 317 comparisons
+    assert (ends, joined, per_edge) == (2_125, 1_317, 8_134)
 
 
 # ---------------------------------------------------------------------------
