@@ -18,11 +18,11 @@ The checker decides an edge by residues modulo each binomial x^F - 1 of its
 divisor, which needs no quotient.  That is exact for the X divisor too: its
 factors have the exponents e_mu - e_nu and e_mu + e_nu, distinct primitive
 vectors, so they are irreducible and not associate in the factorial ring
-Z[x^±1], and their product divides a difference iff each of them does.  A
-residue is formed once per distinct value and edge factor, not at both ends
-of every edge: the tuples repeat their values, as a Schubert class does on
-the cosets of its descent parabolic and a pullback on the cosets of the
-sign changes.
+Z[x^±1], and their product divides a difference iff each of them does.
+Each distinct value is reduced once per reflection, modulo all its factors
+in one pass, not at both ends of every edge: the tuples repeat their
+values, as a Schubert class does on the cosets of its descent parabolic and
+a pullback on the cosets of the sign changes.
 
 Schubert classes are built by the Demazure recursion from the point class,
 with one exact division per pair {w, w s_i}, as the operator takes the same
@@ -59,7 +59,8 @@ from .ringcore import (
     NotDivisible,
     NotInvariant,
     XPoly,
-    _residue,
+    _leading_exponents,
+    _residues,
     _same_residue,
     divide_exact,
     sigma_k,
@@ -239,11 +240,12 @@ class _Model:
     ``reflections(n)`` yields (edge, left multiplication by its reflection,
     divisor, residue divisor): ``divide`` takes the divisor, and the residue
     divisor is the product of binomials x^F - 1 whose residues
-    (``ringcore._residue``, one per distinct value and factor) decide the
-    edges of that reflection.  ``label`` is a fixed point
-    as violations report it, and edges are checked from the endpoint with
-    the smaller label.  In JSON a fixed point is keyed by its label
-    (``_key``) and read back by ``from_label``.
+    (``ringcore._residues``) decide the edges of that reflection.  Its
+    factors share their leading variable: a T root has one factor, an X pair
+    (mu, nu) two, both led by x_mu, and a G pair one, led by X_mu.
+    ``label`` is a fixed point as violations report it, and edges are
+    checked from the endpoint with the smaller label.  In JSON a fixed point
+    is keyed by its label (``_key``) and read back by ``from_label``.
     """
 
     name: str
@@ -290,6 +292,13 @@ def _edges(model, n):
     )
 
 
+@lru_cache(maxsize=None)
+def _vertex_set(model, n):
+    """The fixed points of the model at rank n as one frozenset, hashed once:
+    ``set(values) != _vertex_set(...)`` reuses the hashes stored in both."""
+    return frozenset(model.vertices(n))
+
+
 @dataclass
 class _GKMTuple:
     """One ``model.ring`` element per fixed point; subclasses name the model."""
@@ -300,9 +309,9 @@ class _GKMTuple:
 
     def __post_init__(self):
         m = self.model
-        keys = set(m.vertices(self.rank))
+        keys = _vertex_set(m, self.rank)
         if set(self.values) != keys:
-            missing = keys - set(self.values)
+            missing = set(keys - set(self.values))
             extra = set(self.values) - keys
             raise ValueError(f"{m.name}-tuple must be total: missing {missing}, extra {extra}")
         for k, p in self.values.items():
@@ -416,19 +425,18 @@ def _content_index(values):
     return index, distinct
 
 
-def _residues_agree(a, b, distinct, steps, residues):
-    """True when the values of content index a and b have the same residue
-    modulo every factor of ``steps``; ``residues`` holds, per factor, the
-    residues formed so far by content index, and gains the missing ones."""
-    for step, known in zip(steps, residues):
-        for i in (a, b):
-            if i not in known:
-                known[i] = _residue(distinct[i], step)
-            if known[i] is None:
-                return False
-        if not _same_residue(known[a], known[b]):
-            return False
-    return True
+def _group_residues(i, distinct, steps, leads, residues):
+    """The residues (``ringcore._residues``) of the value of content index i
+    modulo the factors of ``steps``, memoized in ``residues`` for one edge
+    group; ``leads`` memoizes its leading exponents for every group led by
+    the same variable."""
+    if i in residues:
+        return residues[i]
+    e = leads.get(i)
+    if e is None:
+        e = leads[i] = _leading_exponents(distinct[i], steps[0][1])
+    r = residues[i] = _residues(distinct[i], steps, e)
+    return r
 
 
 def _check(model, f):
@@ -438,18 +446,24 @@ def _check(model, f):
     residue modulo each binomial x^F - 1 of the residue divisor, so that
     every factor, and with them their product (see the module docstring),
     divides the difference.  Within the edges of one reflection each
-    distinct value is reduced at most once per factor, and each pair of
-    distinct values decided once.  Otherwise ``model.divide`` decides, edge
-    by edge, and forms the remainder witness; it also decides, or raises
-    ``OverflowError``, where a value reaches past a third of the exponent
-    limit and its residue could leave it.
+    distinct value is reduced at most once, and each pair of distinct values
+    decided once; its leading exponents are read once per variable and kept
+    until the last reflection that variable leads.  Otherwise
+    ``model.divide`` decides, edge by edge, and forms the remainder witness;
+    it also decides, or raises ``OverflowError``, where a value reaches past
+    a third of the exponent limit and its residue could leave it.
     """
     violations = []
     values = [f.values[u] for u in model.vertices(f.rank)]
     index, distinct = _content_index(values)
-    for edge, divisor, residue, pairs in _edges(model, f.rank):
+    groups = _edges(model, f.rank)
+    last = {residue._steps[0][1]: g for g, (_, _, residue, _) in enumerate(groups)}
+    leads_by_var = {}
+    for g, (edge, divisor, residue, pairs) in enumerate(groups):
         steps = residue._steps
-        residues = [{} for _ in steps]
+        var = steps[0][1]
+        leads = leads_by_var.setdefault(var, {})
+        residues = {}
         verdicts = {}
         for u, v, iu, iv in pairs:
             a, b = index[iu], index[iv]
@@ -458,7 +472,9 @@ def _check(model, f):
             pair = (a, b) if a < b else (b, a)
             agree = verdicts.get(pair)
             if agree is None:
-                agree = verdicts[pair] = _residues_agree(a, b, distinct, steps, residues)
+                ra = _group_residues(a, distinct, steps, leads, residues)
+                rb = None if ra is None else _group_residues(b, distinct, steps, leads, residues)
+                agree = verdicts[pair] = rb is not None and all(map(_same_residue, ra, rb))
             if agree:
                 continue
             try:
@@ -467,6 +483,8 @@ def _check(model, f):
                 violations.append(
                     EdgeViolation(model.name, model.label(u), model.label(v), edge, exc.remainder)
                 )
+        if last[var] == g:
+            del leads_by_var[var]
     return violations
 
 
@@ -645,14 +663,28 @@ def schubert_class(w: SignedPerm) -> GKMTupleT:
 
 def descent_invariance_check(table: SchubertTable):
     """Whenever right multiplication by s_i shortens w, the index action of
-    s_i must fix the class of w.  Returns the offending (w, i) pairs."""
+    s_i must fix the class of w.  Returns the offending (w, i) pairs.
+
+    That action moves the value at u to u s_i, so it fixes a class when the
+    two values of each pair {u, u s_i} of ``_demazure_steps(n, i)`` are
+    equal; the pairs are positions in ``enumerate_weyl(n)``, and s_i
+    shortens w exactly when w is the second, longer element of its pair.
+    No group element is multiplied.
+    """
     n = table.rank
+    weyl = enumerate_weyl(n)
+    swaps = {}
+    longer = {}
+    for i in range(1, n + 1):
+        swaps[i] = [(k, kws) for _, _, k, kws, _, _ in _demazure_steps(n, i)]
+        longer[i] = {kws for _, kws in swaps[i]}
     bad = []
-    for w in enumerate_weyl(n):
-        cls = table.classes[w]
+    for kw, w in enumerate(weyl):
+        values = list(map(table.classes[w].values.__getitem__, weyl))
         for i in range(1, n + 1):
-            s = simple_reflection(i, n)
-            if length(w * s) < length(w) and weyl_act_tuple(s, cls) != cls:
+            if kw in longer[i] and any(
+                values[a] is not values[b] and values[a] != values[b] for a, b in swaps[i]
+            ):
                 bad.append((w, i))
     return bad
 

@@ -42,8 +42,8 @@ its result before it forms a key:
   (d = 1, max|F| = 1), so its transient figure is ``bound + (hi - lo)``;
   its witness f(X_mu := X_nu) reaches ``bound + hi``, checked before it
   is formed.
-* The residue of a term modulo e^F - 1 (``_residue``, one value at a time,
-  so that a caller forms it once per distinct value and factor) moves it by
+* The residue of a term modulo e^F - 1 (``_residues``: one value, every
+  factor of one edge group in one pass over its terms) moves it by
   -t F with |t| <= 2 * bound // |d|, so it reaches at most ``bound + 2 *
   bound // |d| * max|F|``, which is also what the long division of a
   difference of two values within the bound can reach.  At or beyond the
@@ -529,41 +529,64 @@ def _divide_one_factor(terms, bound, rank, v, d, key, fmax):
     return quotient, remainder, reach
 
 
-def _residue(f, step):
-    """The residue of ``f`` modulo one factor x^F - 1 of a divisor, ``step``
-    its entry of ``BinomialDivisor._steps``: a packed term dict, in which
-    terms that cancelled keep a zero coefficient (``_same_residue`` compares
-    two residues), or None where it could leave the exponent limit.
-
-    The residue of a term c x^k is c x^(k - t F), t = floor(e_v / d), with
-    e_v its exponent in the leading variable x_v and d the factor's exponent
-    there: x^F is 1 modulo the factor, and the residue's x_v-exponent is e_v
-    mod d, one of |d| values.  The monomials with those x_v-exponents are a
-    basis of the quotient ring over the other variables, so the factor
-    divides a - b exactly when a and b have the same residue; neither the
-    difference nor a quotient is formed.  The reach checked first is the one
-    in the module docstring, at the bound of ``f``; where it fails only the
-    division can decide.  The steps and key reads are those of
-    ``_divide_one_factor``, so X-polynomials go through too: modulo X_mu
-    X_nu^{-1} - 1 the residue is f(X_mu := X_nu).
-    """
-    _, v, d, key, fmax = step
-    bound = f._bound
-    limit = EXPONENT_LIMIT
-    if bound + 2 * bound // abs(d) * fmax >= limit:
-        return None
+def _leading_exponents(f, v):
+    """The exponents of x_v in the terms of ``f``, in the order of its packed
+    dict: what ``_residues`` reads for every factor that x_v leads.  The key
+    reads are those of ``_divide_one_factor``."""
     shift = FIELD_BITS * v
     bias = _bias(f.rank)
+    limit = EXPONENT_LIMIT
+    return [((k + bias) >> shift & _MASK) - limit for k in f._packed]
+
+
+def _residues(f, steps, leads):
+    """The residues of ``f`` modulo the factors x^F - 1 of one edge group,
+    ``steps`` their entries of ``BinomialDivisor._steps``, all led by x_v,
+    with ``leads`` from ``_leading_exponents(f, v)``: a tuple of packed term
+    dicts, one per factor, in which terms that cancelled keep a zero
+    coefficient (``_same_residue`` compares two residues); or None where one
+    of them could leave the exponent limit.
+
+    The residue of a term c x^k is c x^(k - t F), t = floor(e_v / d), with
+    e_v its exponent in x_v and d the factor's exponent there: x^F is 1
+    modulo the factor, and the residue's x_v-exponent is e_v mod d, one of
+    |d| values.  The monomials with those x_v-exponents are a basis of the
+    quotient ring over the other variables, so the factor divides a - b
+    exactly when a and b have the same residue; neither the difference nor a
+    quotient is formed.  The reach checked first is the one in the module
+    docstring, at the bound of ``f``; where it fails only the division can
+    decide.  The steps are those of ``_divide_one_factor``, so X-polynomials
+    go through too: modulo X_mu X_nu^{-1} - 1 the residue is f(X_mu :=
+    X_nu).  A group has one factor (a T root, a G pair) or two (an X pair).
+    """
+    bound = f._bound
+    for _, _, d, _, fmax in steps:
+        if bound + 2 * bound // abs(d) * fmax >= EXPONENT_LIMIT:
+            return None
+    packed = f._packed
+    # per factor, t = floor(e_v / d) of each term; d = 2 only on T's long roots
+    ts = [leads if d == 1 else [e // d for e in leads] for _, _, d, _, _ in steps]
+    if len(steps) == 2:
+        (_, _, _, key, _), (_, _, _, other, _) = steps
+        residue, second = {}, {}
+        get, get2 = residue.get, second.get
+        for k, c, t, t2 in zip(packed, packed.values(), *ts):
+            r = k - t * key
+            residue[r] = get(r, 0) + c
+            r = k - t2 * other
+            second[r] = get2(r, 0) + c
+        return residue, second
+    ((_, _, _, key, _),) = steps
     residue = {}
     get = residue.get
-    for k, c in f._packed.items():
-        r = k - (((k + bias) >> shift & _MASK) - limit) // d * key
+    for k, c, t in zip(packed, packed.values(), *ts):
+        r = k - t * key
         residue[r] = get(r, 0) + c
-    return residue
+    return (residue,)
 
 
 def _same_residue(a, b):
-    """True when two residues from ``_residue`` have the same nonzero terms.
+    """True when two residues from ``_residues`` have the same nonzero terms.
 
     Either the dicts are equal, or they hold as many nonzero coefficients
     and each coefficient of ``a`` is the one ``b`` has at its key (0 where

@@ -124,6 +124,37 @@ def test_tuple_totality_enforced():
         GKMTupleX(2, {(1, 2): LaurentPoly.one(2)})
 
 
+def test_tuple_validation_hashes_no_fixed_point(monkeypatch):
+    # the vertex set is hashed once per model and rank, and the keys of a
+    # built dict keep their hashes: constructing a tuple hashes no SignedPerm
+    n = 3
+    values = dict(schubert_table(n).classes[enumerate_weyl(n)[5]].values)
+    hashes = []
+    plain = SignedPerm.__hash__
+
+    def counted(self):
+        hashes.append(self)
+        return plain(self)
+
+    GKMTupleT(n, values)  # the vertex set of rank 3, built once
+    monkeypatch.setattr(SignedPerm, "__hash__", counted)
+    GKMTupleT(n, values)
+    assert hashes == []
+    monkeypatch.undo()
+    one = LaurentPoly.one(2)
+    for values, message in (
+        ({SignedPerm.identity(1): LaurentPoly.one(1)},
+         "T-tuple must be total: missing {SignedPerm(-1,)}, extra set()"),
+        ({(1, 2): one, (2, 1): one, (3, 1): one},
+         "X-tuple must be total: missing set(), extra {(3, 1)}"),
+        ({(1, 2): one, (3, 1): one}, "X-tuple must be total: missing {(2, 1)}, extra {(3, 1)}"),
+    ):
+        cls = GKMTupleT if len(values) == 1 else GKMTupleX
+        with pytest.raises(ValueError) as exc:
+            cls(1 if cls is GKMTupleT else 2, values)
+        assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # residue verdicts against long division
 # ---------------------------------------------------------------------------
@@ -237,6 +268,78 @@ def test_residue_verdicts_match_the_division_on_rank_four_workload_tuples():
     for f in tuples:
         _assert_same_verdicts(f)
         _assert_same_verdicts(_mutated(rng, f, vertices=3))
+
+
+def _residue_by_factor(f, step):
+    """The residue of ``f`` modulo one factor x^F - 1, ``step`` its entry of
+    ``BinomialDivisor._steps``, each term's leading exponent read for this
+    factor alone: the reference for ``ringcore._residues``, zero
+    coefficients kept, None where the residue could leave the limit."""
+    _, v, d, key, fmax = step
+    bound = f._bound
+    limit = EXPONENT_LIMIT
+    if bound + 2 * bound // abs(d) * fmax >= limit:
+        return None
+    shift = ringcore.FIELD_BITS * v
+    bias = ringcore._bias(f.rank)
+    residue = {}
+    get = residue.get
+    for k, c in f._packed.items():
+        r = k - (((k + bias) >> shift & ringcore._MASK) - limit) // d * key
+        residue[r] = get(r, 0) + c
+    return residue
+
+
+def test_group_residues_match_the_per_factor_reference():
+    # every factor of every model at n <= 3, the long roots 2e_i (d = 2)
+    # included, on seeded values and on values whose bound sits around the
+    # reach check's edge
+    seen = {"d=2": 0, "pair": 0, "None": 0, "edge": 0}
+    for n in (1, 2, 3):
+        rng = trial_rng(52, n)
+        for f in _seeded_tuples(rng, n):
+            model = type(f).model
+            ring = model.ring
+            polys = list({id(p): p for p in f.values.values()}.values())[:8]
+            for e in range(THIRD - 2, THIRD + 3):
+                polys.append(polys[-1] + ring.monomial(n, (e,) + (0,) * (n - 1)))
+                if ring is LaurentPoly:
+                    polys.append(polys[-1] - ring.monomial(n, (0,) * (n - 1) + (-e,), 3))
+            for _, _, residue, _ in gkm._edges(model, n):
+                steps = residue._steps
+                assert len({v for _, v, _, _, _ in steps}) == 1  # one leading variable
+                for p in polys:
+                    got = ringcore._residues(p, steps, ringcore._leading_exponents(p, steps[0][1]))
+                    want = tuple(_residue_by_factor(p, step) for step in steps)
+                    if None in want:
+                        assert got is None
+                        seen["None"] += 1
+                        continue
+                    assert got == want
+                    seen["d=2"] += steps[0][2] == 2
+                    seen["pair"] += len(steps) == 2
+                    seen["edge"] += p._bound >= THIRD - 2
+    assert all(seen.values()), seen
+
+
+def test_x_checks_match_the_division_on_seeded_rank_four_tuples():
+    # j_expand of quaternionic combinations, the same plus m * (a random
+    # X-tuple) with m of degree 9, and +1 at three fixed points of each:
+    # equal violations in the same order, with byte-equal pickled witnesses
+    n = 4
+    for seed in (53, 54):
+        rng = trial_rng(seed, 0)
+        x = j_expand(_qs_combination(rng, n))
+        m = LaurentPoly.monomial(n, (0, -9, 1, 0) if seed % 2 else (9, 0, 0, -2))
+        tuples = [x, _shifted_sum(x, random_x_tuple(rng, n), m)]
+        tuples += [_mutated(rng, f, vertices=3) for f in tuples]
+        for f in tuples:
+            got = _outcome(gkm_check_x, f)
+            assert got == _outcome(partial(_check_by_division, gkm._X), f)
+            witnesses = [v.remainder for v in gkm_check_x(f)]
+            reference = [v.remainder for v in _check_by_division(gkm._X, f)]
+            assert pickle.dumps(witnesses) == pickle.dumps(reference)
+        assert _outcome(gkm_check_x, tuples[1]) == [] and _outcome(gkm_check_x, tuples[3])
 
 
 def test_residue_verdicts_match_the_division_across_a_third_of_the_limit():
@@ -367,31 +470,39 @@ def test_residue_verdicts_read_the_largest_bound_among_equal_values():
 def _distinct_residue_count(model, f):
     # the (content, factor) pairs at the ends of the edges whose values
     # differ, the unordered pairs of contents those edges join per factor,
-    # and what reducing both ends of each such edge per factor costs
+    # what reducing both ends of each such edge per factor costs, and the
+    # (content, leading variable) pairs at those ends
     content = {k: frozenset(p._packed.items()) for k, p in f.values.items()}
     ends = set()
     joined = set()
     per_edge = 0
+    leading = set()
     for edge, _, residue, pairs in gkm._edges(model, f.rank):
         for u, v, _, _ in pairs:
             if content[u] != content[v]:
                 for step in residue._steps:
                     ends.update({(content[u], step), (content[v], step)})
                     joined.add((frozenset({content[u], content[v]}), step))
+                    leading.update({(content[u], step[1]), (content[v], step[1])})
                 per_edge += 2 * len(residue._steps)
-    return len(ends), len(joined), per_edge
+    return len(ends), len(joined), per_edge, len(leading)
 
 
 def test_each_distinct_value_is_reduced_once_per_edge_factor(monkeypatch):
     # every class of the rank-3 table and one pullback, all valid, so every
     # edge whose values differ is decided by one residue per factor at each
-    # end, and each pair of distinct values by one comparison per factor
+    # end, and each pair of distinct values by one comparison per factor;
+    # the leading exponents of each distinct value are read once per
+    # variable, for all the roots that variable leads
     n = 3
     tuples = list(schubert_table(n).classes.values())
     tuples.append(pullback_pi(random_x_tuple(trial_rng(49, 0), n)))
-    ends, joined, per_edge = (sum(c) for c in zip(*(_distinct_residue_count(gkm._T, f) for f in tuples)))
+    ends, joined, per_edge, leading = (
+        sum(c) for c in zip(*(_distinct_residue_count(gkm._T, f) for f in tuples))
+    )
     residues = []
     comparisons = []
+    reads = []
 
     def counted(calls, fn):
         def wrapped(*args):
@@ -399,13 +510,15 @@ def test_each_distinct_value_is_reduced_once_per_edge_factor(monkeypatch):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(gkm, "_residue", counted(residues, ringcore._residue))
+    monkeypatch.setattr(gkm, "_residues", counted(residues, ringcore._residues))
     monkeypatch.setattr(gkm, "_same_residue", counted(comparisons, ringcore._same_residue))
+    monkeypatch.setattr(gkm, "_leading_exponents", counted(reads, ringcore._leading_exponents))
     assert all(gkm_check_t(f) == [] for f in tuples)
-    assert (len(residues), len(comparisons)) == (ends, joined)
+    assert (len(residues), len(comparisons), len(reads)) == (ends, joined, leading)
     # two residues per edge factor, one at each end, would take 3.8 times as
-    # many residues, over 4 067 edges instead of 1 317 comparisons
-    assert (ends, joined, per_edge) == (2_125, 1_317, 8_134)
+    # many residues, over 4 067 edges instead of 1 317 comparisons; a T root
+    # has one factor, so a read per residue would take 2 125 reads, not 794
+    assert (ends, joined, per_edge, leading) == (2_125, 1_317, 8_134, 794)
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +818,39 @@ def test_schubert_diagonals_have_the_closed_form():
 
 def test_descent_invariance_exhaustive_rank_two():
     assert descent_invariance_check(schubert_table(2)) == []
+
+
+def _descent_invariance_by_action(table):
+    # the reference: act by s_i on the whole class at each right descent
+    n = table.rank
+    bad = []
+    for w in enumerate_weyl(n):
+        cls = table.classes[w]
+        for i in range(1, n + 1):
+            s = simple_reflection(i, n)
+            if length(w * s) < length(w) and weyl_act_tuple(s, cls) != cls:
+                bad.append((w, i))
+    return bad
+
+
+def test_descent_invariance_matches_the_index_action():
+    # every class at n <= 3, with shared and with separate value objects,
+    # then every class with +1 at one or two seeded fixed points
+    rng = trial_rng(51, 0)
+    for n in (1, 2, 3):
+        table = schubert_table(n)
+        variants = [
+            table.classes,
+            {w: _unshared(c) for w, c in table.classes.items()},
+            {w: _mutated(rng, c, vertices=1) for w, c in table.classes.items()},
+            {w: _mutated(rng, c, vertices=2) for w, c in table.classes.items()},
+        ]
+        found = []
+        for classes in variants:
+            t = gkm.SchubertTable(n, classes, table.convention)
+            found.append(descent_invariance_check(t))
+            assert found[-1] == _descent_invariance_by_action(t)
+        assert found[0] == found[1] == [] and found[2]  # +1 at one point breaks some
 
 
 # ---------------------------------------------------------------------------
