@@ -7,9 +7,15 @@ serialized tuple in one of the three models), ``basis`` (the maximal-length
 coset representatives).
 
 Exit codes: 0 all checks passed, 1 violations found (or singular input),
-2 usage or parse errors, 3 internal inexact division.  Reports are
-deterministic for a fixed configuration and seed, except for the wall-time
-field.
+2 usage or parse errors, 3 internal inexact division (its witness is the
+last line of standard error, one JSON object).  Reports are deterministic
+for a fixed configuration and seed, except for the wall-time field.
+
+Every suite, trial worker and command imports the layers it runs inside its
+own body, on purpose: each command is a process of its own, and ``basis``
+then loads only ``weylc`` and ``decompose`` only ``quatflag`` and
+``weylc``, without compiling ``gkm`` and ``ringcore`` where no bytecode is
+cached.
 """
 
 from __future__ import annotations
@@ -22,10 +28,7 @@ import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from functools import partial
-
-from . import gkm, quatflag, randgen, ringcore, weylc
 
 DEFAULT_MAX_N = 4
 # what reading a JSON input file can raise, each reported as exit 2
@@ -92,6 +95,8 @@ def _emit(cfg, payload, text=None):
 # ---------------------------------------------------------------------------
 
 def _suite_roots(n):
+    from . import weylc
+
     checks = 0
     violations = []
 
@@ -145,6 +150,8 @@ def _suite_roots(n):
 
 
 def _suite_schubert(n):
+    from . import gkm, weylc
+
     checks = 0
     violations = []
     table = gkm.schubert_table(n)
@@ -176,6 +183,8 @@ def _suite_schubert(n):
 
 
 def _suite_presentation(n):
+    from . import gkm, weylc
+
     failures = gkm.presentation_check(n)
     checks = 2 * n * len(weylc.all_perms(n))
     violations = [
@@ -188,6 +197,8 @@ def _suite_presentation(n):
 def _suite_theorem1(n):
     # the descent half: the quaternionic Schubert classes lie in the G- and
     # X-models and descend from the T-model; the randomized halves run as trials
+    from . import gkm
+
     checks = 0
     violations = []
     for tau, q in gkm.quaternionic_schubert_classes(n).items():
@@ -201,6 +212,8 @@ def _suite_theorem1(n):
 
 
 def _suite_cells(n):
+    from . import quatflag, weylc
+
     checks = 0
     violations = []
     perms = weylc.all_perms(n)
@@ -228,6 +241,8 @@ def _suite_cells(n):
 def _trial_cells(n, seed, t, mutate):
     # a dense random matrix lands in the big cell, so draw the cell tau and
     # build g = u * p_tau * b with u random on the free positions of tau
+    from . import quatflag, randgen, weylc
+
     rng = randgen.trial_rng(seed, t)
     violations = []
     cell = rng.choice(weylc.all_perms(n))
@@ -253,6 +268,8 @@ def _trial_cells(n, seed, t, mutate):
 
 
 def _trial_gkm(n, seed, t, mutate, model):
+    from . import gkm, randgen
+
     rng = randgen.trial_rng(seed, t)
     f = _mutate(rng, getattr(randgen, f"random_{model}_tuple")(rng, n), mutate)
     violations = [
@@ -263,6 +280,8 @@ def _trial_gkm(n, seed, t, mutate, model):
 
 
 def _trial_theorem1(n, seed, t, mutate):
+    from . import gkm, randgen, ringcore
+
     rng = randgen.trial_rng(seed, t)
     violations = []
     combo, coeffs = randgen.random_maxrep_combination(rng, n)
@@ -280,6 +299,8 @@ def _trial_theorem1(n, seed, t, mutate):
 
 
 def _trial_theorem2(n, seed, t, mutate):
+    from . import gkm, randgen, ringcore
+
     rng = randgen.trial_rng(seed, t)
     violations = []
     if n < 2:
@@ -403,19 +424,40 @@ def run_suite(cfg, suite: str) -> SuiteReport:
 # data commands
 # ---------------------------------------------------------------------------
 
+def _division_witness(exc):
+    """The witness of an internal inexact division as a JSON object, or None
+    if ``exc`` is not one.  Only a loaded layer can have raised its own
+    exception, so this loads none."""
+    gkm = sys.modules.get(f"{__package__}.gkm")
+    ringcore = sys.modules.get(f"{__package__}.ringcore")
+    if gkm and isinstance(exc, gkm.InexactDivision):
+        return {"error": "inexact-division", "w": list(exc.w.window()), "i": exc.i,
+                "numerator": exc.numerator.to_json()}
+    if ringcore and isinstance(exc, ringcore.NotDivisible):
+        return {"error": "not-divisible", "factor": list(exc.factor),
+                "remainder": exc.remainder.to_json()}
+    return None
+
+
 def cmd_verify(cfg) -> int:
     if cfg.suite not in SUITES:
         raise _UsageError(f"unknown suite {cfg.suite!r}; choose from {', '.join(SUITES)}")
     try:
         report = run_suite(cfg, cfg.suite)
-    except (gkm.InexactDivision, ringcore.NotDivisible) as exc:
-        print(f"internal inexact division: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:
+        witness = _division_witness(exc)
+        if witness is None:
+            raise
+        print("internal inexact division; witness:", file=sys.stderr)
+        print(json.dumps(witness, sort_keys=True), file=sys.stderr)
         return 3
     _emit(cfg, report.to_json_dict(), report.to_text)
     return 0 if not report.violations else 1
 
 
 def cmd_schubert(cfg) -> int:
+    from . import gkm, weylc
+
     if cfg.all:
         payload = gkm.schubert_table(cfg.n).to_json()
     else:
@@ -454,6 +496,8 @@ def _check_components(data):
     bound is too long above or below the line, so it is refused before
     ``Fraction`` expands 10**e (a zero written so is refused too).
     """
+    from fractions import Fraction
+
     for row in data if isinstance(data, list) else ():
         for q in row if isinstance(row, list) else ():
             for x in q if isinstance(q, list) else ():
@@ -474,6 +518,8 @@ def _check_components(data):
 def _read_matrix(cfg, path):
     """The square matrix in the JSON file at path, of size 1 up to the rank
     cap, with components of at most MAX_COMPONENT_DIGITS digits."""
+    from . import quatflag
+
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -488,6 +534,8 @@ def _read_matrix(cfg, path):
 
 
 def cmd_decompose(cfg) -> int:
+    from . import quatflag
+
     g = _read_matrix(cfg, cfg.input)
     try:
         u, tau, b = quatflag.bruhat_decompose(g)
@@ -509,6 +557,8 @@ def cmd_decompose(cfg) -> int:
 
 
 def cmd_cell_index(cfg) -> int:
+    from . import quatflag
+
     g = _read_matrix(cfg, cfg.input)
     try:
         tau = quatflag.cell_index(g)
@@ -521,6 +571,8 @@ def cmd_cell_index(cfg) -> int:
 
 
 def cmd_check(cfg) -> int:
+    from . import gkm
+
     model = cfg.model
     try:
         with open(cfg.input, encoding="utf-8") as fh:
@@ -550,8 +602,10 @@ def cmd_check(cfg) -> int:
 
 
 def cmd_basis(cfg) -> int:
+    from . import weylc
+
     reps = {
-        gkm._key(tau): list(weylc.max_length_rep(tau).window())
+        weylc._key(tau): list(weylc.max_length_rep(tau).window())
         for tau in weylc.all_perms(cfg.n)
     }
     payload = {"rank": cfg.n, "representatives": reps}

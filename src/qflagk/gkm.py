@@ -71,6 +71,7 @@ from .ringcore import (
 )
 from .weylc import (
     SignedPerm,
+    _key,
     all_perms,
     coset_map,
     enumerate_weyl,
@@ -190,11 +191,6 @@ class EdgeViolation:
             "edge": list(self.edge),
             "remainder": self.remainder.to_json(),
         }
-
-
-def _key(label):
-    """The JSON object key of a fixed point: its label as a compact JSON list."""
-    return json.dumps(list(label), separators=(",", ":"))
 
 
 def _perm_from_label(label):

@@ -6,23 +6,15 @@ GKM tuples are produced by construction (combinations of Schubert classes,
 vertex classes supported at a single fixed point, polynomials in the
 quotient-bundle classes), never by the membership checkers they are used to
 test.
+
+Each generator imports the layers it builds with when it runs, so drawing
+quaternion matrices loads neither ``ringcore`` nor ``gkm``.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .gkm import (
-    GKMTupleG,
-    GKMTupleT,
-    GKMTupleX,
-    _pair_divisor,
-    pullback_pi,
-    schubert_table,
-)
-from .quatflag import QMatrix, Quaternion, SingularMatrix, _pivot_columns
-from .ringcore import LaurentPoly, XPoly
 from .weylc import all_perms, enumerate_weyl, max_length_rep
 
 __all__ = [
@@ -48,6 +40,8 @@ def trial_rng(seed: int, trial: int) -> random.Random:
 
 
 def random_laurent(rng, n, terms=2, max_exp=2, max_coeff=3) -> LaurentPoly:
+    from .ringcore import LaurentPoly
+
     out = {}
     for _ in range(terms):
         exps = tuple(rng.randint(-max_exp, max_exp) for _ in range(n))
@@ -57,6 +51,8 @@ def random_laurent(rng, n, terms=2, max_exp=2, max_coeff=3) -> LaurentPoly:
 
 
 def random_xpoly(rng, n, terms=2, max_deg=2, max_coeff=3) -> XPoly:
+    from .ringcore import XPoly
+
     out = {}
     for _ in range(terms):
         exps = tuple(rng.randint(0, max_deg) for _ in range(n))
@@ -67,6 +63,10 @@ def random_xpoly(rng, n, terms=2, max_deg=2, max_coeff=3) -> XPoly:
 
 def random_quaternion(rng) -> Quaternion:
     """Components p/q with -10 <= p <= 10 and 1 <= q <= 10."""
+    from fractions import Fraction
+
+    from .quatflag import Quaternion
+
     return Quaternion(*[
         Fraction(rng.randint(-10, 10), rng.randint(1, 10))
         for _ in range(4)
@@ -75,6 +75,8 @@ def random_quaternion(rng) -> Quaternion:
 
 def random_invertible_matrix(rng, n) -> QMatrix:
     """Dense random matrix, resampled until invertible."""
+    from .quatflag import QMatrix, SingularMatrix, _pivot_columns
+
     while True:
         m = QMatrix(tuple(
             tuple(random_quaternion(rng) for _ in range(n))
@@ -89,6 +91,8 @@ def random_invertible_matrix(rng, n) -> QMatrix:
 
 def random_upper_triangular(rng, n) -> QMatrix:
     """Random invertible upper triangular matrix."""
+    from .quatflag import QMatrix, Quaternion
+
     rows = []
     for i in range(n):
         row = [Quaternion.zero()] * i
@@ -102,6 +106,9 @@ def random_upper_triangular(rng, n) -> QMatrix:
 
 
 def _combination(n, basis_elements, coeffs):
+    from .gkm import GKMTupleT, schubert_table
+    from .ringcore import LaurentPoly
+
     table = schubert_table(n)
     values = {w: LaurentPoly.zero(n) for w in enumerate_weyl(n)}
     for b, a in zip(basis_elements, coeffs):
@@ -134,6 +141,9 @@ def vertex_class_x(n, tau) -> GKMTupleX:
     each difference across an edge is a multiple of that edge's divisor.
     This is the pattern of the K-theoretic Euler class of the fixed point.
     """
+    from .gkm import GKMTupleX, _pair_divisor
+    from .ringcore import LaurentPoly
+
     d = LaurentPoly.one(n)
     for mu in range(1, n + 1):
         for nu in range(mu + 1, n + 1):
@@ -146,6 +156,8 @@ def vertex_class_x(n, tau) -> GKMTupleX:
 def random_x_tuple(rng, n) -> GKMTupleX:
     """Random valid tuple: a constant plus a combination of two vertex classes
     (one at rank one)."""
+    from .gkm import GKMTupleX
+
     perms = all_perms(n)
     values = {t: random_laurent(rng, n, terms=1, max_exp=1, max_coeff=2) for t in perms}
     const = values[perms[0]]
@@ -159,12 +171,17 @@ def random_x_tuple(rng, n) -> GKMTupleX:
 
 def random_invariant_t_tuple(rng, n) -> GKMTupleT:
     """Random valid T-tuple fixed by the index action of every sign change."""
+    from .gkm import pullback_pi
+
     return pullback_pi(random_x_tuple(rng, n))
 
 
 def random_g_tuple(rng, n) -> GKMTupleG:
     """Random polynomial in the quotient-bundle classes with X coefficients:
     a sum of two terms."""
+    from .gkm import GKMTupleG
+    from .ringcore import XPoly
+
     perms = all_perms(n)
     values = {t: XPoly.zero(n) for t in perms}
     for _ in range(2):

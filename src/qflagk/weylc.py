@@ -119,7 +119,7 @@ class SignedPerm:
         return cls(perm, signs)
 
     def window_str(self):
-        return json.dumps(list(self.window()), separators=(",", ":"))
+        return _key(self.window())
 
     @classmethod
     def from_window_str(cls, s):
@@ -380,3 +380,9 @@ def perm_embed(tau: Perm) -> SignedPerm:
 
 def all_perms(n: int) -> tuple:
     return tuple(sorted(permutations(range(1, n + 1)), key=lambda t: (perm_inversions(t), t)))
+
+
+def _key(label):
+    """The JSON object key of a fixed point: its label (a window or a
+    permutation) as a compact JSON list."""
+    return json.dumps(list(label), separators=(",", ":"))

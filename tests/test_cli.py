@@ -6,7 +6,7 @@ import random
 import pytest
 
 from qflagk import gkm, quatflag, ringcore, weylc
-from qflagk.cli import MAX_COMPONENT_DIGITS, main
+from qflagk.cli import MAX_COMPONENT_DIGITS, SUITES, main
 from qflagk.randgen import random_invertible_matrix, trial_rng
 
 
@@ -91,6 +91,49 @@ def test_verify_unknown_suite(capsys):
     rc, _, err = run(capsys, "verify", "--suite", "nonsense", "--n", "2")
     assert rc == 2
     assert "unknown suite" in err
+
+
+def _division_failures():
+    """One InexactDivision and two NotDivisible (Laurent and X), each raised
+    by the routine that raises it in a run, with the witness it prints."""
+    n = 2
+    numerator = ringcore.LaurentPoly.x(n, 1) + 2
+    w = weylc.SignedPerm.from_window((2, -1))
+    yield gkm.InexactDivision(w, 1, numerator), {
+        "error": "inexact-division", "w": [2, -1], "i": 1, "numerator": numerator.to_json()}
+    for divide, args in (
+        (ringcore.divide_exact, (numerator, ringcore.BinomialDivisor([(1, -1)]))),
+        (ringcore.xpoly_divide_exact, (ringcore.XPoly.X(n, 1) + 1, 1, 2)),
+    ):
+        with pytest.raises(ringcore.NotDivisible) as info:
+            divide(*args)
+        exc = info.value
+        yield exc, {"error": "not-divisible", "factor": list(exc.factor),
+                    "remainder": exc.remainder.to_json()}
+
+
+@pytest.mark.parametrize("suite", ["roots", "cells", "gkm-t"])
+def test_internal_inexact_division_exits_3_with_its_witness(capsys, monkeypatch, suite):
+    # the exhaustive part, or the trial worker of a suite without one, raises
+    for exc, witness in _division_failures():
+        def fail(*args, exc=exc):
+            raise exc
+
+        exhaustive, trial = SUITES[suite]
+        monkeypatch.setitem(SUITES, suite, (fail, trial) if exhaustive else (None, fail))
+        rc, out, err = run(capsys, "verify", "--suite", suite, "--n", "2", "--trials", "2")
+        assert rc == 3 and out == ""
+        assert err.splitlines()[0] == "internal inexact division; witness:"
+        assert json.loads(err.splitlines()[-1]) == witness
+
+
+def test_other_arithmetic_errors_are_not_exit_3(capsys, monkeypatch):
+    def fail(n):
+        raise ZeroDivisionError("not a division of the ring")
+
+    monkeypatch.setitem(SUITES, "roots", (fail, None))
+    with pytest.raises(ZeroDivisionError):
+        main(["verify", "--suite", "roots", "--n", "2"])
 
 
 def test_verify_deterministic_reports(capsys):

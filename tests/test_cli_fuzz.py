@@ -3,7 +3,8 @@
 Arbitrary JSON documents go to ``decompose``, ``cell-index`` and ``check``,
 arbitrary window text to ``schubert --w``, arbitrary tokens to the
 counted flags of ``basis``, and flag values, well-formed or with one flag
-broken, to ``verify --jobs 1`` and to ``schubert`` at ranks 1 to 3.
+broken, to ``verify --jobs 1``, to ``schubert`` and to ``decompose``,
+``cell-index``, ``check`` and ``basis`` at ranks 1 to 3.
 Whatever the input, ``main`` must return an exit code of the contract
 (0, 1, 2 or 3) without an exception escaping it.
 Matrix documents include dense 4x4 ones and components at and beyond the
@@ -25,6 +26,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qflagk import weylc
 from qflagk.cli import MAX_COMPONENT_DIGITS, SUITES, main
 from qflagk.ringcore import EXPONENT_LIMIT
 
@@ -232,3 +234,66 @@ def test_schubert_keeps_the_exit_code_contract(drawn):
     broken, argv = drawn
     rc = _run(argv)
     assert (rc == 2) == (broken is not None), (argv, rc)
+
+
+# decompose, cell-index, check and basis: a well-formed document of rank
+# --n, or one flag broken; a broken --input is a missing file or a document
+# that is not JSON, and a broken --model is not a model or not the tag of
+# the document
+small = st.sampled_from(["0", "1", "-1", "1/2", "-2/3"]) | st.integers(-3, 3)
+DATA_FLAGS = {
+    "--format": (st.sampled_from(["json", "text"]), st.sampled_from(["xml", "", "JSON"])),
+    "--seed": VERIFY_FLAGS["--seed"],
+    "--trials": VERIFY_FLAGS["--trials"],
+    "--jobs": (st.integers(1, 3).map(str), VERIFY_FLAGS["--trials"][1]),
+}
+
+
+def _fixed_points(model, n):
+    if model == "T":
+        return [w.window_str() for w in weylc.enumerate_weyl(n)]
+    return [weylc._key(tau) for tau in weylc.all_perms(n)]
+
+
+@st.composite
+def data_argv(draw):
+    command = draw(st.sampled_from(["decompose", "cell-index", "check", "basis"]))
+    flags = ["--n", *DATA_FLAGS] + (["--input"] if command != "basis" else []) \
+        + (["--model"] if command == "check" else [])
+    broken = draw(st.sampled_from([None] * 4 + flags))
+    n = draw(st.integers(1, 3))
+    argv = [command, "--n", draw(VERIFY_FLAGS["--n"][1]) if broken == "--n" else str(n)]
+    for flag, (good, bad) in DATA_FLAGS.items():
+        argv += [flag, draw(bad if flag == broken else good)]
+    doc = None
+    if command == "check":
+        # a constant tuple, or one that is 1 more at one fixed point
+        model = draw(st.sampled_from("TXG"))
+        points = _fixed_points(model, n)
+        value = draw(st.lists(st.tuples(st.integers(-3, 3).map(str), st.lists(
+            st.integers(0, 2), min_size=n, max_size=n)).map(list), max_size=2))
+        bumped = draw(st.sampled_from([None, *points]))
+        doc = {"model": model, "rank": n, "values": {
+            p: value + [["1", [0] * n]] * (p == bumped) for p in points}}
+        argv += ["--model", draw(st.sampled_from(["t", "Y", ""] + [m for m in "TXG" if m != model]))
+                 if broken == "--model" else model]
+    elif command != "basis":
+        doc = draw(_square(n, st.lists(small, min_size=4, max_size=4)))
+    if broken == "--input":
+        doc = draw(st.sampled_from([None, "{", "[1,"]))
+    return broken, argv, doc
+
+
+# 80 examples: the slowest, a rank-3 T-check, takes about 0.02 s
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(drawn=data_argv())
+def test_data_commands_keep_the_exit_code_contract(drawn):
+    broken, argv, doc = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        if isinstance(doc, str):
+            path.write_text(doc)
+        elif doc is not None:
+            path.write_text(json.dumps(doc))
+        rc = _run(argv + ["--input", str(path)] * (argv[0] != "basis"))
+    assert rc in (0, 1, 2) and (rc == 2) == (broken is not None), (argv, doc, rc)
