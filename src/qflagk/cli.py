@@ -92,106 +92,94 @@ def _emit(cfg, payload, text=None):
 
 # ---------------------------------------------------------------------------
 # exhaustive suites
+#
+# A suite and a trial worker are generators that yield one list per check
+# they make: the check's violations, or an empty list when it passes.  Each
+# violation's detail is built only when its check fails.
 # ---------------------------------------------------------------------------
+
+def _tally(outcomes):
+    """(checks, violations) of the outcomes one generator yields."""
+    checks = 0
+    violations = []
+    for checks, found in enumerate(outcomes, 1):
+        violations.extend(found)
+    return checks, violations
+
 
 def _suite_roots(n):
     from . import weylc
 
-    checks = 0
-    violations = []
-
-    def fail(what, **detail):
-        violations.append({"check": what, **detail})
-
     basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     for alpha in weylc.positive_roots(n):
         s = weylc.reflection(alpha)
-        checks += 3
-        if s * s != weylc.SignedPerm.identity(n):
-            fail("reflection-involution", root=list(alpha))
-        if s.act(alpha) != tuple(-a for a in alpha):
-            fail("reflection-negates-root", root=list(alpha))
+        yield [] if s * s == weylc.SignedPerm.identity(n) else [
+            {"check": "reflection-involution", "root": list(alpha)}]
+        yield [] if s.act(alpha) == tuple(-a for a in alpha) else [
+            {"check": "reflection-negates-root", "root": list(alpha)}]
         # s(L^i) = L^i - 2 (L^i . alpha) / (alpha . alpha) alpha, times alpha . alpha
         norm = sum(a * a for a in alpha)
-        if any(
-            [norm * c for c in s.act(e)] != [norm * ej - 2 * ai * aj for ej, aj in zip(e, alpha)]
+        yield [] if all(
+            [norm * c for c in s.act(e)] == [norm * ej - 2 * ai * aj for ej, aj in zip(e, alpha)]
             for e, ai in zip(basis, alpha)
-        ):
-            fail("reflection-formula", root=list(alpha), got=list(s.window()))
+        ) else [{"check": "reflection-formula", "root": list(alpha), "got": list(s.window())}]
 
     W = weylc.enumerate_weyl(n)
     WG = weylc.enumerate_sign_changes(n)
-    checks += 2
-    if len(W) != 2**n * math.factorial(n):
-        fail("weyl-order", got=len(W))
-    if len(WG) != 2**n or any(not v.is_sign_change() for v in WG):
-        fail("sign-subgroup-order", got=len(WG))
-
+    yield [] if len(W) == 2**n * math.factorial(n) else [{"check": "weyl-order", "got": len(W)}]
+    yield [] if len(WG) == 2**n and all(v.is_sign_change() for v in WG) else [
+        {"check": "sign-subgroup-order", "got": len(WG)}]
     for w in W:
         winv = w.inverse()
         for v in WG:
-            checks += 1
-            if not (w * v * winv).is_sign_change():
-                fail("normality", w=list(w.window()), v=list(v.window()))
-
+            yield [] if (w * v * winv).is_sign_change() else [
+                {"check": "normality", "w": list(w.window()), "v": list(v.window())}]
     for w in W:
         for v in W:
-            checks += 1
-            if weylc.coset_map(w * v) != weylc.perm_compose(
+            yield [] if weylc.coset_map(w * v) == weylc.perm_compose(
                 weylc.coset_map(w), weylc.coset_map(v)
-            ):
-                fail("coset-homomorphism", w=list(w.window()), v=list(v.window()))
+            ) else [{"check": "coset-homomorphism", "w": list(w.window()), "v": list(v.window())}]
     for w in W:
-        checks += 1
         in_kernel = weylc.coset_map(w) == weylc.perm_identity(n)
-        if in_kernel != w.is_sign_change():
-            fail("coset-kernel", w=list(w.window()))
-    return checks, violations
+        yield [] if in_kernel == w.is_sign_change() else [
+            {"check": "coset-kernel", "w": list(w.window())}]
 
 
 def _suite_schubert(n):
     from . import gkm, weylc
 
-    checks = 0
-    violations = []
     table = gkm.schubert_table(n)
     W = weylc.enumerate_weyl(n)
     for w in W:
         cls = table.classes[w]
-        checks += 1
-        for viol in gkm.gkm_check_t(cls):
-            violations.append({"check": "gkm-valid", "class": list(w.window()), **viol.to_json()})
-        checks += 1
-        if cls.values[w] != gkm._diagonal(w):
-            violations.append({"check": "diagonal-closed-form", "class": list(w.window())})
+        yield [{"check": "gkm-valid", "class": list(w.window()), **viol.to_json()}
+               for viol in gkm.gkm_check_t(cls)]
+        yield [] if cls.values[w] == gkm._diagonal(w) else [
+            {"check": "diagonal-closed-form", "class": list(w.window())}]
         for v in W:
-            checks += 1
-            if cls.values[v] and not weylc.bruhat_leq(v, w):
-                violations.append({
-                    "check": "triangularity",
-                    "class": list(w.window()),
-                    "at": list(v.window()),
-                })
-    # demazure gives w and w s_i one shared value, so s_i fixes every class
-    # it builds and this check holds by construction at the last letter of
-    # each class's word; its own content is the class's other right descents
-    # (tests/test_gkm.py checks the operator against a per-point route)
-    for w, i in gkm.descent_invariance_check(table):
-        violations.append({"check": "descent-fixes-class", "class": list(w.window()), "simple": i})
-    checks += len(W) * n  # one per (class, applicable-or-not descent) pair
-    return checks, violations
+            yield [] if not cls.values[v] or weylc.bruhat_leq(v, w) else [
+                {"check": "triangularity", "class": list(w.window()), "at": list(v.window())}]
+    # one check per (class, simple reflection) pair, a descent of the class
+    # or not.  demazure gives w and w s_i one shared value, so s_i fixes every
+    # class it builds and this check holds by construction at the last letter
+    # of each class's word; its own content is the class's other right
+    # descents (tests/test_gkm.py checks the operator against a per-point route)
+    unfixed = set(gkm.descent_invariance_check(table))
+    for w in W:
+        for i in range(1, n + 1):
+            yield [{"check": "descent-fixes-class", "class": list(w.window()), "simple": i}
+                   ] if (w, i) in unfixed else []
 
 
 def _suite_presentation(n):
     from . import gkm, weylc
 
-    failures = gkm.presentation_check(n)
-    checks = 2 * n * len(weylc.all_perms(n))
-    violations = [
-        {"check": "presentation-relation", "model": model, "k": k, "tau": list(tau)}
-        for model, k, tau in failures
-    ]
-    return checks, violations
+    failures = set(gkm.presentation_check(n))
+    for model in ("G", "X"):
+        for k in range(1, n + 1):
+            for tau in weylc.all_perms(n):
+                yield [{"check": "presentation-relation", "model": model, "k": k, "tau": list(tau)}
+                       ] if (model, k, tau) in failures else []
 
 
 def _suite_theorem1(n):
@@ -199,39 +187,29 @@ def _suite_theorem1(n):
     # X-models and descend from the T-model; the randomized halves run as trials
     from . import gkm
 
-    checks = 0
-    violations = []
     for tau, q in gkm.quaternionic_schubert_classes(n).items():
         qx = gkm.j_expand(q)
-        checks += 2
-        if gkm.gkm_check_g(q) or gkm.gkm_check_x(qx):
-            violations.append({"check": "quaternionic-valid", "class": list(tau)})
-        if gkm.descend_pi(gkm.pullback_pi(qx)) != qx:
-            violations.append({"check": "quaternionic-descends", "class": list(tau)})
-    return checks, violations
+        yield [] if not (gkm.gkm_check_g(q) or gkm.gkm_check_x(qx)) else [
+            {"check": "quaternionic-valid", "class": list(tau)}]
+        yield [] if gkm.descend_pi(gkm.pullback_pi(qx)) == qx else [
+            {"check": "quaternionic-descends", "class": list(tau)}]
 
 
 def _suite_cells(n):
     from . import quatflag, weylc
 
-    checks = 0
-    violations = []
     perms = weylc.all_perms(n)
-    checks += 1
-    if len(perms) != math.factorial(n):
-        violations.append({"check": "cell-count", "got": len(perms)})
+    yield [] if len(perms) == math.factorial(n) else [{"check": "cell-count", "got": len(perms)}]
     for tau in perms:
-        checks += 1
         desc = quatflag.CellDescriptor.for_perm(tau)
         free = quatflag.free_positions(tau)
-        if len(free) != weylc.perm_inversions(tau) or desc.dimension != 4 * len(free):
-            violations.append({"check": "cell-dimension", "tau": list(tau)})
+        yield [] if (
+            len(free) == weylc.perm_inversions(tau) and desc.dimension == 4 * len(free)
+        ) else [{"check": "cell-dimension", "tau": list(tau)}]
     for a in perms:
         for b in perms:
-            checks += 1
-            if quatflag.closure_leq(a, b) != weylc.bruhat_leq_by_rank_matrix(a, b):
-                violations.append({"check": "closure-vs-oracle", "a": list(a), "b": list(b)})
-    return checks, violations
+            yield [] if quatflag.closure_leq(a, b) == weylc.bruhat_leq_by_rank_matrix(a, b) else [
+                {"check": "closure-vs-oracle", "a": list(a), "b": list(b)}]
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +222,6 @@ def _trial_cells(n, seed, t, mutate):
     from . import quatflag, randgen, weylc
 
     rng = randgen.trial_rng(seed, t)
-    violations = []
     cell = rng.choice(weylc.all_perms(n))
     rows = [list(r) for r in quatflag.QMatrix.identity(n).entries]
     for mu, nu in quatflag.free_positions(cell):
@@ -252,19 +229,15 @@ def _trial_cells(n, seed, t, mutate):
     g = (quatflag.QMatrix.from_rows(rows) * quatflag.perm_matrix(cell)
          * randgen.random_upper_triangular(rng, n))
     u, tau, b = quatflag.bruhat_decompose(g)
-    if u * quatflag.perm_matrix(tau) * b != g:
-        violations.append({"check": "recompose", "trial": t})
-    if not quatflag.u_membership(u, tau):
-        violations.append({"check": "u-membership", "trial": t, "tau": list(tau)})
-    if not b.is_upper_triangular():
-        violations.append({"check": "b-triangular", "trial": t})
-    if quatflag.cell_index(g) != cell or tau != cell:
-        violations.append({"check": "cell-index-agrees", "trial": t, "tau": list(cell)})
+    yield [] if u * quatflag.perm_matrix(tau) * b == g else [{"check": "recompose", "trial": t}]
+    yield [] if quatflag.u_membership(u, tau) else [
+        {"check": "u-membership", "trial": t, "tau": list(tau)}]
+    yield [] if b.is_upper_triangular() else [{"check": "b-triangular", "trial": t}]
+    yield [] if quatflag.cell_index(g) == cell and tau == cell else [
+        {"check": "cell-index-agrees", "trial": t, "tau": list(cell)}]
     bp = randgen.random_upper_triangular(rng, n)
     u2, tau2, _ = quatflag.bruhat_decompose(g * bp)
-    if (u2, tau2) != (u, tau):
-        violations.append({"check": "uniqueness", "trial": t})
-    return 5, violations
+    yield [] if (u2, tau2) == (u, tau) else [{"check": "uniqueness", "trial": t}]
 
 
 def _trial_gkm(n, seed, t, mutate, model):
@@ -272,39 +245,32 @@ def _trial_gkm(n, seed, t, mutate, model):
 
     rng = randgen.trial_rng(seed, t)
     f = _mutate(rng, getattr(randgen, f"random_{model}_tuple")(rng, n), mutate)
-    violations = [
-        {"check": "membership", "trial": t, **v.to_json()}
-        for v in getattr(gkm, f"gkm_check_{model}")(f)
-    ]
-    return 1, violations
+    yield [{"check": "membership", "trial": t, **v.to_json()}
+           for v in getattr(gkm, f"gkm_check_{model}")(f)]
 
 
 def _trial_theorem1(n, seed, t, mutate):
     from . import gkm, randgen, ringcore
 
     rng = randgen.trial_rng(seed, t)
-    violations = []
     combo, coeffs = randgen.random_maxrep_combination(rng, n)
     try:
-        got = gkm.expand_in_schubert(combo, list(coeffs))
-        if got != coeffs:
-            violations.append({"check": "expansion-recovery", "trial": t})
+        recovered = gkm.expand_in_schubert(combo, list(coeffs)) == coeffs
     except (gkm.NotInTupleSpan, ringcore.NotDivisible):
-        violations.append({"check": "expansion-recovery", "trial": t})
+        recovered = False
+    yield [] if recovered else [{"check": "expansion-recovery", "trial": t}]
     fx = randgen.random_x_tuple(rng, n)
     ft = gkm.pullback_pi(fx)
-    if gkm.gkm_check_t(ft) or gkm.descend_pi(ft) != fx:
-        violations.append({"check": "pullback-descend-roundtrip", "trial": t})
-    return 2, violations
+    yield [] if not gkm.gkm_check_t(ft) and gkm.descend_pi(ft) == fx else [
+        {"check": "pullback-descend-roundtrip", "trial": t}]
 
 
 def _trial_theorem2(n, seed, t, mutate):
+    if n < 2:
+        return  # no index pairs at rank one
     from . import gkm, randgen, ringcore
 
     rng = randgen.trial_rng(seed, t)
-    violations = []
-    if n < 2:
-        return 0, violations  # no index pairs at rank one
     mu = rng.randint(1, n - 1)
     nu = rng.randint(mu + 1, n)
     g0 = randgen.random_xpoly(rng, n)
@@ -314,19 +280,18 @@ def _trial_theorem2(n, seed, t, mutate):
         q_x = ringcore.xpoly_divide_exact(f, mu, nu)
         q_l = ringcore.divide_exact(ringcore.x_expand(f), pair)
     except ringcore.NotDivisible:
-        violations.append({"check": "bridge-divisible", "trial": t})
-        return 4, violations
-    if q_x != g0:
-        violations.append({"check": "bridge-x-quotient", "trial": t})
-    if q_l != ringcore.LaurentPoly.monomial(
+        # the first check failed, and the three below need its quotients
+        yield [{"check": "bridge-divisible", "trial": t}]
+        return
+    yield [] if q_x == g0 else [{"check": "bridge-x-quotient", "trial": t}]
+    yield [] if q_l == ringcore.LaurentPoly.monomial(
         n, tuple(-1 if i == mu - 1 else 0 for i in range(n))
-    ) * ringcore.x_expand(q_x):
-        violations.append({"check": "bridge-quotient-unit", "trial": t})
+    ) * ringcore.x_expand(q_x) else [{"check": "bridge-quotient-unit", "trial": t}]
     # quotient identity through the free-basis decomposition
     lift = ringcore.LaurentPoly.x(n, mu) * q_l
     g0_again = ringcore.basis_decompose(lift)[(0,) * n]
-    if (ringcore.XPoly.X(n, mu) - ringcore.XPoly.X(n, nu)) * g0_again != f:
-        violations.append({"check": "bridge-basis-decompose", "trial": t})
+    yield [] if (ringcore.XPoly.X(n, mu) - ringcore.XPoly.X(n, nu)) * g0_again == f else [
+        {"check": "bridge-basis-decompose", "trial": t}]
     # adversarial: not divisible on either side
     bad = f + 1
     rejected_x = rejected_l = False
@@ -338,9 +303,7 @@ def _trial_theorem2(n, seed, t, mutate):
         ringcore.divide_exact(ringcore.x_expand(bad), pair)
     except ringcore.NotDivisible:
         rejected_l = True
-    if not (rejected_x and rejected_l):
-        violations.append({"check": "bridge-adversarial", "trial": t})
-    return 4, violations
+    yield [] if rejected_x and rejected_l else [{"check": "bridge-adversarial", "trial": t}]
 
 
 def _mutate(rng, f, k):
@@ -367,23 +330,18 @@ SUITES = {
 
 def _run_trial_chunk(suite, n, seed, lo, hi, mutate):
     fn = SUITES[suite][1]
-    checks = 0
-    violations = []
-    for t in range(lo, hi):
-        c, v = fn(n, seed, t, mutate)
-        checks += c
-        violations.extend(v)
-    return checks, violations
+    return _tally(found for t in range(lo, hi) for found in fn(n, seed, t, mutate))
 
 
 def _run_trials(cfg, suite):
+    """The tallies of the trials of ``suite``, one per chunk."""
     if cfg.jobs == 1 or cfg.trials == 1:
-        return _run_trial_chunk(suite, cfg.n, cfg.seed, 0, cfg.trials, cfg.mutate)
+        return [_run_trial_chunk(suite, cfg.n, cfg.seed, 0, cfg.trials, cfg.mutate)]
     from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays its import
 
     # trial 0 runs here first, so the forked workers inherit every cache it
     # filled (the Schubert table, the Weyl group, lengths, Bruhat sets)
-    checks, violations = _run_trial_chunk(suite, cfg.n, cfg.seed, 0, 1, cfg.mutate)
+    first = _run_trial_chunk(suite, cfg.n, cfg.seed, 0, 1, cfg.mutate)
     chunk = -(-(cfg.trials - 1) // cfg.jobs)
     spans = [
         (lo, min(lo + chunk, cfg.trials)) for lo in range(1, cfg.trials, chunk)
@@ -393,28 +351,23 @@ def _run_trials(cfg, suite):
             pool.submit(_run_trial_chunk, suite, cfg.n, cfg.seed, lo, hi, cfg.mutate)
             for lo, hi in spans
         ]
-        for fut in futures:
-            c, v = fut.result()
-            checks += c
-            violations.extend(v)
-    return checks, violations
+        return [first, *(fut.result() for fut in futures)]
 
 
 def run_suite(cfg, suite: str) -> SuiteReport:
     start = time.perf_counter()
     exhaustive, trial = SUITES[suite]
-    checks, violations = exhaustive(cfg.n) if exhaustive else (0, [])
+    tallies = [_tally(exhaustive(cfg.n))] if exhaustive else []
     if trial:
-        c, v = _run_trials(cfg, suite)
-        checks += c
-        violations.extend(v)
-    violations.sort(key=lambda d: json.dumps(d, sort_keys=True))
+        tallies += _run_trials(cfg, suite)
+    violations = sorted((v for _, found in tallies for v in found),
+                        key=lambda d: json.dumps(d, sort_keys=True))
     return SuiteReport(
         suite=suite,
         n=cfg.n,
         seed=cfg.seed,
         trials=cfg.trials if trial else None,
-        checks=checks,
+        checks=sum(checks for checks, _ in tallies),
         violations=violations,
         wall_time_s=time.perf_counter() - start,
     )
