@@ -47,15 +47,9 @@ class SuiteReport:
     seed: int
     trials: int | None
     checks: int
+    passed: int  # the checks that found no violation
     violations: list = field(default_factory=list)
     wall_time_s: float = 0.0
-
-    @property
-    def passed(self):
-        return self.checks - len(self.violations)
-
-    def to_json_dict(self):
-        return {**asdict(self), "passed": self.passed}
 
     def to_text(self):
         lines = [
@@ -99,12 +93,14 @@ def _emit(cfg, payload, text=None):
 # ---------------------------------------------------------------------------
 
 def _tally(outcomes):
-    """(checks, violations) of the outcomes one generator yields."""
-    checks = 0
+    """(checks, passed, violations) of the outcomes one generator yields: a
+    failing check counts once, however many violations it lists."""
+    checks = passed = 0
     violations = []
     for checks, found in enumerate(outcomes, 1):
         violations.extend(found)
-    return checks, violations
+        passed += not found
+    return checks, passed, violations
 
 
 def _suite_roots(n):
@@ -360,14 +356,15 @@ def run_suite(cfg, suite: str) -> SuiteReport:
     tallies = [_tally(exhaustive(cfg.n))] if exhaustive else []
     if trial:
         tallies += _run_trials(cfg, suite)
-    violations = sorted((v for _, found in tallies for v in found),
+    violations = sorted((v for _, _, found in tallies for v in found),
                         key=lambda d: json.dumps(d, sort_keys=True))
     return SuiteReport(
         suite=suite,
         n=cfg.n,
         seed=cfg.seed,
         trials=cfg.trials if trial else None,
-        checks=sum(checks for checks, _ in tallies),
+        checks=sum(checks for checks, _, _ in tallies),
+        passed=sum(passed for _, passed, _ in tallies),
         violations=violations,
         wall_time_s=time.perf_counter() - start,
     )
@@ -404,7 +401,7 @@ def cmd_verify(cfg) -> int:
         print("internal inexact division; witness:", file=sys.stderr)
         print(json.dumps(witness, sort_keys=True), file=sys.stderr)
         return 3
-    _emit(cfg, report.to_json_dict(), report.to_text)
+    _emit(cfg, asdict(report), report.to_text)
     return 0 if not report.violations else 1
 
 

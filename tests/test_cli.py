@@ -87,6 +87,32 @@ def test_verify_mutate_mode_finds_witnesses(capsys):
         assert "remainder" in v and "index" in v and "partner" in v
 
 
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_passed_counts_the_checks_that_found_nothing(capsys, suite):
+    # a failing GKM check lists one violation per failing edge, but it is
+    # one failed check
+    rc, out, _ = run(capsys, "verify", "--suite", suite, "--n", "2", "--trials", "4",
+                     "--seed", "3", "--mutate", "2", "--format", "json")
+    report = json.loads(out)
+    assert 0 <= report["passed"] <= report["checks"]
+    assert (report["passed"] == report["checks"]) == (not report["violations"]) == (rc == 0)
+    if suite == "gkm-t":  # (at rank two, +1 at both X-vertices keeps an X-tuple valid)
+        assert (report["checks"], report["passed"], len(report["violations"])) == (4, 0, 24)
+
+
+def test_theorem2_counts_only_the_checks_it_makes(capsys, monkeypatch):
+    # when the bridge division fails, the three checks on its quotients are
+    # never made; f + 1 is not divisible by X_mu - X_nu
+    divide = ringcore.xpoly_divide_exact
+    monkeypatch.setattr(ringcore, "xpoly_divide_exact", lambda f, mu, nu: divide(f + 1, mu, nu))
+    rc, out, _ = run(capsys, "verify", "--suite", "theorem2", "--n", "2", "--trials", "3",
+                     "--format", "json")
+    report = json.loads(out)
+    assert rc == 1
+    assert (report["checks"], report["passed"]) == (3, 0)
+    assert [v["check"] for v in report["violations"]] == ["bridge-divisible"] * 3
+
+
 def test_verify_unknown_suite(capsys):
     rc, _, err = run(capsys, "verify", "--suite", "nonsense", "--n", "2")
     assert rc == 2
@@ -511,12 +537,12 @@ def test_verify_reports_do_not_depend_on_jobs(capsys, suite):
     if suite in ("gkm-t", "gkm-x"):
         argv += ["--mutate", "2"]
     reports = []
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "3"):
         _, out, _ = run(capsys, *argv, "--jobs", jobs)
         report = json.loads(out)
         report.pop("wall_time_s")
         reports.append(report)
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
     if "--mutate" in argv:
         # --jobs 2 runs trial 0 first, then trials 1-3 and 4-5 in two workers
         assert {v["trial"] < 3 for v in reports[0]["violations"]} == {True, False}
