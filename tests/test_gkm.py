@@ -983,6 +983,21 @@ def test_expand_rejects_tuples_outside_the_span():
         expand_in_schubert(p, basis)
 
 
+def test_a_failing_residual_division_raises_not_in_tuple_span():
+    # rank one, basis {e, s}: the coefficient at s is the value there, 0, and
+    # the residual 1 at e must then be divided by e^{2x1} - 1; the division's
+    # own NotDivisible never escapes, and its remainder is the witness
+    n = 1
+    e, s = enumerate_weyl(n)
+    f = GKMTupleT(n, {e: LaurentPoly.one(n), s: LaurentPoly.zero(n)})
+    with pytest.raises(NotDivisible) as division:
+        divide_exact(LaurentPoly.one(n), BinomialDivisor([(2,)]))
+    with pytest.raises(NotInTupleSpan) as outside:
+        expand_in_schubert(f, [e, s])
+    assert outside.value.witness_index == e.window()
+    assert outside.value.residual == division.value.remainder
+
+
 # ---------------------------------------------------------------------------
 # checker sensitivity
 # ---------------------------------------------------------------------------
