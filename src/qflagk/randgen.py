@@ -39,26 +39,28 @@ def trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(f"{seed}:{trial}")
 
 
+def _random_terms(rng, n, terms, low, high, max_coeff):
+    """The sum of ``terms`` random terms of rank n, each exponent in
+    [low, high] and each coefficient nonzero in [-max_coeff, max_coeff], as
+    an exponent -> coefficient dict."""
+    out = {}
+    for _ in range(terms):
+        exps = tuple(rng.randint(low, high) for _ in range(n))
+        c = rng.choice([c for c in range(-max_coeff, max_coeff + 1) if c])
+        out[exps] = out.get(exps, 0) + c
+    return out
+
+
 def random_laurent(rng, n, terms=2, max_exp=2, max_coeff=3) -> LaurentPoly:
     from .ringcore import LaurentPoly
 
-    out = {}
-    for _ in range(terms):
-        exps = tuple(rng.randint(-max_exp, max_exp) for _ in range(n))
-        c = rng.choice([c for c in range(-max_coeff, max_coeff + 1) if c])
-        out[exps] = out.get(exps, 0) + c
-    return LaurentPoly(n, out)
+    return LaurentPoly(n, _random_terms(rng, n, terms, -max_exp, max_exp, max_coeff))
 
 
 def random_xpoly(rng, n, terms=2, max_deg=2, max_coeff=3) -> XPoly:
     from .ringcore import XPoly
 
-    out = {}
-    for _ in range(terms):
-        exps = tuple(rng.randint(0, max_deg) for _ in range(n))
-        c = rng.choice([c for c in range(-max_coeff, max_coeff + 1) if c])
-        out[exps] = out.get(exps, 0) + c
-    return XPoly(n, out)
+    return XPoly(n, _random_terms(rng, n, terms, 0, max_deg, max_coeff))
 
 
 def random_quaternion(rng) -> Quaternion:

@@ -315,10 +315,9 @@ def enumerate_weyl(n: int) -> tuple:
 
 @cache
 def enumerate_sign_changes(n: int) -> tuple:
-    """The 2^n sign-change elements (the Weyl group of the diagonal subgroup)."""
-    ident = tuple(range(1, n + 1))
-    elems = [SignedPerm(ident, signs) for signs in product((1, -1), repeat=n)]
-    return tuple(sorted(elems, key=lambda w: (length(w), w.window())))
+    """The 2^n sign-change elements (the Weyl group of the diagonal subgroup),
+    in the order of ``enumerate_weyl``."""
+    return tuple(w for w in enumerate_weyl(n) if w.is_sign_change())
 
 
 def coset_map(w: SignedPerm) -> Perm:
