@@ -74,6 +74,7 @@ from .weylc import (
     _key,
     all_perms,
     coset_map,
+    descents,
     enumerate_weyl,
     is_positive_root,
     length,
@@ -207,24 +208,20 @@ def _pair_divisor(n, mu, nu):
     return BinomialDivisor([hi, lo])
 
 
-def _g_residue(n, mu, nu):
-    """X_mu X_nu^{-1} - 1: the G-model's residue divisor, the binomial that
-    ``xpoly_divide_exact`` divides X_mu - X_nu by."""
-    return BinomialDivisor(_pair_divisor(n, mu, nu).factors[:1])
-
-
 def _root_reflections(n):
     for alpha in positive_roots(n):
-        divisor = BinomialDivisor([alpha])
-        yield alpha, reflection(alpha).__mul__, divisor, divisor
+        yield alpha, reflection(alpha).__mul__, BinomialDivisor([alpha])
 
 
-def _pair_reflections(divisor, residue):
+def _pair_reflections(factors):
+    """The transposition edges, each with the first ``factors`` factors of
+    ``_pair_divisor``: both for X, and X_mu X_nu^{-1} - 1 alone for G."""
     def reflections(n):
         for mu in range(1, n + 1):
             for nu in range(mu + 1, n + 1):
                 swap = perm_transposition(n, mu, nu)
-                yield (mu, nu), partial(perm_compose, swap), divisor(n, mu, nu), residue(n, mu, nu)
+                divisor = BinomialDivisor(_pair_divisor(n, mu, nu).factors[:factors])
+                yield (mu, nu), partial(perm_compose, swap), divisor
 
     return reflections
 
@@ -234,11 +231,13 @@ class _Model:
     """What tells one GKM model from another.
 
     ``reflections(n)`` yields (edge, left multiplication by its reflection,
-    divisor, residue divisor): ``divide`` takes the divisor, and the residue
-    divisor is the product of binomials x^F - 1 whose residues
+    divisor), the divisor a product of binomials x^F - 1 whose residues
     (``ringcore._residues``) decide the edges of that reflection.  Its
     factors share their leading variable: a T root has one factor, an X pair
-    (mu, nu) two, both led by x_mu, and a G pair one, led by X_mu.
+    (mu, nu) two, both led by x_mu, and a G pair one, X_mu X_nu^{-1} - 1, led
+    by X_mu.  ``divide(difference, edge, divisor)`` divides a failing edge's
+    difference by the edge condition: by the divisor in T and X, and by
+    X_mu - X_nu = X_nu (X_mu X_nu^{-1} - 1), a unit times it, in G.
     ``label`` is a fixed point as violations report it, and edges are
     checked from the endpoint with the smaller label.  In JSON a fixed point
     is keyed by its label (``_key``) and read back by ``from_label``.
@@ -255,17 +254,17 @@ class _Model:
 
 _T = _Model(
     "T", LaurentPoly, enumerate_weyl, _root_reflections,
-    lambda diff, divisor: divide_exact(diff, divisor),
+    lambda diff, edge, divisor: divide_exact(diff, divisor),
     SignedPerm.window, SignedPerm.from_window,
 )
 _X = _Model(
-    "X", LaurentPoly, all_perms, _pair_reflections(_pair_divisor, _pair_divisor),
-    lambda diff, divisor: divide_exact(diff, divisor),
+    "X", LaurentPoly, all_perms, _pair_reflections(2),
+    lambda diff, edge, divisor: divide_exact(diff, divisor),
     tuple, _perm_from_label,
 )
 _G = _Model(
-    "G", XPoly, all_perms, _pair_reflections(lambda n, mu, nu: (mu, nu), _g_residue),
-    lambda diff, pair: xpoly_divide_exact(diff, *pair),
+    "G", XPoly, all_perms, _pair_reflections(1),
+    lambda diff, pair, divisor: xpoly_divide_exact(diff, *pair),
     tuple, _perm_from_label,
 )
 
@@ -273,18 +272,18 @@ _G = _Model(
 @lru_cache(maxsize=None)
 def _edges(model, n):
     """The edges of the model's GKM graph by reflection, as (edge, divisor,
-    residue divisor, pairs), where pairs lists each edge u -- v of that
-    reflection once as (u, v, positions of u and v in ``model.vertices(n)``)."""
+    pairs), where pairs lists each edge u -- v of that reflection once as
+    (u, v, positions of u and v in ``model.vertices(n)``)."""
     vertices = model.vertices(n)
     position = {u: k for k, u in enumerate(vertices)}
     return tuple(
-        (edge, divisor, residue, tuple(
+        (edge, divisor, tuple(
             (u, v, position[u], position[v])
             for u in vertices
             for v in (move(u),)
             if model.label(u) < model.label(v)
         ))
-        for edge, move, divisor, residue in model.reflections(n)
+        for edge, move, divisor in model.reflections(n)
     )
 
 
@@ -424,13 +423,14 @@ def _content_index(values):
 def _group_residues(i, distinct, steps, leads, residues):
     """The residues (``ringcore._residues``) of the value of content index i
     modulo the factors of ``steps``, memoized in ``residues`` for one edge
-    group; ``leads`` memoizes its leading exponents for every group led by
-    the same variable."""
+    group; ``leads`` memoizes its leading exponents by (variable, i) for every
+    group of the check."""
     if i in residues:
         return residues[i]
-    e = leads.get(i)
+    key = (steps[0][1], i)
+    e = leads.get(key)
     if e is None:
-        e = leads[i] = _leading_exponents(distinct[i], steps[0][1])
+        e = leads[key] = _leading_exponents(distinct[i], key[0])
     r = residues[i] = _residues(distinct[i], steps, e)
     return r
 
@@ -439,26 +439,22 @@ def _check(model, f):
     """The violations of ``f`` in ``model``'s edge order.
 
     An edge passes when its two values have the same terms, or the same
-    residue modulo each binomial x^F - 1 of the residue divisor, so that
-    every factor, and with them their product (see the module docstring),
-    divides the difference.  Within the edges of one reflection each
-    distinct value is reduced at most once, and each pair of distinct values
-    decided once; its leading exponents are read once per variable and kept
-    until the last reflection that variable leads.  Otherwise
-    ``model.divide`` decides, edge by edge, and forms the remainder witness;
-    it also decides, or raises ``OverflowError``, where a value reaches past
-    a third of the exponent limit and its residue could leave it.
+    residue modulo each binomial x^F - 1 of its reflection's divisor, so
+    that every factor, and with them their product (see the module
+    docstring), divides the difference.  Within the edges of one reflection
+    each distinct value is reduced at most once, and each pair of distinct
+    values decided once; its leading exponents are read once per variable
+    and kept for the whole check.  Otherwise ``model.divide`` decides, edge
+    by edge, and forms the remainder witness; it also decides, or raises
+    ``OverflowError``, where a value reaches past a third of the exponent
+    limit and its residue could leave it.
     """
     violations = []
     values = [f.values[u] for u in model.vertices(f.rank)]
     index, distinct = _content_index(values)
-    groups = _edges(model, f.rank)
-    last = {residue._steps[0][1]: g for g, (_, _, residue, _) in enumerate(groups)}
-    leads_by_var = {}
-    for g, (edge, divisor, residue, pairs) in enumerate(groups):
-        steps = residue._steps
-        var = steps[0][1]
-        leads = leads_by_var.setdefault(var, {})
+    leads = {}
+    for edge, divisor, pairs in _edges(model, f.rank):
+        steps = divisor._steps
         residues = {}
         verdicts = {}
         for u, v, iu, iv in pairs:
@@ -474,13 +470,11 @@ def _check(model, f):
             if agree:
                 continue
             try:
-                model.divide(values[iu] - values[iv], divisor)
+                model.divide(values[iu] - values[iv], edge, divisor)
             except NotDivisible as exc:
                 violations.append(
                     EdgeViolation(model.name, model.label(u), model.label(v), edge, exc.remainder)
                 )
-        if last[var] == g:
-            del leads_by_var[var]
     return violations
 
 
@@ -532,10 +526,11 @@ def coeff_act_tuple(v: SignedPerm, f: GKMTupleX) -> GKMTupleX:
 
 def point_class(n: int) -> GKMTupleT:
     """The class of the base point: the K-theoretic Euler product
-    prod_{alpha > 0} (1 - e^alpha) at the identity, zero elsewhere."""
-    roots = positive_roots(n)
+    prod_{alpha > 0} (1 - e^alpha) at the identity (``_diagonal``), zero
+    elsewhere."""
     values = {w: LaurentPoly.zero(n) for w in enumerate_weyl(n)}
-    values[SignedPerm.identity(n)] = (-1) ** len(roots) * BinomialDivisor(roots).as_poly()
+    e = SignedPerm.identity(n)
+    values[e] = _diagonal(e)
     return GKMTupleT(n, values)
 
 
@@ -638,17 +633,19 @@ def schubert_class_from_word(n: int, word) -> GKMTupleT:
 
 @lru_cache(maxsize=None)
 def _schubert_table(n: int) -> SchubertTable:
-    table = {SignedPerm.identity(n): point_class(n)}
-    for w in enumerate_weyl(n):  # sorted by length
-        for i in range(1, n + 1):
-            v = w * simple_reflection(i, n)
-            if length(v) == length(w) + 1 and v not in table:
-                table[v] = demazure(i, table[w])
-    return SchubertTable(n, table, dict(CONVENTION))
+    e, *rest = enumerate_weyl(n)
+    classes = {e: point_class(n)}
+    for w in rest:  # by length, so w s_i comes before w
+        i = descents(w)[0]
+        classes[w] = demazure(i, classes[w * simple_reflection(i, n)])
+    return SchubertTable(n, classes, dict(CONVENTION))
 
 
 def schubert_table(n: int) -> SchubertTable:
-    """All classes, built along reduced words; the result is word-independent."""
+    """All classes, keyed in ``enumerate_weyl`` order.  The class of w is
+    ``demazure(i, class of w s_i)``, i the smallest right descent of w: the
+    chain ``schubert_class`` folds along ``reduced_word(w)``, so both give
+    the same values, bounds included."""
     return _schubert_table(n)
 
 
@@ -658,29 +655,23 @@ def schubert_class(w: SignedPerm) -> GKMTupleT:
 
 
 def descent_invariance_check(table: SchubertTable):
-    """Whenever right multiplication by s_i shortens w, the index action of
-    s_i must fix the class of w.  Returns the offending (w, i) pairs.
+    """Whenever right multiplication by s_i shortens w (``weylc.descents``),
+    the index action of s_i must fix the class of w.  Returns the offending
+    (w, i) pairs.
 
     That action moves the value at u to u s_i, so it fixes a class when the
     two values of each pair {u, u s_i} of ``_demazure_steps(n, i)`` are
-    equal; the pairs are positions in ``enumerate_weyl(n)``, and s_i
-    shortens w exactly when w is the second, longer element of its pair.
-    No group element is multiplied.
+    equal; the pairs are positions in ``enumerate_weyl(n)``.  No group
+    element acts on a tuple.
     """
     n = table.rank
     weyl = enumerate_weyl(n)
-    swaps = {}
-    longer = {}
-    for i in range(1, n + 1):
-        swaps[i] = [(k, kws) for _, _, k, kws, _, _ in _demazure_steps(n, i)]
-        longer[i] = {kws for _, kws in swaps[i]}
     bad = []
-    for kw, w in enumerate(weyl):
+    for w in weyl:
         values = list(map(table.classes[w].values.__getitem__, weyl))
-        for i in range(1, n + 1):
-            if kw in longer[i] and any(
-                values[a] is not values[b] and values[a] != values[b] for a, b in swaps[i]
-            ):
+        for i in descents(w):
+            if any(values[a] is not values[b] and values[a] != values[b]
+                   for _, _, a, b, _, _ in _demazure_steps(n, i)):
                 bad.append((w, i))
     return bad
 
@@ -780,11 +771,15 @@ def _diagonal_roots(w: SignedPerm):
 
 
 def _diagonal(w: SignedPerm) -> LaurentPoly:
-    """The class of w at w: prod (1 - e^alpha) over ``_diagonal_roots(w)``."""
+    """The class of w at w: prod (1 - e^alpha) over ``_diagonal_roots(w)``,
+    formed as (-1)^k prod (e^alpha - 1) in the term order of
+    ``BinomialDivisor.as_poly``: the Demazure steps from the point class run
+    about 3% faster on it than on the order of prod (1 - e^alpha)."""
+    roots = _diagonal_roots(w)
     out = LaurentPoly.one(w.rank)
-    for a in _diagonal_roots(w):
-        out = out * (1 - LaurentPoly.monomial(w.rank, a))
-    return out
+    for a in roots:
+        out = out * (LaurentPoly.monomial(w.rank, a) - 1)
+    return (-1) ** len(roots) * out
 
 
 def expand_in_schubert(f: GKMTupleT, basis):

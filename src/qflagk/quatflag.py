@@ -220,14 +220,6 @@ class QMatrix:
             for row in rows
         ))
 
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return QMatrix(tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        ))
-
     def __mul__(self, other):
         if self.n != other.n:
             raise ValueError("size mismatch")

@@ -51,10 +51,12 @@ def _random_terms(rng, n, terms, low, high, max_coeff):
     return out
 
 
-def random_laurent(rng, n, terms=2, max_exp=2, max_coeff=3) -> LaurentPoly:
+def random_laurent(rng, n) -> LaurentPoly:
+    """One random term of rank n: each exponent in [-1, 1], the coefficient
+    in {+-1, +-2}."""
     from .ringcore import LaurentPoly
 
-    return LaurentPoly(n, _random_terms(rng, n, terms, -max_exp, max_exp, max_coeff))
+    return LaurentPoly(n, _random_terms(rng, n, 1, -1, 1, 2))
 
 
 def random_xpoly(rng, n, terms=2, max_deg=2, max_coeff=3) -> XPoly:
@@ -124,7 +126,7 @@ def random_t_tuple(rng, n) -> GKMTupleT:
     """Random combination of three Schubert classes (two at rank one) with
     Laurent coefficients."""
     basis = rng.sample(list(enumerate_weyl(n)), k=min(3, 2**n))
-    coeffs = [random_laurent(rng, n, terms=1, max_exp=1, max_coeff=2) for _ in basis]
+    coeffs = [random_laurent(rng, n) for _ in basis]
     return _combination(n, basis, coeffs)
 
 
@@ -132,7 +134,7 @@ def random_maxrep_combination(rng, n):
     """Random combination of the classes at maximal-length coset representatives,
     returned with its coefficients keyed by representative."""
     basis = [max_length_rep(tau) for tau in all_perms(n)]
-    coeffs = [random_laurent(rng, n, terms=1, max_exp=1, max_coeff=2) for _ in basis]
+    coeffs = [random_laurent(rng, n) for _ in basis]
     return _combination(n, basis, coeffs), dict(zip(basis, coeffs))
 
 
@@ -161,11 +163,11 @@ def random_x_tuple(rng, n) -> GKMTupleX:
     from .gkm import GKMTupleX
 
     perms = all_perms(n)
-    values = {t: random_laurent(rng, n, terms=1, max_exp=1, max_coeff=2) for t in perms}
+    values = {t: random_laurent(rng, n) for t in perms}
     const = values[perms[0]]
     values = {t: const for t in perms}
     for tau in rng.sample(list(perms), k=min(2, len(perms))):
-        a = random_laurent(rng, n, terms=1, max_exp=1, max_coeff=2)
+        a = random_laurent(rng, n)
         vc = vertex_class_x(n, tau)
         values = {t: values[t] + a * vc.values[t] for t in perms}
     return GKMTupleX(n, values)

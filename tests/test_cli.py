@@ -75,6 +75,21 @@ def test_verify_theorem1_reports_a_class_off_the_g_model(capsys, monkeypatch):
     assert kinds == {("quaternionic-valid", tau)}
 
 
+def test_verify_theorem1_reports_a_failed_expansion(capsys, monkeypatch):
+    # a trial whose expansion raises NotInTupleSpan recovers no coefficients
+    def refuse(f, basis):
+        raise gkm.NotInTupleSpan((1, 2), f.values[weylc.SignedPerm.identity(f.rank)])
+
+    monkeypatch.setattr(gkm, "expand_in_schubert", refuse)
+    rc, out, _ = run(capsys, "verify", "--suite", "theorem1", "--n", "2", "--trials", "2",
+                     "--format", "json")
+    assert rc == 1
+    report = json.loads(out)
+    assert report["violations"] == [
+        {"check": "expansion-recovery", "trial": 0}, {"check": "expansion-recovery", "trial": 1}]
+    assert report["passed"] == report["checks"] - 2
+
+
 def test_verify_mutate_mode_finds_witnesses(capsys):
     rc, out, _ = run(
         capsys, "verify", "--suite", "gkm-t", "--n", "2", "--trials", "3",
@@ -96,9 +111,22 @@ def test_passed_counts_the_checks_that_found_nothing(capsys, suite):
     report = json.loads(out)
     assert 0 <= report["passed"] <= report["checks"]
     assert (report["passed"] == report["checks"]) == (not report["violations"]) == (rc == 0)
-    # gkm-x is not pinned: at rank two, +1 at both X-vertices keeps a tuple valid
-    if suite == "gkm-t":
-        assert (report["checks"], report["passed"], len(report["violations"])) == (4, 0, 24)
+    # rank two has two X-vertices: --mutate 2 moves one of them, as +1 at
+    # both would keep every tuple valid
+    pinned = {"gkm-t": (4, 0, 24), "gkm-x": (4, 0, 4)}
+    if suite in pinned:
+        assert (report["checks"], report["passed"], len(report["violations"])) == pinned[suite]
+
+
+def test_mutate_leaves_one_fixed_point_unmoved_at_rank_one(capsys):
+    # K = 2 reaches the two T-vertices of rank one, so one of them moves and
+    # every trial fails; the one X-vertex has nothing to move against
+    for suite, counts in (("gkm-t", (4, 0, 4)), ("gkm-x", (4, 4, 0))):
+        rc, out, _ = run(capsys, "verify", "--suite", suite, "--n", "1", "--trials", "4",
+                         "--seed", "3", "--mutate", "2", "--format", "json")
+        report = json.loads(out)
+        assert (report["checks"], report["passed"], len(report["violations"])) == counts
+        assert rc == (1 if report["violations"] else 0)
 
 
 def test_theorem2_counts_only_the_checks_it_makes(capsys, monkeypatch):
@@ -302,6 +330,30 @@ def test_decompose_singular_and_parse_errors(tmp_path, capsys):
     assert rc == 2
     rc, _, _ = run(capsys, "decompose", "--input", str(tmp_path / "missing.json"))
     assert rc == 2
+
+
+def test_decompose_recomposition_mismatch_exits_3(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "m.json"
+    g = quatflag.perm_matrix((2, 1))
+    _write_matrix(p, g)
+    decompose = quatflag.bruhat_decompose
+
+    def wrong_b(m):
+        u, tau, b = decompose(m)
+        return u, tau, b * quatflag.QMatrix.from_rows([[2, 0], [0, 1]])
+
+    monkeypatch.setattr(quatflag, "bruhat_decompose", wrong_b)
+    rc, out, err = run(capsys, "decompose", "--input", str(p))
+    assert (rc, out) == (3, "")
+    assert "internal error: recomposition mismatch" in err
+
+
+def test_cell_index_singular_exits_1(tmp_path, capsys):
+    p = tmp_path / "m.json"
+    _write_matrix(p, quatflag.QMatrix.from_rows([[1, 2], [2, 4]]))
+    rc, out, err = run(capsys, "cell-index", "--input", str(p))
+    assert (rc, out) == (1, "")
+    assert "matrix is singular" in err
 
 
 def test_cell_index_command(tmp_path, capsys):
