@@ -49,6 +49,7 @@ turns them into sign-change-invariant T-tuples.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import ClassVar
@@ -318,6 +319,30 @@ class _GKMTuple:
         if isinstance(poly, int):
             poly = cls.model.ring.constant(rank, poly)
         return cls(rank, {v: poly for v in cls.model.vertices(rank)})
+
+    def _pointwise(self, op, other):
+        """``op`` at every fixed point, against the value there of a tuple of
+        the same model and rank, or against one ring element or int."""
+        if isinstance(other, _GKMTuple):
+            if type(other) is not type(self) or other.rank != self.rank:
+                names = [f"rank-{t.rank} {t.model.name}-tuple" for t in (self, other)]
+                raise TypeError("cannot mix a {} with a {}".format(*names))
+            at = other.values
+        else:
+            at = dict.fromkeys(self.values, other)
+        return type(self)(self.rank, {v: op(p, at[v]) for v, p in self.values.items()})
+
+    def __add__(self, other):
+        return self._pointwise(operator.add, other)
+
+    def __sub__(self, other):
+        return self._pointwise(operator.sub, other)
+
+    def __mul__(self, other):
+        return self._pointwise(operator.mul, other)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
 
     def to_json(self):
         # a value shared by several fixed points is rendered once, and its
@@ -744,18 +769,15 @@ def presentation_check(n: int):
     failures = []
     classes = [canonical_class(v, n) for v in range(1, n + 1)]
     gens_x = [XPoly.X(n, v) for v in range(1, n + 1)]
-    expanded = [j_expand(c) for c in classes]
-    gens_l = [x_expand(g) for g in gens_x]
+    models = (
+        ("G", classes, gens_x),
+        ("X", [j_expand(c) for c in classes], [x_expand(g) for g in gens_x]),
+    )
     for k in range(1, n + 1):
-        target_g = sigma_k(k, gens_x)
-        target_t = sigma_k(k, gens_l)
-        for tau in all_perms(n):
-            got_g = sigma_k(k, [c.values[tau] for c in classes])
-            if got_g != target_g:
-                failures.append(("G", k, tau))
-            got_t = sigma_k(k, [c.values[tau] for c in expanded])
-            if got_t != target_t:
-                failures.append(("X", k, tau))
+        for model, tuples, gens in models:
+            target = sigma_k(k, gens)
+            got = sigma_k(k, tuples).values
+            failures += [(model, k, tau) for tau in all_perms(n) if got[tau] != target]
     return failures
 
 
@@ -783,7 +805,8 @@ def _diagonal(w: SignedPerm) -> LaurentPoly:
 
 
 def expand_in_schubert(f: GKMTupleT, basis):
-    """Solve f = sum a_w * class_w over the given basis elements.
+    """Solve f = sum a_w * class_w over the given basis elements, each
+    counted once however often it is listed.
 
     The system is triangular in the Bruhat order: scanning the basis by
     decreasing length, the residual value at w must be a_w times the
@@ -799,10 +822,10 @@ def expand_in_schubert(f: GKMTupleT, basis):
     """
     n = f.rank
     table = schubert_table(n)
-    residual = dict(f.values)
+    residual = f
     coeffs = {}
-    for w in sorted(basis, key=lambda u: (-length(u), u.window())):
-        rw = residual[w]
+    for w in sorted(set(basis), key=lambda u: (-length(u), u.window())):
+        rw = residual.values[w]
         if not rw:
             coeffs[w] = LaurentPoly.zero(n)
             continue
@@ -814,10 +837,8 @@ def expand_in_schubert(f: GKMTupleT, basis):
             except NotDivisible as exc:
                 raise NotInTupleSpan(w.window(), exc.remainder) from None
         coeffs[w] = a
-        cls = table.classes[w]
-        for v in enumerate_weyl(n):
-            residual[v] = residual[v] - a * cls.values[v]
+        residual = residual - table.classes[w] * a
     for v in enumerate_weyl(n):
-        if residual[v]:
-            raise NotInTupleSpan(v.window(), residual[v])
+        if residual.values[v]:
+            raise NotInTupleSpan(v.window(), residual.values[v])
     return coeffs

@@ -2,10 +2,10 @@
 
 Every generator takes an explicit ``random.Random`` so that trial t of a run
 with seed s can be replayed in isolation: use ``trial_rng(seed, t)``.  Valid
-GKM tuples are produced by construction (combinations of Schubert classes,
-vertex classes supported at a single fixed point, polynomials in the
-quotient-bundle classes), never by the membership checkers they are used to
-test.
+GKM tuples are produced by construction, as sums of tuples times random
+coefficients in the pointwise arithmetic of tuples (Schubert classes, vertex
+classes supported at a single fixed point, products of quotient-bundle
+classes), never by the membership checkers they are used to test.
 
 Each generator imports the layers it builds with when it runs, so drawing
 quaternion matrices loads neither ``ringcore`` nor ``gkm``.
@@ -111,15 +111,10 @@ def random_upper_triangular(rng, n) -> QMatrix:
 
 def _combination(n, basis_elements, coeffs):
     from .gkm import GKMTupleT, schubert_table
-    from .ringcore import LaurentPoly
 
-    table = schubert_table(n)
-    values = {w: LaurentPoly.zero(n) for w in enumerate_weyl(n)}
-    for b, a in zip(basis_elements, coeffs):
-        cls = table.classes[b]
-        for w in values:
-            values[w] = values[w] + a * cls.values[w]
-    return GKMTupleT(n, values)
+    classes = schubert_table(n).classes
+    terms = (classes[b] * a for b, a in zip(basis_elements, coeffs))
+    return sum(terms, GKMTupleT.constant(n, 0))
 
 
 def random_t_tuple(rng, n) -> GKMTupleT:
@@ -163,14 +158,11 @@ def random_x_tuple(rng, n) -> GKMTupleX:
     from .gkm import GKMTupleX
 
     perms = all_perms(n)
-    values = {t: random_laurent(rng, n) for t in perms}
-    const = values[perms[0]]
-    values = {t: const for t in perms}
+    # n! draws, of which the first is the constant
+    f = GKMTupleX.constant(n, [random_laurent(rng, n) for _ in perms][0])
     for tau in rng.sample(list(perms), k=min(2, len(perms))):
-        a = random_laurent(rng, n)
-        vc = vertex_class_x(n, tau)
-        values = {t: values[t] + a * vc.values[t] for t in perms}
-    return GKMTupleX(n, values)
+        f = f + vertex_class_x(n, tau) * random_laurent(rng, n)
+    return f
 
 
 def random_invariant_t_tuple(rng, n) -> GKMTupleT:
@@ -183,17 +175,12 @@ def random_invariant_t_tuple(rng, n) -> GKMTupleT:
 def random_g_tuple(rng, n) -> GKMTupleG:
     """Random polynomial in the quotient-bundle classes with X coefficients:
     a sum of two terms."""
-    from .gkm import GKMTupleG
-    from .ringcore import XPoly
+    from .gkm import GKMTupleG, canonical_class
 
-    perms = all_perms(n)
-    values = {t: XPoly.zero(n) for t in perms}
+    f = GKMTupleG.constant(n, 0)
     for _ in range(2):
-        coeff = random_xpoly(rng, n, terms=1, max_deg=1, max_coeff=2)
-        factors = [rng.randint(1, n) for _ in range(rng.randint(0, 2))]
-        for t in perms:
-            term = coeff
-            for nu in factors:
-                term = term * XPoly.X(n, t[nu - 1])
-            values[t] = values[t] + term
-    return GKMTupleG(n, values)
+        term = GKMTupleG.constant(n, random_xpoly(rng, n, terms=1, max_deg=1, max_coeff=2))
+        for _ in range(rng.randint(0, 2)):
+            term = term * canonical_class(rng.randint(1, n), n)
+        f = f + term
+    return f

@@ -761,16 +761,13 @@ def sym_in_x(f: LaurentPoly) -> XPoly:
 
 
 def sigma_k(k: int, args) -> object:
-    """Elementary symmetric polynomial sigma_k evaluated at ``args``.
-
-    Works for any ring elements supporting + and * (LaurentPoly, XPoly).
+    """Elementary symmetric polynomial sigma_k evaluated at ``args``: ring
+    elements that add and multiply with ints, GKM tuples included.
     """
     args = list(args)
     if not 1 <= k <= len(args):
         raise ValueError(f"k={k} out of range for {len(args)} arguments")
-    one = type(args[0]).one(args[0].rank)
-    zero = type(args[0]).zero(args[0].rank)
-    e = [one] + [zero] * k
+    e = [1] + [0] * k
     for i, a in enumerate(args):
         for j in range(min(i + 1, k), 0, -1):
             e[j] = e[j] + e[j - 1] * a

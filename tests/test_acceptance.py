@@ -201,12 +201,7 @@ def test_criterion_4c_descend_of_combinations(quaternionic):
         classes = [pullback_pi(j_expand(quaternionic[n][tau])) for tau in all_perms(n)]
         for t in range(10):
             rng = trial_rng(SEED + 10 * n, t)
-            coeffs = [random_laurent(rng, n) for _ in classes]
-            values = {w: LaurentPoly.zero(n) for w in enumerate_weyl(n)}
-            for a, cls in zip(coeffs, classes):
-                for w in values:
-                    values[w] = values[w] + a * cls.values[w]
-            combo = GKMTupleT(n, values)
+            combo = sum(cls * random_laurent(rng, n) for cls in classes)
             try:
                 fx = descend_pi(combo)
                 ok = not gkm_check_x(fx) and pullback_pi(fx) == combo

@@ -156,6 +156,44 @@ def test_tuple_validation_hashes_no_fixed_point(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# tuple arithmetic
+# ---------------------------------------------------------------------------
+
+def _random_pairs(n):
+    rng = trial_rng(9, n)
+    return [
+        (random_t_tuple(rng, n), random_t_tuple(rng, n)),
+        (random_x_tuple(rng, n), random_x_tuple(rng, n)),
+        (random_g_tuple(rng, n), random_g_tuple(rng, n)),
+    ]
+
+
+def test_tuples_add_subtract_and_multiply_pointwise():
+    for n in (1, 2):
+        for f, g in _random_pairs(n):
+            assert f + g - g == f
+            assert 0 + f == f and 1 * f == f
+            assert sum([f, g]) == f + g
+            assert (f * g).values == {v: p * g.values[v] for v, p in f.values.items()}
+            m = type(f).model.ring.monomial(n, (1,) * n)
+            assert (f * m).values == {v: p * m for v, p in f.values.items()}
+
+
+def test_tuple_arithmetic_rejects_mixed_models_and_ranks():
+    t2, x2, g2 = (f for f, _ in _random_pairs(2))
+    t1 = random_t_tuple(trial_rng(9, 0), 1)
+    for f, g in ((t2, x2), (x2, g2), (g2, x2), (t2, t1), (t1, t2)):
+        for op in (f.__add__, f.__sub__, f.__mul__):
+            with pytest.raises(TypeError):
+                op(g)
+    # a scalar of another rank fails in the ring
+    with pytest.raises(ValueError):
+        t2 * LaurentPoly.one(3)
+    with pytest.raises(ValueError):
+        g2 + XPoly.X(1, 1)
+
+
+# ---------------------------------------------------------------------------
 # residue verdicts against long division
 # ---------------------------------------------------------------------------
 
@@ -198,15 +236,6 @@ def _assert_same_verdicts(f):
     assert _outcome(CHECKS[model], f) == _outcome(partial(_check_by_division, model), f)
 
 
-def _times(f, mono):
-    return type(f)(f.rank, {k: mono * p for k, p in f.values.items()})
-
-
-def _shifted_sum(a, b, mono):
-    # a + mono * b: valid when a and b are, over a wide exponent span
-    return type(a)(a.rank, {k: a.values[k] + mono * b.values[k] for k in a.values})
-
-
 def _mutated(rng, f, vertices=2):
     # +1 at some vertices, or a monomial that is odd in x_1 (or X_1)
     ring = type(f).model.ring
@@ -217,13 +246,12 @@ def _mutated(rng, f, vertices=2):
 
 def _qs_combination(rng, n, max_length=None):
     # quaternionic classes with coefficients in {+-1, +-2}, as G-tuples
-    perms = all_perms(n)
-    values = {t: XPoly.zero(n) for t in perms}
-    for tau, cls in quaternionic_schubert_classes(n).items():
-        if max_length is None or perm_inversions(tau) <= max_length:
-            a = rng.choice((-2, -1, 1, 2))
-            values = {t: values[t] + a * cls.values[t] for t in perms}
-    return GKMTupleG(n, values)
+    terms = (
+        cls * rng.choice((-2, -1, 1, 2))
+        for tau, cls in quaternionic_schubert_classes(n).items()
+        if max_length is None or perm_inversions(tau) <= max_length
+    )
+    return sum(terms, GKMTupleG.constant(n, 0))
 
 
 def _seeded_tuples(rng, n):
@@ -235,9 +263,9 @@ def _seeded_tuples(rng, n):
     x = [random_x_tuple(rng, n), j_expand(g[1])]
     t = [random_t_tuple(rng, n), random_maxrep_combination(rng, n)[0], pullback_pi(x[0])]
     return (
-        t + [_times(t[0], odd), _shifted_sum(t[2], pullback_pi(x[1]), odd)]
-        + x + [_shifted_sum(x[0], x[1], odd)]
-        + g + [_shifted_sum(g[0], g[1], XPoly.monomial(n, (3,) + (0,) * (n - 1)))]
+        t + [t[0] * odd, t[2] + pullback_pi(x[1]) * odd]
+        + x + [x[0] + x[1] * odd]
+        + g + [g[0] + g[1] * XPoly.monomial(n, (3,) + (0,) * (n - 1))]
     )
 
 
@@ -261,9 +289,9 @@ def test_residue_verdicts_match_the_division_on_rank_four_workload_tuples():
     t = pullback_pi(j_expand(_qs_combination(rng, n, max_length=1)))
     wide = LaurentPoly.monomial(n, (9, 0, -2, 0))
     tuples = [
-        g, _shifted_sum(g, random_g_tuple(rng, n), XPoly.monomial(n, (0, 9, 0, 0))),
-        x, _shifted_sum(random_x_tuple(rng, n), x, wide),
-        _times(t, wide),
+        g, g + random_g_tuple(rng, n) * XPoly.monomial(n, (0, 9, 0, 0)),
+        x, random_x_tuple(rng, n) + x * wide,
+        t * wide,
     ]
     for f in tuples:
         _assert_same_verdicts(f)
@@ -331,7 +359,7 @@ def test_x_checks_match_the_division_on_seeded_rank_four_tuples():
         rng = trial_rng(seed, 0)
         x = j_expand(_qs_combination(rng, n))
         m = LaurentPoly.monomial(n, (0, -9, 1, 0) if seed % 2 else (9, 0, 0, -2))
-        tuples = [x, _shifted_sum(x, random_x_tuple(rng, n), m)]
+        tuples = [x, x + random_x_tuple(rng, n) * m]
         tuples += [_mutated(rng, f, vertices=3) for f in tuples]
         for f in tuples:
             got = _outcome(gkm_check_x, f)
@@ -355,9 +383,9 @@ def test_residue_verdicts_match_the_division_across_a_third_of_the_limit():
             for f in (random_t_tuple(rng, n), random_x_tuple(rng, n)):
                 ring = type(f).model.ring
                 span = ring.monomial(n, (e,) + (0,) * (n - 1)) + ring.monomial(n, (-e,) * n)
-                tuples.append(_times(f, span))
+                tuples.append(f * span)
             g = random_g_tuple(rng, n)
-            tuples.append(_shifted_sum(g, g, XPoly.monomial(n, (0,) * (n - 1) + (e,))))
+            tuples.append(g + g * XPoly.monomial(n, (0,) * (n - 1) + (e,)))
         for f in tuples + [_mutated(rng, f) for f in tuples]:
             _assert_same_verdicts(f)
             outcomes.append(_outcome(CHECKS[type(f).model], f))
@@ -378,9 +406,9 @@ def test_valid_tuples_pass_without_long_division_whatever_the_span(monkeypatch):
     e = 10_000
     laurent = LaurentPoly.monomial(n, (e, -e, 0))
     valid = [
-        _shifted_sum(random_t_tuple(rng, n), random_t_tuple(rng, n), laurent),
-        _shifted_sum(random_x_tuple(rng, n), random_x_tuple(rng, n), laurent),
-        _shifted_sum(random_g_tuple(rng, n), random_g_tuple(rng, n), XPoly.monomial(n, (0, e, 0))),
+        random_t_tuple(rng, n) + random_t_tuple(rng, n) * laurent,
+        random_x_tuple(rng, n) + random_x_tuple(rng, n) * laurent,
+        random_g_tuple(rng, n) + random_g_tuple(rng, n) * XPoly.monomial(n, (0, e, 0)),
     ]
     mutated = [_mutated(rng, f) for f in valid]
     expected = [_outcome(partial(_check_by_division, type(f).model), f) for f in mutated]
@@ -432,8 +460,8 @@ def test_residue_verdicts_match_the_division_on_repeated_values():
         x = random_x_tuple(rng, n)
         f = pullback_pi(x)
         # each value a product of its own: 2^n equal values per sign-change orbit
-        _assert_same_verdicts(_times(f, LaurentPoly.monomial(n, (2,) + (-1,) * (n - 1))))
-        _assert_same_verdicts(_times(x, LaurentPoly.monomial(n, (1,) * n)))
+        _assert_same_verdicts(f * LaurentPoly.monomial(n, (2,) + (-1,) * (n - 1)))
+        _assert_same_verdicts(x * LaurentPoly.monomial(n, (1,) * n))
         # +1 on the whole orbit over one permutation: every edge leaving it
         # fails with the same pair of values, and each edge is reported
         tau = rng.choice(all_perms(n))
@@ -624,6 +652,28 @@ def test_demazure_idempotent():
         for i in (1, 2):
             once = demazure(i, f)
             assert demazure(i, once) == once
+
+
+def _braid_order(i, j, n):
+    # type C: the pair (n-1, n) joins a short and the long simple root
+    if abs(i - j) > 1:
+        return 2
+    return 4 if {i, j} == {n - 1, n} else 3
+
+
+def test_demazure_braid_relations():
+    for n in (2, 3):
+        for t in range(20):
+            f = random_t_tuple(trial_rng(10, t), n)
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    sides = []
+                    for first, second in ((i, j), (j, i)):
+                        g = f
+                        for step in range(_braid_order(i, j, n)):
+                            g = demazure(second if step % 2 else first, g)
+                        sides.append(g)
+                    assert sides[0] == sides[1], (n, t, i, j)
 
 
 def test_demazure_inexact_on_corrupted_input():
@@ -966,6 +1016,24 @@ def test_presentation_small_ranks():
     assert presentation_check(2) == []
 
 
+def test_presentation_reports_every_relation_a_broken_class_breaks(monkeypatch):
+    # class 1 plus one at tau breaks sigma_1..sigma_n at tau in both models,
+    # and nowhere else
+    n, tau = 3, (2, 1, 3)
+    plain = canonical_class
+
+    def broken(nu, rank):
+        cls = plain(nu, rank)
+        if nu == 1:
+            cls.values[tau] = cls.values[tau] + 1
+        return cls
+
+    monkeypatch.setattr(gkm, "canonical_class", broken)
+    failures = presentation_check(n)
+    assert len(failures) == 2 * n
+    assert set(failures) == {(model, k, tau) for model in "GX" for k in range(1, n + 1)}
+
+
 # ---------------------------------------------------------------------------
 # expansion in the Schubert basis
 # ---------------------------------------------------------------------------
@@ -985,6 +1053,12 @@ def test_expand_recovers_random_combinations():
         for t in range(5):
             combo, coeffs = random_maxrep_combination(trial_rng(8, t), n)
             assert expand_in_schubert(combo, list(coeffs)) == coeffs
+
+
+def test_expand_over_a_repeated_basis_keeps_each_coefficient():
+    combo, coeffs = random_maxrep_combination(trial_rng(1, 0), 2)
+    assert all(coeffs.values())
+    assert expand_in_schubert(combo, list(coeffs) * 2) == coeffs
 
 
 def test_expand_rejects_tuples_outside_the_span():
