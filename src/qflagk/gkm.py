@@ -737,14 +737,14 @@ def j_expand(f: GKMTupleG) -> GKMTupleX:
 
 
 def j_descend(f: GKMTupleX) -> GKMTupleG:
-    """Componentwise inverse of j_expand; every component must be
-    sign-change invariant."""
+    """Componentwise inverse of j_expand; every component must be sign-change invariant."""
     out = {}
     for tau, p in f.values.items():
         try:
             out[tau] = sym_in_x(p)
-        except NotInvariant as exc:
-            raise TupleNotInvariant(f"sign change at x_{exc.sign_index}", tau) from None
+        except NotInvariant as exc:  # x_i -> x_i^{-1} is the reflection in the root 2L^i
+            root = [2 * (v == exc.sign_index) for v in range(1, f.rank + 1)]
+            raise TupleNotInvariant(reflection(root), tau) from None
     return GKMTupleG(f.rank, out)
 
 

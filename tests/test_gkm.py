@@ -973,12 +973,19 @@ def test_j_maps_examples_and_roundtrip():
 
 
 def test_j_descend_rejects_asymmetric_components():
-    n = 2
-    fx = GKMTupleX.constant(n, 1)
-    values = dict(fx.values)
-    values[(1, 2)] = LaurentPoly.x(n, 1)
-    with pytest.raises(TupleNotInvariant):
-        j_descend(GKMTupleX(n, values))
+    # as for descend_pi, the witness is a sign change and the index it moves
+    for n in (2, 3):
+        for i in range(1, n + 1):
+            for tau in all_perms(n):
+                values = dict(GKMTupleX.constant(n, 1).values)
+                values[tau] = LaurentPoly.x(n, i)
+                f = GKMTupleX(n, values)
+                with pytest.raises(TupleNotInvariant) as exc:
+                    j_descend(f)
+                v, index = exc.value.group_element, exc.value.index
+                assert v.is_sign_change()
+                assert index == tau
+                assert coeff_act_tuple(v, f).values[index] != f.values[index]
 
 
 def test_bridge_equivalence_on_tuples():

@@ -19,6 +19,7 @@ from qflagk.weylc import (
     is_root,
     length,
     max_length_rep,
+    perm_compose,
     perm_embed,
     perm_identity,
     perm_inversions,
@@ -274,6 +275,19 @@ def test_coset_map_homomorphism_kernel_surjectivity():
 def test_coset_of_both_reflections_is_the_transposition():
     assert coset_map(reflection((1, -1))) == (2, 1)
     assert coset_map(reflection((1, 1))) == (2, 1)
+
+
+def test_perm_compose_applies_the_right_factor_first():
+    # (a o b)(i) = a(b(i))
+    assert perm_compose((2, 1, 3), (1, 3, 2)) == (2, 3, 1)
+    assert perm_compose((1, 3, 2), (2, 1, 3)) == (3, 1, 2)
+    perms = all_perms(3)
+    for a in perms:
+        assert perm_compose(a, perm_identity(3)) == a == perm_compose(perm_identity(3), a)
+        for b in perms:
+            assert perm_compose(a, b) == tuple(a[b[i] - 1] for i in range(3))
+            for c in perms:
+                assert perm_compose(perm_compose(a, b), c) == perm_compose(a, perm_compose(b, c))
 
 
 def test_max_length_rep_examples():
