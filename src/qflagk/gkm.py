@@ -25,14 +25,15 @@ values, as a Schubert class does on the cosets of its descent parabolic and
 a pullback on the cosets of the sign changes.
 
 Schubert classes are built by the Demazure recursion from the point class,
-with one exact division per pair {w, w s_i}, as the operator takes the same
-value at both (``demazure``).  The two sign choices that recursion leaves
-open (the exponent sign in the K-theoretic Euler product and in the Demazure
-denominator) are pinned by requiring the rank-one recursion to reach the
-constant tuple 1, and the chosen convention is recorded on the table.  At w,
-the class of w is prod (1 - e^alpha) over the positive roots alpha with
-w^{-1}(alpha) > 0 (``_diagonal``): the closed-form divisor of the Schubert
-expansion.
+with one exact division per distinct pair of values and root, as the
+operator takes the same value at both ends of a pair {w, w s_i} and a class
+repeats its values on the cosets of its descents (``demazure``).  The two
+sign choices that recursion leaves open (the exponent sign in the
+K-theoretic Euler product and in the Demazure denominator) are pinned by
+requiring the rank-one recursion to reach the constant tuple 1, and the
+chosen convention is recorded on the table.  At w, the class of w is prod
+(1 - e^alpha) over the positive roots alpha with w^{-1}(alpha) > 0
+(``_diagonal``): the closed-form divisor of the Schubert expansion.
 
 Those 2^n n! classes do not descend to the quaternionic flag space: each is
 nonzero at the identity, so a class fixed by the sign change -1 would also be
@@ -561,21 +562,20 @@ def point_class(n: int) -> GKMTupleT:
 
 @lru_cache(maxsize=None)
 def _demazure_steps(n, i):
-    """(w, w s_i, their positions in ``enumerate_weyl(n)``, e^{w(alpha_i)},
-    e^{w(alpha_i)} - 1) for each pair {w, w s_i} once, in that order.  w is
-    the pair's first element there: the shorter one, as that order is by
-    length, so w(alpha_i) > 0."""
+    """(w, the positions of w and w s_i in ``enumerate_weyl(n)``,
+    e^{w(alpha_i)}, e^{w(alpha_i)} - 1) for each pair {w, w s_i} once, in
+    that order.  w is the pair's first element there: the shorter one, as
+    that order is by length, so w(alpha_i) > 0."""
     s = simple_reflection(i, n)
     alpha = simple_root(i, n)
     weyl = enumerate_weyl(n)
     position = {w: k for k, w in enumerate(weyl)}
     return tuple(
-        (w, ws, position[w], position[ws],
+        (w, position[w], position[w * s],
          LaurentPoly.monomial(n, walpha), BinomialDivisor([walpha]))
         for w in weyl
         for walpha in (w.act(alpha),)
         if is_positive_root(walpha)
-        for ws in (w * s,)
     )
 
 
@@ -588,30 +588,42 @@ def demazure(i: int, f: GKMTupleT) -> GKMTupleT:
     divisor is 1 - e^{-beta} = -e^{-beta} (1 - e^beta); the unit cancels.
     So each pair {w, w s_i} takes one numerator and one exact division, at
     its first element w in ``enumerate_weyl`` order, and both fixed points
-    share the result.  The division is exact at w s_i iff it is at w, so a
-    failure raises :class:`InexactDivision` with the same (w, i, numerator)
-    as a walk over every fixed point in that order: its first failing point
-    is the first element of its pair.  Where the numerator is zero, or f_w
-    and f_{w s_i} both are (then none is formed), the pair's value is zero.
-    The operator is idempotent on valid tuples, and its result is keyed in
-    ``enumerate_weyl`` order.
+    share the result.  A class repeats its values on the cosets of its
+    descents, so many pairs repeat (f_w, f_{w s_i}, w(alpha_i)) too: one
+    numerator and one division serve each distinct pair of values, matched
+    by terms (``_content_index``) and bounds, and root, and the one quotient
+    is stored at every pair that has them.  The bounds are in the match so
+    that each quotient keeps the bound its own pair's division gives it.
+    The division is exact at w s_i iff it is at w, so a failure raises
+    :class:`InexactDivision` with the same (w, i, numerator) as a walk over
+    every fixed point in that order: its first failing point is the first
+    element of the first pair with those values and root.  Where the
+    numerator is zero, or f_w and f_{w s_i} both are (then none is formed),
+    the pair's value is zero.  The operator is idempotent on valid tuples,
+    and its result is keyed in ``enumerate_weyl`` order.
     """
     n = f.rank
-    values = f.values
     weyl = enumerate_weyl(n)
-    out = [LaurentPoly.zero(n)] * len(weyl)
-    for w, ws, k, kws, e_walpha, divisor in _demazure_steps(n, i):
-        fw, fws = values[w], values[ws]
-        if not fw and not fws:
-            continue
-        numerator = fw - e_walpha * fws
-        if not numerator:
-            continue
-        try:
-            q = divide_exact(numerator, divisor)
-        except NotDivisible:
-            raise InexactDivision(w, i, numerator) from None
-        out[k] = out[kws] = -q  # numerator = q * (e^beta - 1) = -q * (1 - e^beta)
+    values = list(map(f.values.__getitem__, weyl))
+    index, _ = _content_index(values)
+    zero = LaurentPoly.zero(n)
+    out = [zero] * len(weyl)
+    quotients = {}
+    for w, k, kws, e_walpha, divisor in _demazure_steps(n, i):
+        fw, fws = values[k], values[kws]
+        key = (index[k], index[kws], fw._bound, fws._bound, divisor.factors)
+        q = quotients.get(key)
+        if q is None:
+            q = zero
+            if fw or fws:
+                numerator = fw - e_walpha * fws
+                if numerator:
+                    try:
+                        q = -divide_exact(numerator, divisor)  # numerator / (1 - e^beta)
+                    except NotDivisible:
+                        raise InexactDivision(w, i, numerator) from None
+            quotients[key] = q
+        out[k] = out[kws] = q
     return GKMTupleT(n, dict(zip(weyl, out)))
 
 
@@ -696,7 +708,7 @@ def descent_invariance_check(table: SchubertTable):
         values = list(map(table.classes[w].values.__getitem__, weyl))
         for i in descents(w):
             if any(values[a] is not values[b] and values[a] != values[b]
-                   for _, _, a, b, _, _ in _demazure_steps(n, i)):
+                   for _, a, b, _, _ in _demazure_steps(n, i)):
                 bad.append((w, i))
     return bad
 

@@ -50,7 +50,11 @@ Perm = tuple  # one-line notation, 1-based images
 
 @dataclass(frozen=True)
 class SignedPerm:
-    """Signed permutation: perm[i] is the image of i+1, signs[i] in {-1,+1}."""
+    """Signed permutation: perm[i] is the image of i+1, signs[i] in {-1,+1}.
+
+    Its hash is computed once, as tuples look one up per fixed point.  It is
+    not a field, and a pickle carries only (perm, signs) and rebuilds it.
+    """
 
     perm: tuple
     signs: tuple
@@ -61,6 +65,13 @@ class SignedPerm:
             raise ValueError(f"{self.perm} is not a permutation of 1..{n}")
         if len(self.signs) != n or any(s not in (1, -1) for s in self.signs):
             raise ValueError(f"bad sign vector {self.signs}")
+        object.__setattr__(self, "_hash", hash((self.perm, self.signs)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), (self.perm, self.signs))
 
     @classmethod
     def identity(cls, n):

@@ -61,6 +61,7 @@ from qflagk.weylc import (
     descents,
     enumerate_sign_changes,
     enumerate_weyl,
+    is_positive_root,
     length,
     max_length_rep,
     perm_identity,
@@ -760,10 +761,37 @@ def _demazure_outcome(demazure_fn, i, f):
         return ("InexactDivision", exc.w, exc.i, exc.numerator)
 
 
-def test_demazure_matches_the_per_point_route_with_half_the_divisions(monkeypatch):
-    # every class of rank <= 3 and every simple index: equal values, and one
-    # division per pair {w, w s_i} with a nonzero numerator, half as many as
-    # the per-point route
+def _pair_bounds(i, f):
+    """Per fixed point in ``enumerate_weyl`` order, the bound of f at the
+    first element of its pair {w, w s_i}, the one with w(alpha_i) > 0: the
+    value both ends of a pair share in ``demazure``, which is the per-point
+    route's value at that end."""
+    n = f.rank
+    alpha, s = simple_root(i, n), simple_reflection(i, n)
+    return [f.values[w if is_positive_root(w.act(alpha)) else w * s]._bound
+            for w in enumerate_weyl(n)]
+
+
+def _distinct_pairs(i, f):
+    """The number of distinct (terms of f_w, terms of f_{w s_i}, both
+    bounds, w(alpha_i)) over the pairs {w, w s_i}, w(alpha_i) > 0, whose
+    numerator f_w - e^{w(alpha_i)} f_{w s_i} is nonzero."""
+    n = f.rank
+    alpha, s = simple_root(i, n), simple_reflection(i, n)
+    keys = set()
+    for w in enumerate_weyl(n):
+        beta = w.act(alpha)
+        fw, fws = f.values[w], f.values[w * s]
+        if is_positive_root(beta) and fw - LaurentPoly.monomial(n, beta) * fws:
+            keys.add((frozenset(fw.terms.items()), frozenset(fws.terms.items()),
+                      fw._bound, fws._bound, beta))
+    return len(keys)
+
+
+def test_demazure_matches_the_per_point_route_with_one_division_per_distinct_pair(monkeypatch):
+    # every class of rank <= 3 and every simple index: equal values, each
+    # pair's bound, and one division per distinct pair of values and root
+    # with a nonzero numerator, fewer than one per pair {w, w s_i}
     calls = []
 
     def counted(numerator, divisor):
@@ -771,7 +799,7 @@ def test_demazure_matches_the_per_point_route_with_half_the_divisions(monkeypatc
         return divide_exact(numerator, divisor)
 
     monkeypatch.setattr(gkm, "divide_exact", counted)
-    total = 0
+    saved = 0
     for n in (1, 2, 3):
         for cls in schubert_table(n).classes.values():
             for i in range(1, n + 1):
@@ -780,9 +808,52 @@ def test_demazure_matches_the_per_point_route_with_half_the_divisions(monkeypatc
                 got = demazure(i, cls)
                 assert got == want
                 assert list(got.values) == list(enumerate_weyl(n))
-                assert 2 * len(calls) == divisions
-                total += divisions
-    assert total
+                assert [p._bound for p in got.values.values()] == _pair_bounds(i, want)
+                assert len(calls) == _distinct_pairs(i, cls)
+                saved += divisions // 2 - len(calls)
+    assert saved
+
+
+def test_demazure_keeps_each_pairs_bound_on_values_with_equal_terms():
+    # (p + m) - m has the terms of p and a larger bound: a pair holding it
+    # must not share the quotient, and so the bound, of a pair holding p
+    n = 3
+    rng = trial_rng(23, n)
+    weyl = enumerate_weyl(n)
+    inflated = 0
+    for cls in schubert_table(n).classes.values():
+        for i in range(1, n + 1):
+            for u in rng.sample(weyl, 2):
+                p = cls.values[u]
+                m = LaurentPoly.monomial(n, (p._bound + 1,) + (0,) * (n - 1))
+                values = dict(cls.values)
+                values[u] = (p + m) - m
+                assert values[u] == p and values[u]._bound > p._bound
+                f = GKMTupleT(n, values)
+                want, _ = _demazure_by_point(i, f)
+                got = demazure(i, f)
+                assert got == want
+                assert [q._bound for q in got.values.values()] == _pair_bounds(i, want)
+                inflated += any(q._bound > r._bound for q, r in
+                                zip(got.values.values(), demazure(i, cls).values.values()))
+    assert inflated
+
+
+def test_demazure_reads_its_input_by_fixed_point_not_by_dict_order():
+    # the values keyed by equal copies of the fixed points, in shuffled
+    # order: the same values and bounds, keyed in enumerate_weyl order
+    n = 3
+    rng = trial_rng(24, n)
+    for cls in schubert_table(n).classes.values():
+        items = [(SignedPerm.from_window(w.window()), p) for w, p in cls.values.items()]
+        rng.shuffle(items)
+        shuffled = GKMTupleT(n, dict(items))
+        for i in range(1, n + 1):
+            got, want = demazure(i, shuffled), demazure(i, cls)
+            assert list(got.values) == list(enumerate_weyl(n))
+            assert got == want
+            assert [p._bound for p in got.values.values()] == \
+                [p._bound for p in want.values.values()]
 
 
 def test_demazure_witness_matches_the_per_point_route():

@@ -1,6 +1,8 @@
 """Signed permutations: reflections, length, Bruhat order, coset structure."""
 
+import dataclasses
 import math
+import pickle
 from collections import deque
 from itertools import product
 
@@ -324,6 +326,22 @@ def test_window_roundtrip():
     assert SignedPerm.from_window([-2, 1]).signs == (-1, 1)
     with pytest.raises(ValueError):
         SignedPerm.from_window([0, 1])
+
+
+def test_cached_hash_is_the_hash_of_the_fields():
+    # the hash is stored, not a field: products, copies and pickles of an
+    # element hash and compare as the enumerate_weyl instance does
+    n = 3
+    weyl = enumerate_weyl(n)
+    s = simple_reflection(2, n)
+    assert [f.name for f in dataclasses.fields(SignedPerm)] == ["perm", "signs"]
+    for w in weyl:
+        ws = w * s
+        (instance,) = [u for u in weyl if u == ws]
+        assert ws is not instance and hash(ws) == hash(instance)
+        back = pickle.loads(pickle.dumps(w))
+        assert back == w and hash(back) == hash(w) == hash((w.perm, w.signs))
+        assert repr(back) == repr(w)
 
 
 def test_perm_inversions():
