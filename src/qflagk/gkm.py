@@ -19,10 +19,11 @@ divisor, which needs no quotient.  That is exact for the X divisor too: its
 factors have the exponents e_mu - e_nu and e_mu + e_nu, distinct primitive
 vectors, so they are irreducible and not associate in the factorial ring
 Z[x^±1], and their product divides a difference iff each of them does.
-Each distinct value is reduced once per reflection, modulo all its factors
-in one pass, not at both ends of every edge: the tuples repeat their
-values, as a Schubert class does on the cosets of its descent parabolic and
-a pullback on the cosets of the sign changes.
+Each distinct value is reduced once per reflection, one pass over its
+terms per factor with its leading exponents read once, not at both ends of
+every edge: the tuples repeat their values, as a Schubert class does on the
+cosets of its descent parabolic and a pullback on the cosets of the sign
+changes.
 
 Schubert classes are built by the Demazure recursion from the point class,
 with one exact division per distinct pair of values and root, as the
@@ -806,14 +807,14 @@ def _diagonal_roots(w: SignedPerm):
 
 def _diagonal(w: SignedPerm) -> LaurentPoly:
     """The class of w at w: prod (1 - e^alpha) over ``_diagonal_roots(w)``,
-    formed as (-1)^k prod (e^alpha - 1) in the term order of
-    ``BinomialDivisor.as_poly``: the Demazure steps from the point class run
-    about 3% faster on it than on the order of prod (1 - e^alpha)."""
+    formed as (-1)^k ``BinomialDivisor(roots).as_poly()``, in its term
+    order: the Demazure steps from the point class run about 3% faster on it
+    than on the order of prod (1 - e^alpha).  It is 1 at the longest element
+    -1, which has no such roots."""
     roots = _diagonal_roots(w)
-    out = LaurentPoly.one(w.rank)
-    for a in roots:
-        out = out * (LaurentPoly.monomial(w.rank, a) - 1)
-    return (-1) ** len(roots) * out
+    if not roots:
+        return LaurentPoly.one(w.rank)
+    return (-1) ** len(roots) * BinomialDivisor(roots).as_poly()
 
 
 def expand_in_schubert(f: GKMTupleT, basis):

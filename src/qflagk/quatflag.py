@@ -342,15 +342,12 @@ def u_membership(u: QMatrix, tau: Perm) -> bool:
     if len(tau) != n:
         raise ValueError("size mismatch")
     free = set(free_positions(tau))
-    for mu in range(n):
-        for nu in range(n):
-            e = u.entries[mu][nu]
-            if mu == nu:
-                if e != _Q1:
-                    return False
-            elif (mu + 1, nu + 1) not in free and not e.is_zero():
-                return False
-    return True
+    return u.is_unit_upper_triangular() and all(
+        u.entries[mu][nu].is_zero()
+        for mu in range(n)
+        for nu in range(mu + 1, n)
+        if (mu + 1, nu + 1) not in free
+    )
 
 
 def bruhat_decompose(g: QMatrix):
@@ -393,11 +390,7 @@ def conjugate_by_diagonal(gamma, u: QMatrix) -> QMatrix:
     n = u.n
     if len(gamma) != n:
         raise ValueError("size mismatch")
-    inv = []
-    for q in gamma:
-        if q.is_zero():
-            raise ZeroDivisionError("diagonal entries must be invertible")
-        inv.append(q.inverse())
+    inv = [q.inverse() for q in gamma]  # ZeroDivisionError on a zero entry
     return QMatrix(tuple(
         tuple(gamma[mu] * u.entries[mu][nu] * inv[nu] for nu in range(n))
         for mu in range(n)

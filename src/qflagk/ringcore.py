@@ -42,13 +42,13 @@ its result before it forms a key:
   (d = 1, max|F| = 1), so its transient figure is ``bound + (hi - lo)``;
   its witness f(X_mu := X_nu) reaches ``bound + hi``, checked before it
   is formed.
-* The residue of a term modulo e^F - 1 (``_residues``: one value, every
-  factor of one edge group in one pass over its terms) moves it by
-  -t F with |t| <= 2 * bound // |d|, so it reaches at most ``bound + 2 *
-  bound // |d| * max|F|``, which is also what the long division of a
-  difference of two values within the bound can reach.  At or beyond the
-  limit no residue is formed: the division decides, or raises
-  ``OverflowError``.
+* The residue of a term modulo e^F - 1 (``_residues``: one value, one pass
+  over its terms per factor of an edge group, the leading exponents read
+  once for all of them) moves it by -t F with |t| <= 2 * bound // |d|, so
+  it reaches at most ``bound + 2 * bound // |d| * max|F|``, which is also
+  what the long division of a difference of two values within the bound
+  can reach.  At or beyond the limit no residue is formed: the division
+  decides, or raises ``OverflowError``.
 * ``weyl_act_poly`` permutes and negates exponents; ``x_expand`` and
   ``basis_decompose`` write x^k through X^j with |j| <= |k| and the other
   way round: all three keep the bound.
@@ -193,7 +193,8 @@ def _render(items, var):
 
 
 class _PolyBase:
-    """Shared plumbing for the two concrete polynomial classes."""
+    """Shared plumbing for the two concrete polynomial classes, which differ
+    in ``_letter``, the name of their variables, and ``_check_exps``."""
 
     __slots__ = ("rank", "_packed", "_bound")
 
@@ -206,7 +207,7 @@ class _PolyBase:
             exps = tuple(exps)
             if len(exps) != rank:
                 raise ValueError(f"exponent vector {exps} has wrong length for rank {rank}")
-            if any(not isinstance(e, int) for e in exps):
+            if any(type(e) is not int for e in exps):  # not bool, nor 1.5
                 raise TypeError(f"exponents must be integers: {exps}")
             self._check_exps(exps)
             top = max(map(abs, exps))
@@ -362,6 +363,9 @@ class _PolyBase:
             return 0
         return self._packed.get(_pack(exps), 0)
 
+    def __str__(self):
+        return _render(self._items(), self._letter)
+
     def __repr__(self):
         return f"{type(self).__name__}({self.rank}, {self})"
 
@@ -376,52 +380,39 @@ class _PolyBase:
     def from_json(cls, rank, data):
         terms = {}
         for coeff, exps in data:
-            if any(type(e) is not int for e in exps):
-                raise ValueError(f"exponents must be integers: {exps!r}")
             exps = tuple(exps)
             terms[exps] = terms.get(exps, 0) + int(str(coeff))  # str(): true and 1.5 are not integers
         return cls(rank, terms)
+
+
+def _variable(cls, rank, i):
+    """The variable x_i of ``LaurentPoly`` or X_i of ``XPoly`` (1-based)."""
+    if not 1 <= i <= rank:
+        raise ValueError(f"variable index {i} out of range for rank {rank}")
+    exps = [0] * rank
+    exps[i - 1] = 1
+    return cls.monomial(rank, exps)
 
 
 class LaurentPoly(_PolyBase):
     """Element of Z[x1^±1,...,xn^±1], a finitely supported exponent->int map."""
 
     __slots__ = ()
-
-    @classmethod
-    def x(cls, rank, i):
-        """The variable x_i (1-based)."""
-        if not 1 <= i <= rank:
-            raise ValueError(f"variable index {i} out of range for rank {rank}")
-        exps = [0] * rank
-        exps[i - 1] = 1
-        return cls(rank, {tuple(exps): 1})
-
-    def __str__(self):
-        return _render(self._items(), "x")
+    _letter = "x"
+    x = classmethod(_variable)
 
 
 class XPoly(_PolyBase):
     """Element of Z[X1,...,Xn]; exponents are nonnegative."""
 
     __slots__ = ()
+    _letter = "X"
+    X = classmethod(_variable)
 
     @staticmethod
     def _check_exps(exps):
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in XPoly term {exps}")
-
-    @classmethod
-    def X(cls, rank, i):
-        """The generator X_i (1-based)."""
-        if not 1 <= i <= rank:
-            raise ValueError(f"variable index {i} out of range for rank {rank}")
-        exps = [0] * rank
-        exps[i - 1] = 1
-        return cls(rank, {tuple(exps): 1})
-
-    def __str__(self):
-        return _render(self._items(), "X")
 
 
 class BinomialDivisor:
@@ -543,9 +534,9 @@ def _residues(f, steps, leads):
     """The residues of ``f`` modulo the factors x^F - 1 of one edge group,
     ``steps`` their entries of ``BinomialDivisor._steps``, all led by x_v,
     with ``leads`` from ``_leading_exponents(f, v)``: a tuple of packed term
-    dicts, one per factor, in which terms that cancelled keep a zero
-    coefficient (``_same_residue`` compares two residues); or None where one
-    of them could leave the exponent limit.
+    dicts, one pass over the terms per factor, in which terms that cancelled
+    keep a zero coefficient (``_same_residue`` compares two residues); or
+    None where one of them could leave the exponent limit.
 
     The residue of a term c x^k is c x^(k - t F), t = floor(e_v / d), with
     e_v its exponent in x_v and d the factor's exponent there: x^F is 1
@@ -564,25 +555,17 @@ def _residues(f, steps, leads):
         if bound + 2 * bound // abs(d) * fmax >= EXPONENT_LIMIT:
             return None
     packed = f._packed
-    # per factor, t = floor(e_v / d) of each term; d = 2 only on T's long roots
-    ts = [leads if d == 1 else [e // d for e in leads] for _, _, d, _, _ in steps]
-    if len(steps) == 2:
-        (_, _, _, key, _), (_, _, _, other, _) = steps
-        residue, second = {}, {}
-        get, get2 = residue.get, second.get
-        for k, c, t, t2 in zip(packed, packed.values(), *ts):
+    out = []
+    for _, _, d, key, _ in steps:
+        # t = floor(e_v / d) of each term; d = 2 only on T's long roots
+        ts = leads if d == 1 else [e // d for e in leads]
+        residue = {}
+        get = residue.get
+        for k, c, t in zip(packed, packed.values(), ts):
             r = k - t * key
             residue[r] = get(r, 0) + c
-            r = k - t2 * other
-            second[r] = get2(r, 0) + c
-        return residue, second
-    ((_, _, _, key, _),) = steps
-    residue = {}
-    get = residue.get
-    for k, c, t in zip(packed, packed.values(), *ts):
-        r = k - t * key
-        residue[r] = get(r, 0) + c
-    return (residue,)
+        out.append(residue)
+    return tuple(out)
 
 
 def _same_residue(a, b):
@@ -742,22 +725,19 @@ def basis_decompose(f: LaurentPoly) -> dict:
     return {eps: XPoly._trusted(n, terms, f._bound) for eps, terms in out.items()}
 
 
-def _flip_var(packed, rank, v):
-    # the sign change x_v -> x_v^{-1} on a packed term dict
-    shift = FIELD_BITS * v
-    return {k - (2 * _unpack(k, rank)[v] << shift): c for k, c in packed.items()}
-
-
 def sym_in_x(f: LaurentPoly) -> XPoly:
-    """Invert x_expand on sign-change-invariant Laurent polynomials.
+    """Invert x_expand on sign-change-invariant Laurent polynomials: the
+    component at eps = 0 of ``basis_decompose``.
 
-    Raises :class:`NotInvariant` with a witnessing sign-change index when f
-    is moved by some x_v -> x_v^{-1}.
+    The sign change x_v -> x_v^{-1} sends x_v^{-1} to X_v - x_v^{-1}, so it
+    moves f exactly when a component with eps_v = -1 is nonzero.  Raises
+    :class:`NotInvariant` at the least such v, 1-based.
     """
-    for v in range(f.rank):
-        if _flip_var(f._packed, f.rank, v) != f._packed:
-            raise NotInvariant(v + 1)
-    return basis_decompose(f)[(0,) * f.rank]
+    parts = basis_decompose(f)
+    moved = [eps.index(-1) for eps, c in parts.items() if c and -1 in eps]
+    if moved:
+        raise NotInvariant(min(moved) + 1)
+    return parts[(0,) * f.rank]
 
 
 def sigma_k(k: int, args) -> object:

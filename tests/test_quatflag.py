@@ -229,6 +229,22 @@ def test_u_membership_examples():
     assert u_membership(u, (2, 1))
 
 
+def test_u_membership_needs_a_unit_upper_triangular_matrix():
+    # every position above the diagonal is free in the cell of the longest
+    # permutation, so only the diagonal and the lower triangle can fail
+    longest = (3, 2, 1)
+    u = QMatrix.from_rows([[ONE, I, J], [ZERO, ONE, K], [ZERO, ZERO, ONE]])
+    assert u_membership(u, longest)
+    for diagonal in (ZERO, I, Quaternion(2, 0, 0, 0), -ONE):
+        rows = [list(row) for row in u.entries]
+        rows[1][1] = diagonal
+        assert not u_membership(QMatrix.from_rows(rows), longest)
+    for mu, nu in ((1, 0), (2, 0), (2, 1)):
+        rows = [list(row) for row in u.entries]
+        rows[mu][nu] = J
+        assert not u_membership(QMatrix.from_rows(rows), longest)
+
+
 def test_free_position_count_matches_inversions():
     for n in (2, 3, 4):
         for tau in all_perms(n):

@@ -78,6 +78,26 @@ def test_xpoly_rejects_negative_exponents():
         XPoly(2, {(1, -1): 1})
 
 
+def test_exponents_must_be_exactly_int():
+    with pytest.raises(TypeError):
+        LaurentPoly(1, {(True,): 1})  # bool subclasses int, but is no exponent
+    with pytest.raises(TypeError):
+        XPoly(2, {(1, 1.0): 1})
+    with pytest.raises(TypeError):
+        LaurentPoly.from_json(2, [["1", [0, False]]])
+
+
+@pytest.mark.parametrize("variable", [LaurentPoly.x, XPoly.X])
+def test_variables_reject_indices_out_of_range(variable):
+    for rank in (1, 2, 3):
+        assert [variable(rank, i).terms for i in range(1, rank + 1)] == [
+            {tuple(int(v == i) for v in range(1, rank + 1)): 1} for i in range(1, rank + 1)
+        ]
+        for i in (0, rank + 1):
+            with pytest.raises(ValueError):
+                variable(rank, i)
+
+
 def test_binomial_divisor_validation():
     with pytest.raises(ValueError):
         BinomialDivisor([(0, 0)])
@@ -272,6 +292,45 @@ def test_sym_in_x_roundtrip_and_witness():
     with pytest.raises(NotInvariant) as exc:
         sym_in_x(x(2))
     assert exc.value.sign_index == 2
+
+
+def _least_moving_sign_change(f):
+    """The least v, 1-based, whose x_v -> x_v^{-1} changes the term dict of
+    f, or None when no sign change moves f."""
+    terms = f.terms
+    for v in range(f.rank):
+        flipped = {e[:v] + (-e[v],) + e[v + 1:]: c for e, c in terms.items()}
+        if flipped != terms:
+            return v + 1
+    return None
+
+
+def test_sym_in_x_witness_is_the_least_moving_sign_change():
+    # invariant parts plus monomials symmetrized over a random set of
+    # variables: moved by some variables and fixed by others, in any order
+    rng = random.Random(47)
+    seen = set()
+    for n in (1, 2, 3):
+        for _ in range(60):
+            g = XPoly(n, {tuple(rng.randint(0, 2) for _ in range(n)): rng.randint(-3, 3)})
+            f = x_expand(g)
+            for _ in range(rng.randint(1, 3)):
+                m = tuple(rng.randint(-2, 2) for _ in range(n))
+                fixed = [v for v in range(n) if rng.random() < 0.5]
+                orbit = {m}
+                for v in fixed:
+                    orbit |= {e[:v] + (-e[v],) + e[v + 1:] for e in orbit}
+                c = rng.randint(-2, 2)
+                f = f + LaurentPoly(n, {e: c for e in orbit})
+            want = _least_moving_sign_change(f)
+            seen.add((n, want))
+            if want is None:
+                assert x_expand(sym_in_x(f)) == f
+                continue
+            with pytest.raises(NotInvariant) as exc:
+                sym_in_x(f)
+            assert exc.value.sign_index == want
+    assert seen >= {(1, None), (1, 1), (2, None), (2, 1), (2, 2), (3, None), (3, 1), (3, 2), (3, 3)}
 
 
 # ---------------------------------------------------------------------------
