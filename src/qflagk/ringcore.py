@@ -380,6 +380,8 @@ class _PolyBase:
     def from_json(cls, rank, data):
         terms = {}
         for coeff, exps in data:
+            if any(type(e) is not int for e in exps):  # (True,) would merge into (1,)
+                raise TypeError(f"exponents must be integers: {exps!r}")
             exps = tuple(exps)
             terms[exps] = terms.get(exps, 0) + int(str(coeff))  # str(): true and 1.5 are not integers
         return cls(rank, terms)
@@ -413,6 +415,14 @@ class XPoly(_PolyBase):
     def _check_exps(exps):
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in XPoly term {exps}")
+
+
+def _binomial_product(rank, factors):
+    """prod (x^F - 1) over ``factors``, in their order; 1 if there are none."""
+    out = LaurentPoly.one(rank)
+    for f in factors:
+        out = out * (LaurentPoly.monomial(rank, f) - 1)
+    return out
 
 
 class BinomialDivisor:
@@ -450,10 +460,7 @@ class BinomialDivisor:
         self._steps = tuple(steps)
 
     def as_poly(self):
-        out = LaurentPoly.one(self.rank)
-        for f in self.factors:
-            out = out * (LaurentPoly.monomial(self.rank, f) - 1)
-        return out
+        return _binomial_product(self.rank, self.factors)
 
     def __repr__(self):
         pieces = "".join(f"({_render([(f, 1)], 'x')} - 1)" for f in self.factors)

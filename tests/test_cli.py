@@ -709,12 +709,15 @@ T1 ={"model": "T", "rank": 1, "values": {"[1]": [["1", [0]]], "[-1]": [["1", [0]
     ("T", 1, {**T1, "rank": True}),
     ("T", 1, {**T1, "rank": 1.9}),
     ("T", 1, {**T1, "values": {"[1]": [["1", [True]]], "[-1]": [["1", [0]]]}}),
+    ("T", 1, {**T1, "values": {"[1]": [["1", [1]], ["1", [True]]], "[-1]": [["1", [0]]]}}),
+    ("T", 1, {**T1, "values": {"[1]": [["1", [1]], ["1", [1.0]]], "[-1]": [["1", [0]]]}}),
     ("T", 1, {**T1, "values": {"[1]": [[True, [0]]], "[-1]": [["1", [0]]]}}),
     ("X", 2, {"model": "X", "rank": 2,
               "values": {"[true,2]": [["1", [0, 0]]], "[2,1]": [["1", [0, 0]]]}}),
     ("X", 2, {"model": "X", "rank": 2,
               "values": {'["1","2"]': [["1", [0, 0]]], '["2","1"]': [["1", [0, 0]]]}}),
-], ids=["rank-bool", "rank-float", "exponent-bool", "coefficient-bool", "vertex-bool",
+], ids=["rank-bool", "rank-float", "exponent-bool",
+        "exponent-bool-after-int", "exponent-float-after-int", "coefficient-bool", "vertex-bool",
         "vertex-string"])
 def test_tuple_integers_must_be_integers(tmp_path, capsys, model, n, doc):
     p = tmp_path / "t.json"

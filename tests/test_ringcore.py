@@ -85,6 +85,10 @@ def test_exponents_must_be_exactly_int():
         XPoly(2, {(1, 1.0): 1})
     with pytest.raises(TypeError):
         LaurentPoly.from_json(2, [["1", [0, False]]])
+    # an int key first: (True,) and (1.0,) hash like (1,) and would merge into it
+    for late in (True, 1.0):
+        with pytest.raises(TypeError):
+            LaurentPoly.from_json(1, [["1", [1]], ["1", [late]]])
 
 
 @pytest.mark.parametrize("variable", [LaurentPoly.x, XPoly.X])
