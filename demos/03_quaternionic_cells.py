@@ -5,25 +5,20 @@ Every invertible quaternionic matrix factors as u * p_tau * b with b upper
 triangular and u unit upper triangular, supported on a constrained set of
 positions of size equal to the inversion number of tau.  The permutation can
 also be read off the flag directly, from the jumps of the intersection
-dimensions with the coordinate subspaces.
+dimensions with the coordinate subspaces.  The cell of tau has real
+dimension 4 * inv(tau), and the closure order on cells is the Bruhat order
+of the symmetric group.
 """
 
-from qflagk.quatflag import (
-    CellDescriptor,
-    bruhat_decompose,
-    cell_index,
-    closure_leq,
-    free_positions,
-    perm_matrix,
-)
+from qflagk.quatflag import bruhat_decompose, cell_index, free_positions, perm_matrix
 from qflagk.randgen import random_invertible_matrix, random_upper_triangular, trial_rng
-from qflagk.weylc import all_perms
+from qflagk.weylc import all_perms, bruhat_leq
 
 n = 3
 print("cells at rank 3, their dimensions and free coordinate slots:")
 for tau in all_perms(n):
-    desc = CellDescriptor.for_perm(tau)
-    print(f"  tau = {tau}: real dimension {desc.dimension}, free slots {free_positions(tau)}")
+    free = free_positions(tau)
+    print(f"  tau = {tau}: real dimension {4 * len(free)}, free slots {free}")
 print()
 
 rng = trial_rng(2026, 0)
@@ -42,5 +37,5 @@ print()
 print("closure order among the 3-letter cells (rows contain columns):")
 perms = all_perms(n)
 for a in perms:
-    row = "".join("x" if closure_leq(b, a) else "." for b in perms)
+    row = "".join("x" if bruhat_leq(b, a) else "." for b in perms)
     print(f"  {a}: {row}")

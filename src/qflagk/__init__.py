@@ -27,9 +27,8 @@ _EXPORTS = {
         "reflection", "simple_reflection",
     ),
     "quatflag": (
-        "CellDescriptor", "QMatrix", "Quaternion", "SingularMatrix", "bruhat_decompose",
-        "cell_index", "closure_leq", "conjugate_by_diagonal", "perm_matrix",
-        "u_membership",
+        "QMatrix", "Quaternion", "SingularMatrix", "bruhat_decompose", "cell_index",
+        "perm_matrix", "u_membership",
     ),
     "gkm": (
         "GKMTupleG", "GKMTupleT", "GKMTupleX", "InexactDivision", "NotInTupleSpan",

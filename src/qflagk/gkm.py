@@ -365,6 +365,8 @@ class _GKMTuple:
     @classmethod
     def from_json(cls, data):
         m = cls.model
+        if data.get("model") != m.name:
+            raise ValueError(f"tuple is tagged model {data.get('model')!r}, expected {m.name!r}")
         rank = data["rank"]
         if type(rank) is not int:  # not bool, which subclasses int, nor 1.5
             raise ValueError(f"rank must be an integer: {rank!r}")

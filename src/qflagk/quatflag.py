@@ -19,20 +19,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .weylc import Perm, bruhat_leq, perm_identity, perm_inverse, perm_inversions
+from .weylc import Perm, perm_identity, perm_inverse
 
 __all__ = [
     "Quaternion",
     "QMatrix",
-    "CellDescriptor",
     "SingularMatrix",
     "perm_matrix",
     "bruhat_decompose",
     "u_membership",
     "free_positions",
-    "conjugate_by_diagonal",
     "cell_index",
-    "closure_leq",
 ]
 
 
@@ -97,18 +94,6 @@ class Quaternion:
     def one(cls):
         return cls(1, 0, 0, 0)
 
-    @classmethod
-    def i(cls):
-        return cls(0, 1, 0, 0)
-
-    @classmethod
-    def j(cls):
-        return cls(0, 0, 1, 0)
-
-    @classmethod
-    def k(cls):
-        return cls(0, 0, 0, 1)
-
     def __add__(self, other):
         a1, b1, c1, d1 = self._x
         a2, b2, c2, d2 = other._x
@@ -141,10 +126,6 @@ class Quaternion:
     def conjugate(self):
         a, b, c, d = self._x
         return _trusted(a, -b, -c, -d, self._den)
-
-    def norm2(self) -> Fraction:
-        a, b, c, d = self._x
-        return Fraction(a * a + b * b + c * c + d * d, self._den * self._den)
 
     def is_zero(self):
         return not any(self._x)
@@ -253,30 +234,6 @@ class QMatrix:
             self.entries[i][i] == _Q1 for i in range(self.n)
         )
 
-    def inverse(self):
-        """Gauss-Jordan with left row operations (left H-module convention)."""
-        n = self.n
-        m = [list(row) for row in self.entries]
-        inv = [list(row) for row in QMatrix.identity(n).entries]
-        for col in range(n):
-            pivot_row = next(
-                (r for r in range(col, n) if not m[r][col].is_zero()), None
-            )
-            if pivot_row is None:
-                raise SingularMatrix("matrix is not invertible")
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-            p = m[col][col].inverse()
-            m[col] = [p * e for e in m[col]]
-            inv[col] = [p * e for e in inv[col]]
-            for r in range(n):
-                if r == col or m[r][col].is_zero():
-                    continue
-                lam = m[r][col]
-                m[r] = [e - lam * f for e, f in zip(m[r], m[col])]
-                inv[r] = [e - lam * f for e, f in zip(inv[r], inv[col])]
-        return QMatrix(tuple(tuple(row) for row in inv))
-
     def __repr__(self):
         return f"QMatrix({self.n}x{self.n})"
 
@@ -288,18 +245,6 @@ class QMatrix:
         return cls(tuple(
             tuple(Quaternion.from_json(q) for q in row) for row in data
         ))
-
-
-@dataclass(frozen=True)
-class CellDescriptor:
-    """A Bruhat cell: indexed by a permutation, of real dimension 4 * inversions."""
-
-    tau: Perm
-    dimension: int
-
-    @classmethod
-    def for_perm(cls, tau: Perm):
-        return cls(tuple(tau), 4 * perm_inversions(tau))
 
 
 def perm_matrix(tau: Perm) -> QMatrix:
@@ -385,18 +330,6 @@ def bruhat_decompose(g: QMatrix):
     return QMatrix(tuple(tuple(r) for r in u)), tau, b
 
 
-def conjugate_by_diagonal(gamma, u: QMatrix) -> QMatrix:
-    """Entrywise gamma_mu * u_{mu,nu} * gamma_nu^{-1} for invertible diagonal gamma."""
-    n = u.n
-    if len(gamma) != n:
-        raise ValueError("size mismatch")
-    inv = [q.inverse() for q in gamma]  # ZeroDivisionError on a zero entry
-    return QMatrix(tuple(
-        tuple(gamma[mu] * u.entries[mu][nu] * inv[nu] for nu in range(n))
-        for mu in range(n)
-    ))
-
-
 def _pivot_columns(rows):
     """The last-nonzero column, 0-based, that each row claims in left reduction.
 
@@ -438,7 +371,3 @@ def cell_index(g: QMatrix) -> Perm:
     """
     return tuple(c + 1 for c in _pivot_columns(g.conj_transpose().entries))
 
-
-def closure_leq(tau_small: Perm, tau_big: Perm) -> bool:
-    """Closure order on cells: the Bruhat order of the symmetric group."""
-    return bruhat_leq(tuple(tau_small), tuple(tau_big))

@@ -279,7 +279,8 @@ def bruhat_leq(v, w) -> bool:
 
     Accepts two signed permutations or two plain permutations (tuples); plain
     permutations are compared inside S_n, which sits in the signed group as
-    the elements with all signs positive.
+    the elements with all signs positive.  The closure order on the Bruhat
+    cells of the quaternionic flag space is this order on plain permutations.
     """
     if isinstance(v, SignedPerm) != isinstance(w, SignedPerm):
         raise TypeError("compare two SignedPerm or two plain permutations")

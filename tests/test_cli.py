@@ -36,6 +36,31 @@ def test_verify_cells_suite(capsys):
     assert rc == 0, out
 
 
+def _cells_violations(capsys):
+    rc, out, _ = run(capsys, "verify", "--suite", "cells", "--n", "3", "--trials", "3",
+                     "--format", "json")
+    report = json.loads(out)
+    assert rc == 1 and report["passed"] == report["checks"] - 1
+    return report["violations"]
+
+
+def test_verify_cells_reports_a_wrong_cell_dimension(capsys, monkeypatch):
+    real = quatflag.free_positions
+    tau = (3, 1, 2)
+    monkeypatch.setattr(
+        quatflag, "free_positions", lambda t: real(t)[1:] if t == tau else real(t))
+    assert _cells_violations(capsys) == [{"check": "cell-dimension", "tau": list(tau)}]
+
+
+def test_verify_cells_reports_a_wrong_closure_order(capsys, monkeypatch):
+    real = weylc.bruhat_leq
+    pair = ((2, 1, 3), (1, 3, 2))  # incomparable, so the flip says a <= b
+    monkeypatch.setattr(
+        weylc, "bruhat_leq", lambda a, b: (not real(a, b)) if (a, b) == pair else real(a, b))
+    assert _cells_violations(capsys) == [
+        {"check": "closure-vs-oracle", "a": list(pair[0]), "b": list(pair[1])}]
+
+
 def test_verify_rank_one_trivial_suites(capsys):
     # rank one has no index pairs: theorem2 is vacuous, theorem1 holds
     rc, out, _ = run(capsys, "verify", "--suite", "theorem2", "--n", "1", "--trials", "3")
@@ -463,7 +488,7 @@ def test_check_wrong_model_tag(tmp_path, capsys):
     p = tmp_path / "t.json"
     _write_tuple(p, gkm.GKMTupleT.constant(2, 1))
     rc, _, err = run(capsys, "check", "--model", "X", "--input", str(p))
-    assert rc == 2
+    assert rc == 2 and "cannot read tuple: tuple is tagged model 'T', expected 'X'" in err
 
 
 # ---------------------------------------------------------------------------

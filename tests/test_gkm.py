@@ -1219,6 +1219,21 @@ def test_serialization_roundtrip_all_models():
     assert set(data["classes"]) == {"[1]", "[-1]"}
 
 
+def test_tuple_codec_reads_only_its_own_model_tag():
+    # G and X values share one term codec, so without the tag a G-class
+    # would load as an X-tuple that is not X-valid
+    q = next(iter(quaternionic_schubert_classes(3).values()))
+    with pytest.raises(ValueError, match="tagged model 'G', expected 'X'"):
+        GKMTupleX.from_json(q.to_json())
+    data = GKMTupleT.constant(2, 1).to_json()
+    for tag in ("G", "X", "t", None):
+        with pytest.raises(ValueError, match="tagged model"):
+            GKMTupleT.from_json({**data, "model": tag})
+    del data["model"]
+    with pytest.raises(ValueError, match="tagged model None"):
+        GKMTupleT.from_json(data)
+
+
 def test_pullback_descend_inverse_from_the_invariant_side():
     # the other direction of the bijection: invariant T-tuple -> X -> back
     from qflagk.randgen import random_invariant_t_tuple

@@ -8,14 +8,11 @@ from fractions import Fraction
 import pytest
 
 from qflagk.quatflag import (
-    CellDescriptor,
     QMatrix,
     Quaternion,
     SingularMatrix,
     bruhat_decompose,
     cell_index,
-    closure_leq,
-    conjugate_by_diagonal,
     free_positions,
     perm_matrix,
     u_membership,
@@ -23,6 +20,7 @@ from qflagk.quatflag import (
 from qflagk.randgen import random_invertible_matrix, random_upper_triangular, trial_rng
 from qflagk.weylc import (
     all_perms,
+    bruhat_leq,
     bruhat_leq_by_rank_matrix,
     perm_compose,
     perm_identity,
@@ -31,7 +29,7 @@ from qflagk.weylc import (
 
 ONE = Quaternion.one()
 ZERO = Quaternion.zero()
-I, J, K = Quaternion.i(), Quaternion.j(), Quaternion.k()
+I, J, K = Quaternion(0, 1, 0, 0), Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -51,8 +49,7 @@ def test_multiplication_table():
 def test_conjugate_and_norm():
     q = Quaternion(1, 2, -3, Fraction(1, 2))
     assert q.conjugate() == Quaternion(1, -2, 3, Fraction(-1, 2))
-    assert q.norm2() == 1 + 4 + 9 + Fraction(1, 4)
-    assert (q * q.conjugate()).a == q.norm2()
+    assert q * q.conjugate() == Quaternion(1 + 4 + 9 + Fraction(1, 4), 0, 0, 0)
 
 
 def test_inverse():
@@ -109,7 +106,6 @@ def test_quaternion_arithmetic_matches_fraction_reference():
         assert _ref(p * q) == _ref_mul(x, y)
         assert _ref(p.conjugate()) == (x[0], -x[1], -x[2], -x[3])
         n2 = sum(s * s for s in x)
-        assert p.norm2() == n2 and type(p.norm2()) is Fraction
         if n2:
             assert _ref(p.inverse()) == tuple(s / n2 for s in _ref(p.conjugate()))
             assert p * p.inverse() == ONE == p.inverse() * p
@@ -168,18 +164,8 @@ def test_quaternion_pickles_and_copies():
 # matrices
 # ---------------------------------------------------------------------------
 
-def test_matrix_inverse_roundtrip():
-    rng = trial_rng(1, 0)
-    for t in range(10):
-        m = random_invertible_matrix(trial_rng(1, t), 3)
-        assert m * m.inverse() == QMatrix.identity(3)
-        assert m.inverse() * m == QMatrix.identity(3)
-
-
 def test_singular_matrix_detected():
     rows = [[ONE, ONE], [ONE, ONE]]
-    with pytest.raises(SingularMatrix):
-        QMatrix.from_rows(rows).inverse()
     with pytest.raises(SingularMatrix):
         bruhat_decompose(QMatrix.from_rows(rows))
     with pytest.raises(SingularMatrix):
@@ -206,7 +192,6 @@ def test_perm_matrix_examples():
     anti = perm_matrix((2, 1))
     assert anti.entries[0][0] == ZERO and anti.entries[0][1] == ONE
     assert anti.entries[1][0] == ONE and anti.entries[1][1] == ZERO
-    assert anti * anti.inverse() == QMatrix.identity(2)
 
 
 def test_perm_matrix_is_a_homomorphism():
@@ -249,40 +234,6 @@ def test_free_position_count_matches_inversions():
     for n in (2, 3, 4):
         for tau in all_perms(n):
             assert len(free_positions(tau)) == perm_inversions(tau)
-
-
-def test_cell_descriptor_dimension():
-    for tau in all_perms(3):
-        assert CellDescriptor.for_perm(tau).dimension == 4 * perm_inversions(tau)
-
-
-# ---------------------------------------------------------------------------
-# diagonal conjugation
-# ---------------------------------------------------------------------------
-
-def test_conjugate_by_identity_diagonal():
-    u = QMatrix.from_rows([[ONE, J], [ZERO, ONE]])
-    assert conjugate_by_diagonal([ONE, ONE], u) == u
-
-
-def test_conjugate_preserves_membership():
-    for t in range(20):
-        rng = trial_rng(3, t)
-        g = random_invertible_matrix(rng, 3)
-        u, tau, _ = bruhat_decompose(g)
-        gamma = []
-        while len(gamma) < 3:
-            q = Quaternion(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3))
-            if not q.is_zero():
-                gamma.append(q)
-        assert u_membership(conjugate_by_diagonal(gamma, u), tau)
-
-
-def test_conjugate_rank_one():
-    u = QMatrix.identity(1)
-    assert conjugate_by_diagonal([J], u) == u
-    with pytest.raises(ZeroDivisionError):
-        conjugate_by_diagonal([ZERO], u)
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +318,15 @@ def test_cell_membership_under_free_entries():
 
 def test_closure_order_examples():
     for tau in all_perms(3):
-        assert closure_leq(perm_identity(3), tau)
-    assert not closure_leq((3, 2, 1), (2, 1, 3))
+        assert bruhat_leq(perm_identity(3), tau)
+    assert not bruhat_leq((3, 2, 1), (2, 1, 3))
 
 
 def test_closure_order_matches_rank_matrix_oracle():
     for a in all_perms(3):
         for b in all_perms(3):
-            assert closure_leq(a, b) == bruhat_leq_by_rank_matrix(a, b)
-            if closure_leq(a, b) and a != b:
+            assert bruhat_leq(a, b) == bruhat_leq_by_rank_matrix(a, b)
+            if bruhat_leq(a, b) and a != b:
                 assert perm_inversions(a) < perm_inversions(b)
 
 
@@ -413,10 +364,9 @@ def test_singular_means_a_left_combination_of_flag_rows():
     left = [I * x + J * y for x, y in zip(a1, a2)]
     right = [x * I + y * J for x, y in zip(a1, a2)]
     g = QMatrix((tuple(a1), tuple(a2), tuple(left))).conj_transpose()
-    for route in (cell_index, bruhat_decompose, QMatrix.inverse):
+    for route in (cell_index, bruhat_decompose):
         with pytest.raises(SingularMatrix):
             route(g)
     g = QMatrix((tuple(a1), tuple(a2), tuple(right))).conj_transpose()
     _, tau, _ = bruhat_decompose(g)
     assert cell_index(g) == tau
-    assert g * g.inverse() == QMatrix.identity(3)
