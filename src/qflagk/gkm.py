@@ -53,7 +53,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import ClassVar
 
 from .ringcore import (
@@ -76,6 +76,8 @@ from .ringcore import (
 from .weylc import (
     SignedPerm,
     _key,
+    _times_simple,
+    _window_descents,
     all_perms,
     coset_map,
     descents,
@@ -212,20 +214,30 @@ def _pair_divisor(n, mu, nu):
     return BinomialDivisor([hi, lo])
 
 
+def _value_map(window):
+    """Left multiplication by the element with this window, as a map on the
+    signed values of a label: v to w_v and -v to -w_v."""
+    image = dict(enumerate(window, 1))
+    image.update({-v: -x for v, x in image.items()})
+    return image
+
+
 def _root_reflections(n):
+    """Per positive root alpha, s_alpha on signed values: a <-> b for
+    L^a - L^b, a -> -b and b -> -a for L^a + L^b, a -> -a for 2L^a."""
     for alpha in positive_roots(n):
-        yield alpha, reflection(alpha).__mul__, BinomialDivisor([alpha])
+        yield alpha, _value_map(reflection(alpha).window()), BinomialDivisor([alpha])
 
 
 def _pair_reflections(factors):
     """The transposition edges, each with the first ``factors`` factors of
-    ``_pair_divisor``: both for X, and X_mu X_nu^{-1} - 1 alone for G."""
+    ``_pair_divisor``: both for X, and X_mu X_nu^{-1} - 1 alone for G.  The
+    transposition (mu nu) acts on one-line labels by swapping mu and nu."""
     def reflections(n):
         for mu in range(1, n + 1):
             for nu in range(mu + 1, n + 1):
-                swap = perm_transposition(n, mu, nu)
                 divisor = BinomialDivisor(_pair_divisor(n, mu, nu).factors[:factors])
-                yield (mu, nu), partial(perm_compose, swap), divisor
+                yield (mu, nu), _value_map(perm_transposition(n, mu, nu)), divisor
 
     return reflections
 
@@ -234,8 +246,10 @@ def _pair_reflections(factors):
 class _Model:
     """What tells one GKM model from another.
 
-    ``reflections(n)`` yields (edge, left multiplication by its reflection,
-    divisor), the divisor a product of binomials x^F - 1 whose residues
+    ``reflections(n)`` yields (edge, value map, divisor).  The value map is
+    left multiplication by the edge's reflection, read on labels: it sends
+    each entry of a fixed point's label to the entry of its image's label.
+    The divisor is a product of binomials x^F - 1 whose residues
     (``ringcore._residues``) decide the edges of that reflection.  Its
     factors share their leading variable: a T root has one factor, an X pair
     (mu, nu) two, both led by x_mu, and a G pair one, X_mu X_nu^{-1} - 1, led
@@ -277,17 +291,19 @@ _G = _Model(
 def _edges(model, n):
     """The edges of the model's GKM graph by reflection, as (edge, divisor,
     pairs), where pairs lists each edge u -- v of that reflection once as
-    (u, v, positions of u and v in ``model.vertices(n)``)."""
+    (u, v, positions of u and v in ``model.vertices(n)``).  v is found by
+    its label, the value map applied entrywise to u's label."""
     vertices = model.vertices(n)
-    position = {u: k for k, u in enumerate(vertices)}
+    labels = list(map(model.label, vertices))
+    position = {label: k for k, label in enumerate(labels)}
     return tuple(
         (edge, divisor, tuple(
-            (u, v, position[u], position[v])
-            for u in vertices
-            for v in (move(u),)
-            if model.label(u) < model.label(v)
+            (vertices[k], vertices[j], k, j)
+            for k, label in enumerate(labels)
+            for j in (position[tuple(map(image.__getitem__, label))],)
+            if label < labels[j]
         ))
-        for edge, move, divisor in model.reflections(n)
+        for edge, image, divisor in model.reflections(n)
     )
 
 
@@ -569,17 +585,19 @@ def _demazure_steps(n, i):
     """(w, the positions of w and w s_i in ``enumerate_weyl(n)``,
     e^{w(alpha_i)}, e^{w(alpha_i)} - 1) for each pair {w, w s_i} once, in
     that order.  w is the pair's first element there: the shorter one, as
-    that order is by length, so w(alpha_i) > 0."""
-    s = simple_reflection(i, n)
+    that order is by length, so i is not a descent of w and w(alpha_i) > 0.
+    Descents and the window of w s_i are read off w's window (``weylc``), so
+    w s_i is found by position, with no group product."""
     alpha = simple_root(i, n)
     weyl = enumerate_weyl(n)
-    position = {w: k for k, w in enumerate(weyl)}
+    windows = [w.window() for w in weyl]
+    position = {window: k for k, window in enumerate(windows)}
     return tuple(
-        (w, position[w], position[w * s],
+        (w, k, position[_times_simple(window, i)],
          LaurentPoly.monomial(n, walpha), BinomialDivisor([walpha]))
-        for w in weyl
+        for k, (w, window) in enumerate(zip(weyl, windows))
+        if i not in _window_descents(window)
         for walpha in (w.act(alpha),)
-        if is_positive_root(walpha)
     )
 
 

@@ -7,6 +7,21 @@ quotient is the symmetric group S_n.
 
 Composition convention: ``(w * v)`` acts by v first, then w, so that
 ``(w * v).act(lam) == w.act(v.act(lam))``.
+
+The per-rank tables are read off windows (w_1, ..., w_n), w_v = signs[v] *
+perm(v), with no group product (Bjorner-Brenti, *Combinatorics of Coxeter
+Groups*, 8.1).  w sends L^v to e_{w_v}, where e_{-p} = -L^p, and e_x - e_y
+is a positive root exactly when x precedes y in the order
+1 < 2 < ... < n < -n < ... < -1 on signed values, whose rank is
+key(v) = v for v > 0 and 2n + 1 + v for v < 0.  Counting the positive roots
+L^a - L^b, L^a + L^b = e_a - e_{-b} and 2L^a that w sends negative:
+
+* length(w) = #{a < b : key(w_a) > key(w_b)} + #{a < b : key(w_a) > key(-w_b)}
+  + #{a : w_a < 0};
+* i < n is a right descent iff key(w_i) > key(w_{i+1}), and n is one iff
+  w_n < 0, as w(alpha_i) is e_{w_i} - e_{w_{i+1}}, or 2e_{w_n};
+* the window of w s_i is w's window with entries i and i+1 swapped (i < n),
+  or with entry n negated (i = n).
 """
 
 from __future__ import annotations
@@ -222,20 +237,50 @@ def reflection(alpha) -> SignedPerm:
 # length, reduced words, Bruhat order
 # ---------------------------------------------------------------------------
 
-@cache
-def length(w: SignedPerm) -> int:
-    """Number of positive roots sent to negative roots by w."""
-    count = 0
-    for alpha in positive_roots(w.rank):
-        if not is_positive_root(w.act(alpha)):
-            count += 1
+def _keys(window):
+    """key(v) of each entry: its rank in the order 1 < ... < n < -n < ... < -1."""
+    m = 2 * len(window) + 1
+    return [v if v > 0 else m + v for v in window]
+
+
+def _window_length(window) -> int:
+    """The length of the element with this window (module docstring)."""
+    m = 2 * len(window) + 1
+    keys = _keys(window)
+    count = sum(1 for v in window if v < 0)
+    for a, ka in enumerate(keys):
+        for kb in keys[a + 1:]:
+            count += (ka > kb) + (ka > m - kb)  # key(-v) = m - key(v)
     return count
 
 
+def _window_descents(window):
+    """The right descents of the element with this window (module docstring)."""
+    n = len(window)
+    keys = _keys(window)
+    out = [i for i in range(1, n) if keys[i - 1] > keys[i]]
+    if window[-1] < 0:
+        out.append(n)
+    return out
+
+
+def _times_simple(window, i):
+    """The window of w s_i, given the window of w."""
+    if i < len(window):
+        return window[:i - 1] + (window[i], window[i - 1]) + window[i + 1:]
+    return window[:-1] + (-window[-1],)
+
+
+@cache
+def length(w: SignedPerm) -> int:
+    """Number of positive roots sent to negative roots by w, read off its
+    window."""
+    return _window_length(w.window())
+
+
 def descents(w: SignedPerm):
-    """Simple indices i with length(w * s_i) < length(w)."""
-    n = w.rank
-    return [i for i in range(1, n + 1) if length(w * simple_reflection(i, n)) < length(w)]
+    """Simple indices i with length(w * s_i) < length(w), read off w's window."""
+    return _window_descents(w.window())
 
 
 def reduced_word(w: SignedPerm):
@@ -249,33 +294,33 @@ def reduced_word(w: SignedPerm):
     [1]
     """
     word = []
-    n = w.rank
-    while length(w) > 0:
-        i = descents(w)[0]
-        word.append(i)
-        w = w * simple_reflection(i, n)
+    window = w.window()
+    while found := _window_descents(window):
+        word.append(found[0])
+        window = _times_simple(window, found[0])
     word.reverse()
     return word
 
 
 @cache
-def _bruhat_lower_set(w: SignedPerm) -> frozenset:
-    # all products of reduced subwords of a fixed reduced word of w
-    n = w.rank
-    cur = {SignedPerm.identity(n)}
-    for i in reduced_word(w):
-        s = simple_reflection(i, n)
-        nxt = set(cur)
-        for u in cur:
-            v = u * s
-            if length(v) > length(u):
-                nxt.add(v)
-        cur = nxt
-    return frozenset(cur)
+def _bruhat_lower_set(window) -> frozenset:
+    """The windows of the Bruhat interval [e, w], w given by its window.
+
+    By the lifting property, for i a right descent of w the interval is
+    L with L s_i, L = [e, w s_i]; i is the first descent, and the
+    recursion is memoized, so intervals below are shared, not rebuilt.
+    """
+    found = _window_descents(window)
+    if not found:
+        return frozenset((window,))
+    i = found[0]
+    lower = _bruhat_lower_set(_times_simple(window, i))
+    return lower.union([_times_simple(u, i) for u in lower])
 
 
 def bruhat_leq(v, w) -> bool:
-    """Bruhat order via the subword criterion on a fixed reduced word of w.
+    """Bruhat order: v <= w iff v lies in the interval [e, w] that the
+    lifting property builds (``_bruhat_lower_set``).
 
     Accepts two signed permutations or two plain permutations (tuples); plain
     permutations are compared inside S_n, which sits in the signed group as
@@ -288,14 +333,14 @@ def bruhat_leq(v, w) -> bool:
         v, w = perm_embed(v), perm_embed(w)
     if v.rank != w.rank:
         raise ValueError(f"rank mismatch: {v.rank} vs {w.rank}")
-    return v in _bruhat_lower_set(w)
+    return v.window() in _bruhat_lower_set(w.window())
 
 
 def bruhat_leq_by_rank_matrix(a: Perm, b: Perm) -> bool:
     """Independent Bruhat-order oracle for plain permutations.
 
     a <= b iff for all i, j the count of k <= i with a(k) >= j is at most the
-    same count for b.  Kept deliberately separate from the subword route so
+    same count for b.  Kept deliberately separate from the lifting route so
     each can check the other.
     """
     n = len(a)
@@ -316,13 +361,15 @@ def bruhat_leq_by_rank_matrix(a: Perm, b: Perm) -> bool:
 
 @cache
 def enumerate_weyl(n: int) -> tuple:
-    """All 2^n * n! signed permutations, sorted by (length, window)."""
+    """All 2^n * n! signed permutations, sorted by (length, window).  The
+    elements of one coset of the sign changes share their perm tuple."""
     elems = [
-        SignedPerm(perm, signs)
+        (tuple(s * p for s, p in zip(signs, perm)), perm, signs)
         for perm in permutations(range(1, n + 1))
         for signs in product((1, -1), repeat=n)
     ]
-    return tuple(sorted(elems, key=lambda w: (length(w), w.window())))
+    elems.sort(key=lambda e: (_window_length(e[0]), e[0]))
+    return tuple(SignedPerm(perm, signs) for _, perm, signs in elems)
 
 
 @cache

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from functools import partial
 
 import pytest
@@ -64,8 +65,12 @@ from qflagk.weylc import (
     is_positive_root,
     length,
     max_length_rep,
+    perm_compose,
     perm_identity,
     perm_inversions,
+    perm_transposition,
+    positive_roots,
+    reflection,
     simple_reflection,
     simple_root,
 )
@@ -192,6 +197,77 @@ def test_tuple_arithmetic_rejects_mixed_models_and_ranks():
         t2 * LaurentPoly.one(3)
     with pytest.raises(ValueError):
         g2 + XPoly.X(1, 1)
+
+
+# ---------------------------------------------------------------------------
+# edge and Demazure tables against the product route
+# ---------------------------------------------------------------------------
+
+def _product_route_edges(model, n):
+    """The edges with each neighbour formed as a group product, as (edge,
+    divisor factors, pairs): ``reflection(alpha) * u`` in T and
+    ``perm_compose(swap, u)`` in X and G."""
+    vertices = model.vertices(n)
+    position = {u: k for k, u in enumerate(vertices)}
+    if model is gkm._T:
+        moves = [(alpha, reflection(alpha).__mul__, [alpha]) for alpha in positive_roots(n)]
+    else:
+        factors = 2 if model is gkm._X else 1
+        moves = [
+            ((mu, nu), partial(perm_compose, perm_transposition(n, mu, nu)),
+             [tuple((v == mu) - (v == nu) for v in range(1, n + 1)),
+              tuple((v == mu) + (v == nu) for v in range(1, n + 1))][:factors])
+            for mu in range(1, n + 1) for nu in range(mu + 1, n + 1)
+        ]
+    return [
+        (edge, BinomialDivisor(factors).factors, tuple(
+            (u, v, position[u], position[v])
+            for u in vertices
+            for v in (move(u),)
+            if model.label(u) < model.label(v)
+        ))
+        for edge, move, factors in moves
+    ]
+
+
+@pytest.mark.parametrize("model", [gkm._T, gkm._X, gkm._G], ids=lambda m: m.name)
+def test_edges_match_the_product_route(model):
+    for n in range(1, 5):
+        edges = [(edge, divisor.factors, pairs) for edge, divisor, pairs in gkm._edges(model, n)]
+        assert edges == _product_route_edges(model, n)
+
+
+def test_rank_five_t_edges_match_a_seeded_sample_of_products():
+    weyl = enumerate_weyl(5)
+    edges = gkm._edges(gkm._T, 5)
+    assert [edge for edge, _, _ in edges] == list(positive_roots(5))
+    assert all(len(pairs) == 1920 for _, _, pairs in edges)
+    everything = [(alpha, pair) for alpha, _, pairs in edges for pair in pairs]
+    for alpha, (u, v, k, j) in random.Random(26).sample(everything, 200):
+        assert weyl[k] is u and weyl[j] is v
+        assert v == reflection(alpha) * u and u.window() < v.window()
+
+
+def _product_route_demazure_steps(n, i):
+    s = simple_reflection(i, n)
+    alpha = simple_root(i, n)
+    weyl = enumerate_weyl(n)
+    position = {w: k for k, w in enumerate(weyl)}
+    return [
+        (w, position[w], position[w * s], LaurentPoly.monomial(n, walpha),
+         BinomialDivisor([walpha]).factors)
+        for w in weyl
+        for walpha in (w.act(alpha),)
+        if is_positive_root(walpha)
+    ]
+
+
+def test_demazure_steps_match_the_product_route():
+    for n in range(1, 5):
+        for i in range(1, n + 1):
+            steps = [(w, k, kws, e, divisor.factors)
+                     for w, k, kws, e, divisor in gkm._demazure_steps(n, i)]
+            assert steps == _product_route_demazure_steps(n, i)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ import dataclasses
 import math
 import pickle
 from collections import deque
-from itertools import product
+from functools import cache
+from itertools import permutations, product
 
 import pytest
 
 from qflagk.weylc import (
     SignedPerm,
+    _bruhat_lower_set,
     all_perms,
     bruhat_leq,
     bruhat_leq_by_rank_matrix,
@@ -189,8 +191,36 @@ def test_length_changes_by_one_under_simple_reflections():
                 assert abs(length(w * simple_reflection(i, n)) - length(w)) == 1
 
 
+def _product_route_weyl(n):
+    # every element built as a SignedPerm, sorted by (root-count length, window)
+    elems = [
+        SignedPerm(perm, signs)
+        for perm in permutations(range(1, n + 1))
+        for signs in product((1, -1), repeat=n)
+    ]
+    return tuple(sorted(elems, key=lambda w: (_root_count_length(w), w.window())))
+
+
+def test_length_and_descents_match_the_root_count():
+    for n in range(1, 5):
+        for w in _product_route_weyl(n):
+            assert length(w) == _root_count_length(w), w
+            expected = [
+                i for i in range(1, n + 1)
+                if _root_count_length(w * simple_reflection(i, n)) < _root_count_length(w)
+            ]
+            assert descents(w) == expected, w
+
+
+def test_enumerate_weyl_matches_the_product_route():
+    for n in range(1, 6):
+        weyl = enumerate_weyl(n)
+        assert weyl == _product_route_weyl(n)
+        assert all(type(w) is SignedPerm for w in weyl)
+
+
 def test_reduced_word_reconstructs():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for w in enumerate_weyl(n):
             word = reduced_word(w)
             assert len(word) == length(w)
@@ -234,6 +264,30 @@ def test_bruhat_on_plain_perms_matches_rank_matrix_oracle():
         for a in all_perms(n):
             for b in all_perms(n):
                 assert bruhat_leq(a, b) == bruhat_leq_by_rank_matrix(a, b)
+
+
+@cache
+def _root_count_length(w):
+    # the definition: positive roots that w sends to negative roots
+    return sum(1 for alpha in positive_roots(w.rank) if not is_positive_root(w.act(alpha)))
+
+
+def _subword_lower_set(w):
+    # [e, w] as the products of the subwords of one reduced word of w that
+    # lengthen at every step
+    n = w.rank
+    cur = {SignedPerm.identity(n)}
+    for i in reduced_word(w):
+        s = simple_reflection(i, n)
+        cur |= {u * s for u in cur if _root_count_length(u * s) > _root_count_length(u)}
+    return cur
+
+
+def test_lower_sets_match_the_subword_route():
+    for n in range(1, 5):
+        for w in enumerate_weyl(n):
+            expected = frozenset(u.window() for u in _subword_lower_set(w))
+            assert _bruhat_lower_set(w.window()) == expected, w
 
 
 def test_bruhat_mixed_kinds_rejected():
