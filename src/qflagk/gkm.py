@@ -582,10 +582,10 @@ def point_class(n: int) -> GKMTupleT:
 
 @lru_cache(maxsize=None)
 def _demazure_steps(n, i):
-    """(w, the positions of w and w s_i in ``enumerate_weyl(n)``,
-    e^{w(alpha_i)}, e^{w(alpha_i)} - 1) for each pair {w, w s_i} once, in
-    that order.  w is the pair's first element there: the shorter one, as
-    that order is by length, so i is not a descent of w and w(alpha_i) > 0.
+    """(the positions of w and w s_i in ``enumerate_weyl(n)``, e^{w(alpha_i)},
+    e^{w(alpha_i)} - 1) for each pair {w, w s_i} once, in that order.  w is
+    the pair's first element there: the shorter one, as that order is by
+    length, so i is not a descent of w and w(alpha_i) > 0.
     Descents and the window of w s_i are read off w's window (``weylc``), so
     w s_i is found by position, with no group product."""
     alpha = simple_root(i, n)
@@ -593,7 +593,7 @@ def _demazure_steps(n, i):
     windows = [w.window() for w in weyl]
     position = {window: k for k, window in enumerate(windows)}
     return tuple(
-        (w, k, position[_times_simple(window, i)],
+        (k, position[_times_simple(window, i)],
          LaurentPoly.monomial(n, walpha), BinomialDivisor([walpha]))
         for k, (w, window) in enumerate(zip(weyl, windows))
         if i not in _window_descents(window)
@@ -621,8 +621,11 @@ def demazure(i: int, f: GKMTupleT) -> GKMTupleT:
     every fixed point in that order: its first failing point is the first
     element of the first pair with those values and root.  Where the
     numerator is zero, or f_w and f_{w s_i} both are (then none is formed),
-    the pair's value is zero.  The operator is idempotent on valid tuples,
-    and its result is keyed in ``enumerate_weyl`` order.
+    the pair's value is zero.  The numerator keeps f_w first: ``-`` copies
+    its left operand and walks its right one, and f_w is usually the larger,
+    so negating the quotient costs less than forming e^beta f_{w s_i} - f_w.
+    The operator is idempotent on valid tuples, and its result is keyed in
+    ``enumerate_weyl`` order.
     """
     n = f.rank
     weyl = enumerate_weyl(n)
@@ -631,7 +634,7 @@ def demazure(i: int, f: GKMTupleT) -> GKMTupleT:
     zero = LaurentPoly.zero(n)
     out = [zero] * len(weyl)
     quotients = {}
-    for w, k, kws, e_walpha, divisor in _demazure_steps(n, i):
+    for k, kws, e_walpha, divisor in _demazure_steps(n, i):
         fw, fws = values[k], values[kws]
         key = (index[k], index[kws], fw._bound, fws._bound, divisor.factors)
         q = quotients.get(key)
@@ -643,7 +646,7 @@ def demazure(i: int, f: GKMTupleT) -> GKMTupleT:
                     try:
                         q = -divide_exact(numerator, divisor)  # numerator / (1 - e^beta)
                     except NotDivisible:
-                        raise InexactDivision(w, i, numerator) from None
+                        raise InexactDivision(weyl[k], i, numerator) from None
             quotients[key] = q
         out[k] = out[kws] = q
     return GKMTupleT(n, dict(zip(weyl, out)))
@@ -730,7 +733,7 @@ def descent_invariance_check(table: SchubertTable):
         values = list(map(table.classes[w].values.__getitem__, weyl))
         for i in descents(w):
             if any(values[a] is not values[b] and values[a] != values[b]
-                   for _, a, b, _, _ in _demazure_steps(n, i)):
+                   for a, b, _, _ in _demazure_steps(n, i)):
                 bad.append((w, i))
     return bad
 
@@ -757,7 +760,7 @@ def descend_pi(f: GKMTupleT) -> GKMTupleX:
     """
     n = f.rank
     for w in enumerate_weyl(n):
-        u = perm_embed(w.perm)
+        u = perm_embed(coset_map(w))
         if f.values[w] != f.values[u]:
             raise TupleNotInvariant(u.inverse() * w, w.window())
     return GKMTupleX(

@@ -646,20 +646,14 @@ def xpoly_divide_exact(f: XPoly, mu: int, nu: int) -> XPoly:
 def weyl_act_poly(w, f: LaurentPoly) -> LaurentPoly:
     """Act by the signed permutation ``w``: the monomial e^lam maps to e^{w(lam)}.
 
-    ``w`` needs ``perm`` (1-based images) and ``signs`` attributes; this is a
-    ring automorphism and composes covariantly with the group law.
+    ``w`` needs ``rank`` and ``act``, its action on exponent vectors, which
+    owns the formula; this is a ring automorphism and composes covariantly
+    with the group law.
     """
     n = f.rank
-    if len(w.perm) != n:
-        raise ValueError(f"rank mismatch: {len(w.perm)} vs {n}")
-    # field i of the image holds signs[j] * e_j for the j with perm[j] = i + 1
-    source = [0] * n
-    for j, p in enumerate(w.perm):
-        source[p - 1] = j
-    out = {}
-    for k, c in f._packed.items():
-        exps = _unpack(k, n)
-        out[_pack([w.signs[j] * exps[j] for j in source])] = c
+    if w.rank != n:
+        raise ValueError(f"rank mismatch: {w.rank} vs {n}")
+    out = {_pack(w.act(_unpack(k, n))): c for k, c in f._packed.items()}
     return LaurentPoly._trusted(n, out, f._bound)
 
 

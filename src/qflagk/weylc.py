@@ -1,19 +1,21 @@
 """The type-C_n root system and its Weyl group of signed permutations.
 
 Weights are integer tuples of coordinates in the basis L^1,...,L^n.  A signed
-permutation w sends L^v to signs[v] * L^{perm(v)}; the full group has order
-2^n * n!, the sign changes form a normal subgroup of order 2^n, and the
-quotient is the symmetric group S_n.
+permutation w is stored as its window (w_1, ..., w_n), a permutation of
+1..n with signs: w sends L^v to sign(w_v) * L^{|w_v|}.  The full group has
+order 2^n * n!, the sign changes form a normal subgroup of order 2^n, and
+the quotient is the symmetric group S_n; ``coset_map`` gives the underlying
+permutation (|w_1|, ..., |w_n|).  No other module reads how an element is
+stored.
 
 Composition convention: ``(w * v)`` acts by v first, then w, so that
 ``(w * v).act(lam) == w.act(v.act(lam))``.
 
-The per-rank tables are read off windows (w_1, ..., w_n), w_v = signs[v] *
-perm(v), with no group product (Bjorner-Brenti, *Combinatorics of Coxeter
-Groups*, 8.1).  w sends L^v to e_{w_v}, where e_{-p} = -L^p, and e_x - e_y
-is a positive root exactly when x precedes y in the order
-1 < 2 < ... < n < -n < ... < -1 on signed values, whose rank is
-key(v) = v for v > 0 and 2n + 1 + v for v < 0.  Counting the positive roots
+The per-rank tables are read off windows, with no group product
+(Bjorner-Brenti, *Combinatorics of Coxeter Groups*, 8.1).  w sends L^v to
+e_{w_v}, where e_{-p} = -L^p, and e_x - e_y is a positive root exactly when
+x precedes y in the order 1 < 2 < ... < n < -n < ... < -1 on signed values,
+whose rank is key(v) = v for v > 0 and 2n + 1 + v for v < 0.  Counting the positive roots
 L^a - L^b, L^a + L^b = e_a - e_{-b} and 2L^a that w sends negative:
 
 * length(w) = #{a < b : key(w_a) > key(w_b)} + #{a < b : key(w_a) > key(-w_b)}
@@ -27,7 +29,6 @@ L^a - L^b, L^a + L^b = e_a - e_{-b} and 2L^a that w sends negative:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, product
 
@@ -63,96 +64,93 @@ Weight = tuple  # integer coordinates in the L-basis
 Perm = tuple  # one-line notation, 1-based images
 
 
-@dataclass(frozen=True)
 class SignedPerm:
-    """Signed permutation: perm[i] is the image of i+1, signs[i] in {-1,+1}.
+    """Signed permutation, stored as its window (w_1, ..., w_n): it sends
+    L^v to sign(w_v) * L^{|w_v|}.
 
-    Its hash is computed once, as tuples look one up per fixed point.  It is
-    not a field, and a pickle carries only (perm, signs) and rebuilds it.
+    Immutable.  Its hash is the window's, computed once, as tuples look one
+    up per fixed point; a pickle carries only the window.
     """
 
-    perm: tuple
-    signs: tuple
+    __slots__ = ("_window", "_hash")
 
-    def __post_init__(self):
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(1, n + 1)):
-            raise ValueError(f"{self.perm} is not a permutation of 1..{n}")
-        if len(self.signs) != n or any(s not in (1, -1) for s in self.signs):
-            raise ValueError(f"bad sign vector {self.signs}")
-        object.__setattr__(self, "_hash", hash((self.perm, self.signs)))
+    def __init__(self, window):
+        window = tuple(window)
+        if any(type(v) is not int or v == 0 for v in window):
+            raise ValueError(f"window entries must be nonzero integers: {window}")
+        n = len(window)
+        perm = tuple(map(abs, window))
+        if sorted(perm) != list(range(1, n + 1)):
+            raise ValueError(f"{perm} is not a permutation of 1..{n}")
+        object.__setattr__(self, "_window", window)
+        object.__setattr__(self, "_hash", hash(window))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SignedPerm is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not SignedPerm:
+            return NotImplemented
+        return self._window == other._window
 
     def __hash__(self):
         return self._hash
 
     def __reduce__(self):
-        return (type(self), (self.perm, self.signs))
+        return (SignedPerm, (self._window,))
+
+    from_window = classmethod(lambda cls, window: cls(window))  # the constructor
 
     @classmethod
     def identity(cls, n):
-        return cls(tuple(range(1, n + 1)), (1,) * n)
+        return cls(range(1, n + 1))
 
     @property
     def rank(self):
-        return len(self.perm)
+        return len(self._window)
 
     def __mul__(self, other):
         """Compose, acting with ``other`` first: (w*v)(lam) = w(v(lam))."""
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
-        perm = tuple(self.perm[p - 1] for p in other.perm)
-        signs = tuple(
-            s * self.signs[p - 1] for p, s in zip(other.perm, other.signs)
-        )
-        return SignedPerm(perm, signs)
+        w = self._window
+        return SignedPerm(w[v - 1] if v > 0 else -w[-v - 1] for v in other._window)
 
     def inverse(self):
-        n = self.rank
-        perm = [0] * n
-        signs = [1] * n
-        for i in range(n):
-            perm[self.perm[i] - 1] = i + 1
-            signs[self.perm[i] - 1] = self.signs[i]
-        return SignedPerm(tuple(perm), tuple(signs))
+        out = [0] * self.rank
+        for i, v in enumerate(self._window, 1):
+            out[abs(v) - 1] = i if v > 0 else -i
+        return SignedPerm(out)
 
     def act(self, lam: Weight) -> Weight:
-        """Image of a weight: L^v maps to signs[v] * L^{perm(v)}, extended linearly."""
+        """Image of a weight: L^v maps to sign(w_v) * L^{|w_v|}, extended linearly."""
         if len(lam) != self.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {len(lam)}")
         out = [0] * self.rank
-        for i, c in enumerate(lam):
-            out[self.perm[i] - 1] = self.signs[i] * c
+        for v, c in zip(self._window, lam):
+            out[abs(v) - 1] = c if v > 0 else -c
         return tuple(out)
 
     def is_sign_change(self):
-        return self.perm == tuple(range(1, self.rank + 1))
+        return all(abs(v) == i for i, v in enumerate(self._window, 1))
 
     def window(self):
-        """Window notation: entry v is signs[v] * perm(v).
+        """The stored window.
 
-        >>> SignedPerm((2, 1), (-1, 1)).window()
+        >>> SignedPerm((-2, 1)).window()
         (-2, 1)
         """
-        return tuple(s * p for s, p in zip(self.signs, self.perm))
-
-    @classmethod
-    def from_window(cls, window):
-        window = tuple(window)
-        if any(type(v) is not int or v == 0 for v in window):
-            raise ValueError(f"window entries must be nonzero integers: {window}")
-        perm = tuple(abs(v) for v in window)
-        signs = tuple(1 if v > 0 else -1 for v in window)
-        return cls(perm, signs)
+        return self._window
 
     def window_str(self):
-        return _key(self.window())
+        return _key(self._window)
 
     @classmethod
     def from_window_str(cls, s):
-        return cls.from_window(json.loads(s))
+        return cls(json.loads(s))
 
     def __repr__(self):
-        return f"SignedPerm{self.window()}"
+        return f"SignedPerm{self._window}"
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +216,15 @@ def reflection(alpha) -> SignedPerm:
         raise ValueError(f"{alpha} is not a root")
     if not is_positive_root(alpha):
         alpha = tuple(-c for c in alpha)
-    n = len(alpha)
-    perm = list(range(1, n + 1))
-    signs = [1] * n
-    nonzero = [(i, c) for i, c in enumerate(alpha) if c]
-    if len(nonzero) == 1:
-        signs[nonzero[0][0]] = -1
+    window = list(range(1, len(alpha) + 1))
+    mu, *rest = [i for i, c in enumerate(alpha) if c]
+    if not rest:
+        window[mu] = -window[mu]
     else:
-        (mu, _), (nu, cnu) = nonzero
-        perm[mu], perm[nu] = perm[nu], perm[mu]
-        if cnu == 1:  # L^mu + L^nu: each basis vector goes to minus the other
-            signs[mu] = -1
-            signs[nu] = -1
-    return SignedPerm(tuple(perm), tuple(signs))
+        (nu,) = rest
+        sign = -alpha[nu]  # -1 for L^mu + L^nu: each basis vector goes to minus the other
+        window[mu], window[nu] = sign * (nu + 1), sign * (mu + 1)
+    return SignedPerm(window)
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +356,14 @@ def bruhat_leq_by_rank_matrix(a: Perm, b: Perm) -> bool:
 @cache
 def enumerate_weyl(n: int) -> tuple:
     """All 2^n * n! signed permutations, sorted by (length, window).  The
-    elements of one coset of the sign changes share their perm tuple."""
-    elems = [
-        (tuple(s * p for s, p in zip(signs, perm)), perm, signs)
-        for perm in permutations(range(1, n + 1))
-        for signs in product((1, -1), repeat=n)
-    ]
-    elems.sort(key=lambda e: (_window_length(e[0]), e[0]))
-    return tuple(SignedPerm(perm, signs) for _, perm, signs in elems)
+    elements of one coset of the sign changes share their ``coset_map``."""
+    windows = sorted(
+        (tuple(s * p for s, p in zip(signs, perm))
+         for perm in permutations(range(1, n + 1))
+         for signs in product((1, -1), repeat=n)),
+        key=lambda window: (_window_length(window), window),
+    )
+    return tuple(map(SignedPerm, windows))
 
 
 @cache
@@ -380,20 +374,22 @@ def enumerate_sign_changes(n: int) -> tuple:
 
 
 def coset_map(w: SignedPerm) -> Perm:
-    """Forget signs: the quotient map onto S_n, with the sign changes as kernel."""
-    return w.perm
+    """Forget signs: the quotient map onto S_n, with the sign changes as
+    kernel.  It is the underlying permutation, the absolute values of the
+    window."""
+    return tuple(map(abs, w.window()))
 
 
 def max_length_rep(tau: Perm) -> SignedPerm:
     """The unique longest signed permutation whose underlying permutation is tau.
 
-    It is tau with every sign negative, of length n^2 - inv(tau).  In
-    w = (tau, signs), the long root 2L^v goes negative iff signs[v] = -1.  For
-    a < b, the pair L^a - L^b, L^a + L^b contributes 1 when tau(a) > tau(b),
-    and otherwise 2 or 0 as signs[a] is -1 or +1.  So every sign -1 is the
-    unique maximum over the coset.
+    It is the window -tau, every sign negative, of length n^2 - inv(tau).
+    For w in the coset of tau, the long root 2L^v goes negative iff w_v < 0.
+    For a < b, the pair L^a - L^b, L^a + L^b contributes 1 when
+    tau(a) > tau(b), and otherwise 2 or 0 as w_a is negative or positive.
+    So every sign -1 is the unique maximum over the coset.
     """
-    return SignedPerm(tuple(tau), (-1,) * len(tau))
+    return SignedPerm(-v for v in perm_embed(tau).window())
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +428,10 @@ def perm_inversions(a: Perm) -> int:
 
 
 def perm_embed(tau: Perm) -> SignedPerm:
-    """Embed S_n into the signed group with all signs positive."""
-    return SignedPerm(tuple(tau), (1,) * len(tau))
+    """Embed S_n into the signed group: the window tau, all signs positive."""
+    if any(v < 0 for v in tau):
+        raise ValueError(f"{tuple(tau)} is not a permutation of 1..{len(tau)}")
+    return SignedPerm(tau)
 
 
 def all_perms(n: int) -> tuple:

@@ -484,6 +484,13 @@ def test_check_unprintable_remainder_exits_2(tmp_path, capsys):
     assert rc == 2 and out == "" and "cannot print the violations" in err
 
 
+def test_check_label_that_is_no_signed_permutation_exits_2(tmp_path, capsys):
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps({"model": "T", "rank": 2, "values": {"[1,1]": [["1", [0, 0]]]}}))
+    rc, out, err = run(capsys, "check", "--model", "T", "--input", str(p))
+    assert (rc, out, err) == (2, "", "cannot read tuple: (1, 1) is not a permutation of 1..2\n")
+
+
 def test_check_wrong_model_tag(tmp_path, capsys):
     p = tmp_path / "t.json"
     _write_tuple(p, gkm.GKMTupleT.constant(2, 1))
@@ -595,7 +602,7 @@ def test_verify_roots_checks_the_reflection_formula(capsys, monkeypatch):
     from qflagk import weylc
 
     real = weylc.reflection
-    wrong = weylc.SignedPerm((1, 2), (-1, -1))
+    wrong = weylc.SignedPerm((-1, -2))
     monkeypatch.setattr(
         weylc, "reflection", lambda alpha: wrong if tuple(alpha) == (1, 1) else real(alpha)
     )

@@ -25,7 +25,9 @@ from qflagk.ringcore import (
     xpoly_divide_exact,
 )
 from qflagk.ringcore import _half_basis
-from qflagk.weylc import SignedPerm, enumerate_sign_changes, enumerate_weyl, simple_reflection
+from qflagk.weylc import (
+    SignedPerm, enumerate_sign_changes, enumerate_weyl, reduced_word, simple_reflection,
+)
 
 
 def x(i, n=2):
@@ -208,6 +210,30 @@ def test_weyl_act_is_ring_automorphism():
             g = LaurentPoly(n, {(rng.randint(-2, 2), rng.randint(-2, 2)): rng.randint(-3, 3)})
             assert weyl_act_poly(w, f + g) == weyl_act_poly(w, f) + weyl_act_poly(w, g)
             assert weyl_act_poly(w, f * g) == weyl_act_poly(w, f) * weyl_act_poly(w, g)
+
+
+def _act_along_reduced_word(w, terms):
+    # w = s_{i_1} ... s_{i_k}: apply s_{i_k} first; s_i swaps exponents i and
+    # i + 1 (i < n), s_n negates exponent n
+    n = w.rank
+    for i in reversed(reduced_word(w)):
+        terms = {(e[:i - 1] + (e[i], e[i - 1]) + e[i + 1:] if i < n else e[:-1] + (-e[-1],)): c
+                 for e, c in terms.items()}
+    return terms
+
+
+def test_weyl_act_matches_the_reduced_word_fold():
+    rng = random.Random("weyl:act:fold")
+    for n in (1, 2, 3):
+        # x^(1, ..., n) determines w from its image, so a wrong action fails
+        probe = {tuple(range(1, n + 1)): 1}
+        for w in enumerate_weyl(n):
+            for f in [probe] + [_random_terms(rng, n, size=4) for _ in range(3)]:
+                assert weyl_act_poly(w, LaurentPoly(n, f)).terms == _act_along_reduced_word(w, f), w
+            # a dropped sign, acting by the underlying permutation instead
+            if w != SignedPerm(map(abs, w.window())):
+                dropped = weyl_act_poly(SignedPerm(map(abs, w.window())), LaurentPoly(n, probe))
+                assert dropped.terms != _act_along_reduced_word(w, probe), w
 
 
 def test_weyl_act_composes_covariantly():
@@ -641,12 +667,13 @@ def _ref_x_expand(terms, n):
     return out
 
 
-def _ref_weyl_act(w, terms):
+def _ref_weyl_act(perm, signs, terms):
+    # L^i -> signs[i] * L^{perm[i]} on every exponent vector
     out = {}
     for exps, c in terms.items():
         new = [0] * len(exps)
         for i, e in enumerate(exps):
-            new[w.perm[i] - 1] = w.signs[i] * e
+            new[perm[i] - 1] = signs[i] * e
         out[tuple(new)] = c
     return out
 
@@ -807,9 +834,10 @@ def test_packed_maps_match_the_reference(n):
             _assert_bounded(p)
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
-        w = SignedPerm(tuple(perm), tuple(rng.choice((1, -1)) for _ in range(n)))
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        w = SignedPerm(s * p for s, p in zip(signs, perm))
         got = weyl_act_poly(w, LaurentPoly(n, f))
-        assert got.terms == _ref_weyl_act(w, f)
+        assert got.terms == _ref_weyl_act(perm, signs, f)
         _assert_bounded(got)
 
 

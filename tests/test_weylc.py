@@ -1,6 +1,5 @@
 """Signed permutations: reflections, length, Bruhat order, coset structure."""
 
-import dataclasses
 import math
 import pickle
 from collections import deque
@@ -35,6 +34,11 @@ from qflagk.weylc import (
 )
 
 
+def _from_pair(perm, signs):
+    # the element sending L^v to signs[v] * L^{perm[v]}, written as its window
+    return SignedPerm(tuple(s * p for s, p in zip(signs, perm)))
+
+
 def bfs_lengths(n):
     """Independent word-length oracle: distances in the Cayley graph."""
     gens = [simple_reflection(i, n) for i in range(1, n + 1)]
@@ -57,9 +61,9 @@ def bfs_lengths(n):
 
 def test_simple_reflections_at_rank_two():
     s1 = simple_reflection(1, 2)
-    assert s1.perm == (2, 1) and s1.signs == (1, 1)
+    assert s1 == _from_pair((2, 1), (1, 1))
     s2 = simple_reflection(2, 2)
-    assert s2.perm == (1, 2) and s2.signs == (1, -1)
+    assert s2 == _from_pair((1, 2), (1, -1))
     assert s1 * s1 == SignedPerm.identity(2)
     with pytest.raises(ValueError):
         simple_reflection(3, 2)
@@ -73,7 +77,7 @@ def _ref_simple_reflection(i, n):
         perm[i - 1], perm[i] = perm[i], perm[i - 1]
     else:
         signs[n - 1] = -1
-    return SignedPerm(tuple(perm), tuple(signs))
+    return _from_pair(perm, signs)
 
 
 def test_simple_reflections_match_the_explicit_formula():
@@ -105,14 +109,14 @@ def test_root_tests_match_the_coordinate_rule():
 def test_reflection_case_table():
     # L1 - L2: a plain transposition
     r = reflection((1, -1))
-    assert r.perm == (2, 1) and r.signs == (1, 1)
+    assert r == _from_pair((2, 1), (1, 1))
     # L1 + L2: swap with both signs flipped
     r = reflection((1, 1))
-    assert r.perm == (2, 1) and r.signs == (-1, -1)
+    assert r == _from_pair((2, 1), (-1, -1))
     assert r.act((1, 0)) == (0, -1)  # L1 -> -L2
     # 2L1: sign flip at position 1
     r = reflection((2, 0))
-    assert r.perm == (1, 2) and r.signs == (-1, 1)
+    assert r == _from_pair((1, 2), (-1, 1))
     with pytest.raises(ValueError):
         reflection((1, 2))
 
@@ -194,7 +198,7 @@ def test_length_changes_by_one_under_simple_reflections():
 def _product_route_weyl(n):
     # every element built as a SignedPerm, sorted by (root-count length, window)
     elems = [
-        SignedPerm(perm, signs)
+        _from_pair(perm, signs)
         for perm in permutations(range(1, n + 1))
         for signs in product((1, -1), repeat=n)
     ]
@@ -353,6 +357,10 @@ def test_max_length_rep_examples():
     assert length(w0) == 4 and w0.window() == (-1, -2)
     w = max_length_rep((2, 1))
     assert length(w) == 3
+    # a signed window is no plain permutation to embed
+    for embed in (perm_embed, max_length_rep):
+        with pytest.raises(ValueError, match=r"^\(-1, 2\) is not a permutation of 1\.\.2$"):
+            embed((-1, 2))
 
 
 def test_max_length_rep_dominates_its_coset():
@@ -376,25 +384,48 @@ def test_window_roundtrip():
     for w in enumerate_weyl(2):
         assert SignedPerm.from_window(w.window()) == w
         assert SignedPerm.from_window_str(w.window_str()) == w
-    assert SignedPerm.from_window([-2, 1]).perm == (2, 1)
-    assert SignedPerm.from_window([-2, 1]).signs == (-1, 1)
+    assert SignedPerm.from_window([-2, 1]) == _from_pair((2, 1), (-1, 1))
     with pytest.raises(ValueError):
         SignedPerm.from_window([0, 1])
 
 
+@pytest.mark.parametrize("window, message", [
+    ((1, 1), "(1, 1) is not a permutation of 1..2"),
+    ((0, 1), "window entries must be nonzero integers: (0, 1)"),
+    ((True, -2), "window entries must be nonzero integers: (True, -2)"),
+    ((1.0, 2), "window entries must be nonzero integers: (1.0, 2)"),
+    ((3, 1), "(3, 1) is not a permutation of 1..2"),
+])
+def test_constructor_rejects_bad_windows(window, message):
+    for build in (SignedPerm, SignedPerm.from_window):
+        with pytest.raises(ValueError) as exc:
+            build(window)
+        assert str(exc.value) == message
+
+
+def test_signed_perms_are_immutable():
+    w = reflection((1, 1))
+    for name in ("_window", "_hash", "perm"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, (1, 2))
+    assert w.window() == (-2, -1)
+
+
 def test_cached_hash_is_the_hash_of_the_fields():
-    # the hash is stored, not a field: products, copies and pickles of an
-    # element hash and compare as the enumerate_weyl instance does
+    # the window is the one field and the hash its hash, stored: products,
+    # copies and pickles of an element hash and compare as the
+    # enumerate_weyl instance does
     n = 3
     weyl = enumerate_weyl(n)
     s = simple_reflection(2, n)
-    assert [f.name for f in dataclasses.fields(SignedPerm)] == ["perm", "signs"]
+    assert SignedPerm.__slots__ == ("_window", "_hash")
     for w in weyl:
         ws = w * s
         (instance,) = [u for u in weyl if u == ws]
         assert ws is not instance and hash(ws) == hash(instance)
         back = pickle.loads(pickle.dumps(w))
-        assert back == w and hash(back) == hash(w) == hash((w.perm, w.signs))
+        assert back == w and hash(back) == hash(w) == hash(w.window())
+        assert back.window() == w.window() and type(back.window()) is tuple
         assert repr(back) == repr(w)
 
 
