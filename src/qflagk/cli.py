@@ -135,13 +135,13 @@ def _suite_roots(n):
         for v in WG:
             yield [] if (w * v * winv).is_sign_change() else [
                 {"check": "normality", "w": list(w.window()), "v": list(v.window())}]
+    coset = {w: weylc.coset_map(w) for w in W}  # W is closed under products
     for w in W:
         for v in W:
-            yield [] if weylc.coset_map(w * v) == weylc.perm_compose(
-                weylc.coset_map(w), weylc.coset_map(v)
-            ) else [{"check": "coset-homomorphism", "w": list(w.window()), "v": list(v.window())}]
+            yield [] if coset[w * v] == weylc.perm_compose(coset[w], coset[v]) else [
+                {"check": "coset-homomorphism", "w": list(w.window()), "v": list(v.window())}]
     for w in W:
-        in_kernel = weylc.coset_map(w) == weylc.perm_identity(n)
+        in_kernel = coset[w] == weylc.perm_identity(n)
         yield [] if in_kernel == w.is_sign_change() else [
             {"check": "coset-kernel", "w": list(w.window())}]
 
@@ -348,7 +348,8 @@ def _run_trials(cfg, suite):
     spans = [
         (lo, min(lo + chunk, cfg.trials)) for lo in range(1, cfg.trials, chunk)
     ]
-    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+    # the chunks follow --jobs; a worker per chunk past one per CPU only forks more
+    with ProcessPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
         futures = [
             pool.submit(_run_trial_chunk, suite, cfg.n, cfg.seed, lo, hi, cfg.mutate)
             for lo, hi in spans

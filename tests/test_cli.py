@@ -1,6 +1,8 @@
 """Command-line surface: suites, exit codes, file formats, determinism."""
 
+import concurrent.futures
 import json
+import os
 import random
 
 import pytest
@@ -631,6 +633,44 @@ def test_verify_reports_do_not_depend_on_jobs(capsys, suite):
     if "--mutate" in argv:
         # --jobs 2 runs trial 0 first, then trials 1-3 and 4-5 in two workers
         assert {v["trial"] < 3 for v in reports[0]["violations"]} == {True, False}
+
+
+@pytest.mark.parametrize("cpus, workers", [(None, 1), (3, 3)])
+def test_trial_pool_has_at_most_one_worker_per_cpu(capsys, monkeypatch, cpus, workers):
+    sizes, chunks = [], []
+
+    class InlinePool:
+        """Records its size and runs each chunk here: no worker is started."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            chunks.append(args)
+            done = concurrent.futures.Future()
+            done.set_result(fn(*args))
+            return done
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    argv = ["verify", "--suite", "gkm-t", "--n", "2", "--trials", "40", "--mutate", "1",
+            "--format", "json"]
+    reports = []
+    for jobs in ("1", "100000"):
+        rc, out, _ = run(capsys, *argv, "--jobs", jobs)
+        assert rc == 1
+        report = json.loads(out)
+        report.pop("wall_time_s")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    # the 39 trials after trial 0 are still split one per chunk
+    assert sizes == [workers] and len(chunks) == 39
 
 
 # ---------------------------------------------------------------------------

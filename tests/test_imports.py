@@ -1,9 +1,11 @@
-"""What each command loads, and the package's names resolved on first use.
+"""What each command loads, and the layers' public name lists.
 
 Every ``qflagk`` command is a process of its own, so the layers it imports
 are part of its run time; without cached bytecode each one is compiled too.
 The module sets are read in a fresh interpreter per case, with
-``PYTHONDONTWRITEBYTECODE=1`` as a user may set it.
+``PYTHONDONTWRITEBYTECODE=1`` as a user may set it.  Each name is imported
+from its layer, whose ``__all__`` lists its public names; the package itself
+exports none.
 """
 
 import json
@@ -18,25 +20,6 @@ import qflagk
 from qflagk import gkm, quatflag, randgen, ringcore, weylc
 
 SRC = str(Path(qflagk.__file__).resolve().parent.parent)
-
-# the names the package exported when it imported every layer up front
-EXPORTED = {
-    ringcore: ["BinomialDivisor", "LaurentPoly", "NotDivisible", "NotInvariant", "XPoly",
-               "basis_decompose", "divide_exact", "sigma_k", "sym_in_x", "weyl_act_poly",
-               "x_expand", "xpoly_divide_exact"],
-    weylc: ["SignedPerm", "bruhat_leq", "coset_map", "enumerate_sign_changes",
-            "enumerate_weyl", "length", "max_length_rep", "positive_roots", "reduced_word",
-            "reflection", "simple_reflection"],
-    quatflag: ["QMatrix", "Quaternion", "SingularMatrix", "bruhat_decompose", "cell_index",
-               "perm_matrix", "u_membership"],
-    gkm: ["GKMTupleG", "GKMTupleT", "GKMTupleX", "InexactDivision", "NotInTupleSpan",
-          "SchubertTable", "TupleNotInvariant", "canonical_class", "demazure", "descend_pi",
-          "expand_in_schubert", "gkm_check_g", "gkm_check_t", "gkm_check_x", "j_descend",
-          "j_expand", "descent_invariance_check", "point_class", "presentation_check",
-          "pullback_pi", "quaternionic_schubert_classes", "schubert_class", "schubert_table",
-          "weyl_act_tuple"],
-}
-NAMES = [(module, name) for module, names in EXPORTED.items() for name in names]
 
 # in a fresh interpreter: run the code in argv[1], print the loaded submodules
 PROBE = """
@@ -95,23 +78,8 @@ def test_each_command_loads_only_the_layers_it_runs(inputs, argv, expected):
 
 def test_the_bare_package_loads_no_layer():
     assert _loaded("import qflagk") == []
-    # a layer resolves on first use, with the layers it imports itself
-    assert _loaded("import qflagk; qflagk.SignedPerm") == ["weylc"]
+    # a layer loads with the layers it imports itself
     assert _loaded("from qflagk import gkm") == ["gkm", "ringcore", "weylc"]
-
-
-def test_every_exported_name_resolves_to_its_layer_object():
-    for module, name in NAMES:
-        assert getattr(qflagk, name) is getattr(module, name), name
-        assert name in dir(qflagk), name
-
-
-def test_star_import_gives_every_exported_name():
-    namespace = {}
-    exec("from qflagk import *", namespace)
-    for module, name in NAMES:
-        assert namespace[name] is getattr(module, name)
-    assert sorted(qflagk.__all__) == sorted(name for _, name in NAMES)
 
 
 def test_layers_and_unknown_names():
@@ -124,5 +92,15 @@ def test_layers_and_unknown_names():
         exec("from qflagk import no_such_name", {})
 
 
+LAYERS = [ringcore, weylc, quatflag, gkm, randgen]
+
+
+@pytest.mark.parametrize("layer", LAYERS, ids=[m.__name__.removeprefix("qflagk.") for m in LAYERS])
+def test_every_public_name_is_defined_once(layer):
+    missing = [name for name in layer.__all__ if name not in vars(layer)]
+    assert missing == []
+    assert len(set(layer.__all__)) == len(layer.__all__)
+
+
 def test_the_public_name_count_is_unchanged():
-    assert sum(len(m.__all__) for m in (ringcore, weylc, quatflag, gkm, randgen)) == 87
+    assert sum(len(m.__all__) for m in LAYERS) == 87
