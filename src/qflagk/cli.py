@@ -33,7 +33,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass
 from functools import partial
 
 DEFAULT_MAX_N = 4
@@ -46,30 +45,21 @@ class _UsageError(Exception):
     """Bad flags, environment or input: ``main`` prints the message, exits 2."""
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    n: int
-    seed: int
-    trials: int | None
-    checks: int
-    passed: int  # the checks that found no violation
-    violations: list
-    wall_time_s: float
-
-    def to_text(self):
-        lines = [
-            f"suite: {self.suite}",
-            f"n: {self.n}  seed: {self.seed}  trials: {self.trials if self.trials is not None else '-'}",
-            f"checks: {self.checks}  passed: {self.passed}  violations: {len(self.violations)}",
-        ]
-        for v in self.violations[:20]:
-            lines.append(f"  violation: {json.dumps(v, sort_keys=True)}")
-        if len(self.violations) > 20:
-            lines.append(f"  ... and {len(self.violations) - 20} more")
-        lines.append(f"wall_time_s: {self.wall_time_s:.3f}")
-        lines.append("OK" if not self.violations else "FAILED")
-        return "\n".join(lines)
+def to_text(report):
+    """A ``run_suite`` report as ``verify --format text`` prints it."""
+    trials, violations = report["trials"], report["violations"]
+    lines = [
+        f"suite: {report['suite']}",
+        f"n: {report['n']}  seed: {report['seed']}  trials: {trials if trials is not None else '-'}",
+        f"checks: {report['checks']}  passed: {report['passed']}  violations: {len(violations)}",
+    ]
+    for v in violations[:20]:
+        lines.append(f"  violation: {json.dumps(v, sort_keys=True)}")
+    if len(violations) > 20:
+        lines.append(f"  ... and {len(violations) - 20} more")
+    lines.append(f"wall_time_s: {report['wall_time_s']:.3f}")
+    lines.append("OK" if not violations else "FAILED")
+    return "\n".join(lines)
 
 
 def _emit(cfg, payload, text=None):
@@ -357,7 +347,8 @@ def _run_trials(cfg, suite):
         return [first, *(fut.result() for fut in futures)]
 
 
-def run_suite(cfg, suite: str) -> SuiteReport:
+def run_suite(cfg, suite: str) -> dict:
+    """The report that ``verify`` prints, as a dict."""
     start = time.perf_counter()
     exhaustive, trial = SUITES[suite]
     tallies = [_tally(exhaustive(cfg.n))] if exhaustive else []
@@ -365,16 +356,16 @@ def run_suite(cfg, suite: str) -> SuiteReport:
         tallies += _run_trials(cfg, suite)
     violations = sorted((v for _, _, found in tallies for v in found),
                         key=lambda d: json.dumps(d, sort_keys=True))
-    return SuiteReport(
-        suite=suite,
-        n=cfg.n,
-        seed=cfg.seed,
-        trials=cfg.trials if trial else None,
-        checks=sum(checks for checks, _, _ in tallies),
-        passed=sum(passed for _, passed, _ in tallies),
-        violations=violations,
-        wall_time_s=time.perf_counter() - start,
-    )
+    return {
+        "suite": suite,
+        "n": cfg.n,
+        "seed": cfg.seed,
+        "trials": cfg.trials if trial else None,
+        "checks": sum(checks for checks, _, _ in tallies),
+        "passed": sum(passed for _, passed, _ in tallies),
+        "violations": violations,
+        "wall_time_s": time.perf_counter() - start,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +399,8 @@ def cmd_verify(cfg) -> int:
         print("internal inexact division; witness:", file=sys.stderr)
         print(json.dumps(witness, sort_keys=True), file=sys.stderr)
         return 3
-    _emit(cfg, asdict(report), report.to_text)
-    return 0 if not report.violations else 1
+    _emit(cfg, report, partial(to_text, report))
+    return 0 if not report["violations"] else 1
 
 
 def cmd_schubert(cfg) -> int:

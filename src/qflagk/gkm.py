@@ -52,9 +52,8 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import ClassVar
 
 from .ringcore import (
     BinomialDivisor,
@@ -180,15 +179,12 @@ class TupleNotInvariant(ValueError):
         return (type(self), (self.group_element, self.index))
 
 
-@dataclass(frozen=True)
-class EdgeViolation:
-    """A failed divisibility condition along one edge of a GKM graph."""
+class EdgeViolation(namedtuple("EdgeViolation", "model index partner edge remainder")):
+    """A failed divisibility condition along one edge of a GKM graph, from
+    ``index`` to ``partner`` (window tuples in T, one-line tuples in X and G)
+    along ``edge`` (the positive root in T, the pair (mu, nu) in X and G)."""
 
-    model: str
-    index: object  # window tuple (T) or one-line tuple (X, G)
-    partner: object
-    edge: object  # the positive root (T) or the pair (mu, nu) (X, G)
-    remainder: object
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -242,8 +238,7 @@ def _pair_reflections(factors):
     return reflections
 
 
-@dataclass(frozen=True)
-class _Model:
+class _Model(namedtuple("_Model", "name ring vertices reflections divide label from_label")):
     """What tells one GKM model from another.
 
     ``reflections(n)`` yields (edge, value map, divisor).  The value map is
@@ -261,13 +256,7 @@ class _Model:
     is keyed by its label (``_key``) and read back by ``from_label``.
     """
 
-    name: str
-    ring: type
-    vertices: object
-    reflections: object
-    divide: object
-    label: object
-    from_label: object
+    __slots__ = ()
 
 
 _T = _Model(
@@ -314,24 +303,29 @@ def _vertex_set(model, n):
     return frozenset(model.vertices(n))
 
 
-@dataclass
 class _GKMTuple:
     """One ``model.ring`` element per fixed point; subclasses name the model."""
 
-    rank: int
-    values: dict
-    model: ClassVar[_Model]
-
-    def __post_init__(self):
+    def __init__(self, rank, values):
         m = self.model
-        keys = _vertex_set(m, self.rank)
-        if set(self.values) != keys:
-            missing = set(keys - set(self.values))
-            extra = set(self.values) - keys
+        keys = _vertex_set(m, rank)
+        if set(values) != keys:
+            missing = set(keys - set(values))
+            extra = set(values) - keys
             raise ValueError(f"{m.name}-tuple must be total: missing {missing}, extra {extra}")
-        for k, p in self.values.items():
-            if not isinstance(p, m.ring) or p.rank != self.rank:
-                raise ValueError(f"component at {k} is not a rank-{self.rank} {m.ring.__name__}")
+        for k, p in values.items():
+            if not isinstance(p, m.ring) or p.rank != rank:
+                raise ValueError(f"component at {k} is not a rank-{rank} {m.ring.__name__}")
+        self.rank = rank
+        self.values = values
+
+    def __eq__(self, other):  # and so __hash__ is None: the values are a dict
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.rank == other.rank and self.values == other.values
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(rank={self.rank!r}, values={self.values!r})"
 
     @classmethod
     def constant(cls, rank, poly):
@@ -413,13 +407,11 @@ class GKMTupleG(_GKMTuple):
     model = _G
 
 
-@dataclass
-class SchubertTable:
-    """All Schubert classes of one rank, plus the pinned sign convention."""
+class SchubertTable(namedtuple("SchubertTable", "rank classes convention")):
+    """All Schubert classes of one rank, SignedPerm -> GKMTupleT, plus the
+    pinned sign convention."""
 
-    rank: int
-    classes: dict  # SignedPerm -> GKMTupleT
-    convention: dict
+    __slots__ = ()
 
     def to_json(self):
         return {

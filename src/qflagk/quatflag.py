@@ -15,11 +15,10 @@ flag's intersection-dimension jumps, and the two routes must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .weylc import Perm, perm_identity, perm_inverse
+from .weylc import perm_identity, perm_inverse
 
 __all__ = [
     "Quaternion",
@@ -45,7 +44,10 @@ def _frac(x):
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
-@dataclass(frozen=True, init=False, repr=False)
+def _immutable(self, *args):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class Quaternion:
     """a + b*i + c*j + d*k with exact rational components.
 
@@ -55,17 +57,22 @@ class Quaternion:
     as ``Fraction``.  Immutable.
     """
 
-    # Slots declared by hand: before Python 3.12, slots=True builds a new
-    # class whose frozen __setattr__ raises TypeError for non-field names.
     __slots__ = ("_x", "_den")
-    _x: tuple
-    _den: int
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, a, b, c, d):
         fs = (_frac(a), _frac(b), _frac(c), _frac(d))
         den = lcm(*(f.denominator for f in fs))
         _set_x(self, tuple(f.numerator * (den // f.denominator) for f in fs))
         _set_den(self, den)
+
+    def __eq__(self, other):
+        if type(other) is not Quaternion:
+            return NotImplemented
+        return self._x == other._x and self._den == other._den
+
+    def __hash__(self):
+        return hash((self._x, self._den))
 
     def __reduce__(self):
         return _trusted, (*self._x, self._den)
@@ -173,18 +180,25 @@ _Q0 = Quaternion.zero()
 _Q1 = Quaternion.one()
 
 
-@dataclass(frozen=True)
 class QMatrix:
     """Square quaternionic matrix, rows-of-tuples; immutable and exact."""
 
-    entries: tuple
+    __setattr__ = __delattr__ = _immutable  # no __slots__: unpickling fills __dict__ directly
 
-    def __post_init__(self):
-        n = len(self.entries)
-        rows = tuple(tuple(row) for row in self.entries)
+    def __init__(self, entries):
+        n = len(entries)
+        rows = tuple(tuple(row) for row in entries)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
         object.__setattr__(self, "entries", rows)
+
+    def __eq__(self, other):
+        if type(other) is not QMatrix:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.entries,))
 
     @property
     def n(self):
@@ -247,7 +261,7 @@ class QMatrix:
         ))
 
 
-def perm_matrix(tau: Perm) -> QMatrix:
+def perm_matrix(tau: tuple) -> QMatrix:
     """0/1 matrix with entry (mu, nu) = 1 iff mu = tau(nu).
 
     Column nu carries the basis vector e_{tau(nu)}, so the map tau ->
@@ -261,7 +275,7 @@ def perm_matrix(tau: Perm) -> QMatrix:
     ))
 
 
-def free_positions(tau: Perm):
+def free_positions(tau: tuple):
     """Positions (mu, nu), 1-based, where the unipotent factor may be nonzero.
 
     These are the pairs mu < nu with tau^{-1}(mu) > tau^{-1}(nu); their count
@@ -277,7 +291,7 @@ def free_positions(tau: Perm):
     ]
 
 
-def u_membership(u: QMatrix, tau: Perm) -> bool:
+def u_membership(u: QMatrix, tau: tuple) -> bool:
     """Whether u lies in the constrained unipotent group of the cell of tau.
 
     True iff the diagonal is all ones and every off-diagonal entry vanishes
@@ -357,7 +371,7 @@ def _pivot_columns(rows):
     return list(reduced)
 
 
-def cell_index(g: QMatrix) -> Perm:
+def cell_index(g: QMatrix) -> tuple:
     """The permutation indexing the Bruhat cell containing the flag of g.
 
     Step v of the flag, V_v, is spanned by the first v rows of g^†, and

@@ -33,8 +33,6 @@ from functools import cache
 from itertools import permutations, product
 
 __all__ = [
-    "Weight",
-    "Perm",
     "SignedPerm",
     "simple_root",
     "positive_roots",
@@ -59,10 +57,6 @@ __all__ = [
     "perm_embed",
     "all_perms",
 ]
-
-Weight = tuple  # integer coordinates in the L-basis
-Perm = tuple  # one-line notation, 1-based images
-
 
 class SignedPerm:
     """Signed permutation, stored as its window (w_1, ..., w_n): it sends
@@ -122,7 +116,7 @@ class SignedPerm:
             out[abs(v) - 1] = i if v > 0 else -i
         return SignedPerm(out)
 
-    def act(self, lam: Weight) -> Weight:
+    def act(self, lam: tuple) -> tuple:
         """Image of a weight: L^v maps to sign(w_v) * L^{|w_v|}, extended linearly."""
         if len(lam) != self.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {len(lam)}")
@@ -157,7 +151,7 @@ class SignedPerm:
 # roots and reflections
 # ---------------------------------------------------------------------------
 
-def simple_root(i: int, n: int) -> Weight:
+def simple_root(i: int, n: int) -> tuple:
     """alpha_i = L^i - L^{i+1} for i < n, alpha_n = 2L^n."""
     if not 1 <= i <= n:
         raise ValueError(f"simple root index {i} out of range for rank {n}")
@@ -330,7 +324,7 @@ def bruhat_leq(v, w) -> bool:
     return v.window() in _bruhat_lower_set(w.window())
 
 
-def bruhat_leq_by_rank_matrix(a: Perm, b: Perm) -> bool:
+def bruhat_leq_by_rank_matrix(a: tuple, b: tuple) -> bool:
     """Independent Bruhat-order oracle for plain permutations.
 
     a <= b iff for all i, j the count of k <= i with a(k) >= j is at most the
@@ -373,14 +367,14 @@ def enumerate_sign_changes(n: int) -> tuple:
     return tuple(w for w in enumerate_weyl(n) if w.is_sign_change())
 
 
-def coset_map(w: SignedPerm) -> Perm:
+def coset_map(w: SignedPerm) -> tuple:
     """Forget signs: the quotient map onto S_n, with the sign changes as
     kernel.  It is the underlying permutation, the absolute values of the
     window."""
     return tuple(map(abs, w.window()))
 
 
-def max_length_rep(tau: Perm) -> SignedPerm:
+def max_length_rep(tau: tuple) -> SignedPerm:
     """The unique longest signed permutation whose underlying permutation is tau.
 
     It is the window -tau, every sign negative, of length n^2 - inv(tau).
@@ -396,29 +390,29 @@ def max_length_rep(tau: Perm) -> SignedPerm:
 # plain permutation helpers (one-line notation, 1-based)
 # ---------------------------------------------------------------------------
 
-def perm_identity(n: int) -> Perm:
+def perm_identity(n: int) -> tuple:
     return tuple(range(1, n + 1))
 
 
-def perm_compose(a: Perm, b: Perm) -> Perm:
+def perm_compose(a: tuple, b: tuple) -> tuple:
     """(a o b)(i) = a(b(i)): apply b first."""
     return tuple(a[x - 1] for x in b)
 
 
-def perm_inverse(a: Perm) -> Perm:
+def perm_inverse(a: tuple) -> tuple:
     out = [0] * len(a)
     for i, x in enumerate(a):
         out[x - 1] = i + 1
     return tuple(out)
 
 
-def perm_transposition(n: int, mu: int, nu: int) -> Perm:
+def perm_transposition(n: int, mu: int, nu: int) -> tuple:
     out = list(range(1, n + 1))
     out[mu - 1], out[nu - 1] = nu, mu
     return tuple(out)
 
 
-def perm_inversions(a: Perm) -> int:
+def perm_inversions(a: tuple) -> int:
     return sum(
         1
         for i in range(len(a))
@@ -427,7 +421,7 @@ def perm_inversions(a: Perm) -> int:
     )
 
 
-def perm_embed(tau: Perm) -> SignedPerm:
+def perm_embed(tau: tuple) -> SignedPerm:
     """Embed S_n into the signed group: the window tau, all signs positive."""
     if any(v < 0 for v in tau):
         raise ValueError(f"{tuple(tau)} is not a permutation of 1..{len(tau)}")

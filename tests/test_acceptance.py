@@ -72,9 +72,9 @@ def accept(cid, reports, checks, budget=None, holds=True):
     """Print the criterion's line, then assert that the reports made the
     ``checks`` counts, found no violation and, if a budget is stated, took
     under ``budget`` seconds together; ``holds`` is any further condition."""
-    got = [r.checks for r in reports]
-    violations = [v for r in reports for v in r.violations]
-    elapsed = sum(r.wall_time_s for r in reports)
+    got = [r["checks"] for r in reports]
+    violations = [v for r in reports for v in r["violations"]]
+    elapsed = sum(r["wall_time_s"] for r in reports)
     ok = got == checks and not violations and (budget is None or elapsed < budget) and holds
     report(cid, ok, f"{sum(got)} checks, {len(violations)} violations, {elapsed:.1f}s")
     assert got == checks
@@ -226,7 +226,7 @@ def test_criterion_9_checker_sensitivity():
     """Single-component +1 perturbations of 100 valid tuples per model at
     n = 2 are rejected, each with a concrete witness (``gkm-t`` and ``gkm-x``
     with ``--mutate 1``, and the same trial on G-tuples)."""
-    tallies = [(r.checks, r.passed, r.violations)
+    tallies = [(r["checks"], r["passed"], r["violations"])
                for r in (run("gkm-t", 2, trials=100, mutate=1),
                          run("gkm-x", 2, trials=100, mutate=1))]
     tallies.append(cli._tally(found for t in range(100)

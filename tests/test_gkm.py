@@ -1296,6 +1296,28 @@ def test_serialization_roundtrip_all_models():
     assert set(data["classes"]) == {"[1]", "[-1]"}
 
 
+def test_tuples_and_records_pickle_and_compare_as_values():
+    n = 2
+    fx, fg = GKMTupleX.constant(n, 1), GKMTupleG.constant(n, 1)
+    bad = GKMTupleX(n, {(1, 2): LaurentPoly.x(n, 1), (2, 1): LaurentPoly.x(n, 2)})
+    (violation,) = gkm_check_x(bad)
+    table = schubert_table(n)
+    for value in (random_t_tuple(trial_rng(10, 0), n), fx, fg, violation, table):
+        back = pickle.loads(pickle.dumps(value))
+        assert back is not value and type(back) is type(value) and back == value
+    # a tuple equals only a tuple of its own model, rank and values, and is
+    # not hashable, as its values are a dict
+    assert fx.values.keys() == fg.values.keys() and fx != fg and fg != fx
+    assert fx != GKMTupleX.constant(n, 2) and fx != GKMTupleX.constant(3, 1)
+    with pytest.raises(TypeError):
+        hash(fx)
+    assert repr(fx) == f"GKMTupleX(rank=2, values={fx.values!r})"
+    # the records unpack and compare as the tuples of their fields
+    model, index, partner, edge, remainder = violation
+    assert (model, index, partner, edge) == ("X", (1, 2), (2, 1), (1, 2))
+    assert violation == EdgeViolation(*violation) and table == (n, table.classes, CONVENTION)
+
+
 def test_tuple_codec_reads_only_its_own_model_tag():
     # G and X values share one term codec, so without the tag a G-class
     # would load as an X-tuple that is not X-valid

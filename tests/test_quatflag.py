@@ -134,8 +134,9 @@ def test_quaternion_is_immutable():
     for name in ("a", "_x", "_den", "other"):
         with pytest.raises(AttributeError):
             setattr(q, name, 5)
-    with pytest.raises(AttributeError):
-        del q.a
+    for name in ("a", "_x"):
+        with pytest.raises(AttributeError):
+            delattr(q, name)
     assert q == Quaternion(1, 2, 3, 4)
 
 
@@ -175,6 +176,20 @@ def test_singular_matrix_detected():
 def test_matrix_json_roundtrip():
     m = random_invertible_matrix(trial_rng(2, 0), 2)
     assert QMatrix.from_json(m.to_json()) == m
+
+
+def test_matrix_is_an_immutable_value():
+    m = random_invertible_matrix(trial_rng(2, 0), 2)
+    for name in ("entries", "n", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, ())
+    with pytest.raises(AttributeError):
+        del m.entries
+    # equal only to a matrix, and equal matrices hash equal, pickled and
+    # deep-copied ones included
+    for back in (QMatrix.from_json(m.to_json()), pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert back is not m and back == m and hash(back) == hash(m) and {m: 1}[back] == 1
+    assert m != m.entries and m != perm_matrix((1, 2))
 
 
 def test_noncommutativity_matters_in_products():
