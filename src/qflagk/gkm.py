@@ -14,27 +14,21 @@ Three models, all tuples of characters indexed by fixed points:
 The models differ only in their fixed points, edges with divisors, ring and
 divide routine; one table entry per model (``_T``, ``_X``, ``_G``) holds
 these, and one tuple type, edge walk, checker and JSON codec serve all three.
-The checker decides an edge by residues modulo each binomial x^F - 1 of its
-divisor, which needs no quotient.  That is exact for the X divisor too: its
-factors have the exponents e_mu - e_nu and e_mu + e_nu, distinct primitive
-vectors, so they are irreducible and not associate in the factorial ring
-Z[x^±1], and their product divides a difference iff each of them does.
-Each distinct value is reduced once per reflection, one pass over its
-terms per factor with its leading exponents read once, not at both ends of
-every edge: the tuples repeat their values, as a Schubert class does on the
-cosets of its descent parabolic and a pullback on the cosets of the sign
-changes.
+The checker decides an edge by the residues of its two values modulo each
+binomial x^F - 1 of its divisor (``ringcore.TermIndex``).  That is exact
+for the X divisor too: its factors have the exponents e_mu - e_nu and e_mu
++ e_nu, distinct primitive vectors, so they are irreducible and not
+associate in the factorial ring Z[x^±1], and their product divides a
+difference iff each of them does.
 
-Schubert classes are built by the Demazure recursion from the point class,
-with one exact division per distinct pair of values and root, as the
-operator takes the same value at both ends of a pair {w, w s_i} and a class
-repeats its values on the cosets of its descents (``demazure``).  The two
-sign choices that recursion leaves open (the exponent sign in the
-K-theoretic Euler product and in the Demazure denominator) are pinned by
-requiring the rank-one recursion to reach the constant tuple 1, and the
-chosen convention is recorded on the table.  At w, the class of w is prod
-(1 - e^alpha) over the positive roots alpha with w^{-1}(alpha) > 0
-(``_diagonal``): the closed-form divisor of the Schubert expansion.
+Schubert classes are built by the Demazure recursion from the point class
+(``demazure``).  The two sign choices that recursion leaves open (the
+exponent sign in the K-theoretic Euler product and in the Demazure
+denominator) are pinned by requiring the rank-one recursion to reach the
+constant tuple 1, and the chosen convention is recorded on the table.  At
+w, the class of w is prod (1 - e^alpha) over the positive roots alpha with
+w^{-1}(alpha) > 0 (``_diagonal``): the closed-form divisor of the Schubert
+expansion.
 
 Those 2^n n! classes do not descend to the quaternionic flag space: each is
 nonzero at the identity, so a class fixed by the sign change -1 would also be
@@ -60,11 +54,8 @@ from .ringcore import (
     LaurentPoly,
     NotDivisible,
     NotInvariant,
+    TermIndex,
     XPoly,
-    _binomial_product,
-    _leading_exponents,
-    _residues,
-    _same_residue,
     divide_exact,
     sigma_k,
     sym_in_x,
@@ -244,11 +235,11 @@ class _Model(namedtuple("_Model", "name ring vertices reflections divide label f
     ``reflections(n)`` yields (edge, value map, divisor).  The value map is
     left multiplication by the edge's reflection, read on labels: it sends
     each entry of a fixed point's label to the entry of its image's label.
-    The divisor is a product of binomials x^F - 1 whose residues
-    (``ringcore._residues``) decide the edges of that reflection.  Its
-    factors share their leading variable: a T root has one factor, an X pair
-    (mu, nu) two, both led by x_mu, and a G pair one, X_mu X_nu^{-1} - 1, led
-    by X_mu.  ``divide(difference, edge, divisor)`` divides a failing edge's
+    The divisor is a product of binomials x^F - 1 with one leading
+    variable, whose residues decide the reflection's edges
+    (``ringcore.TermIndex``): a T root has one factor, an X pair (mu, nu)
+    two, both led by x_mu, and a G pair one, X_mu X_nu^{-1} - 1.
+    ``divide(difference, edge, divisor)`` divides a failing edge's
     difference by the edge condition: by the divisor in T and X, and by
     X_mu - X_nu = X_nu (X_mu X_nu^{-1} - 1), a unit times it, in G.
     ``label`` is a fixed point as violations report it, and edges are
@@ -386,6 +377,8 @@ class _GKMTuple:
             m.from_label(json.loads(key)): m.ring.from_json(rank, val)
             for key, val in data["values"].items()
         }
+        if len(values) != len(data["values"]):  # "[1,2]" and "[1, 2]" name one point
+            raise ValueError("values name a fixed point twice")
         return cls(rank, values)
 
 
@@ -428,84 +421,24 @@ class SchubertTable(namedtuple("SchubertTable", "rank classes convention")):
 # membership checkers
 # ---------------------------------------------------------------------------
 
-def _content_index(values):
-    """Per value, an index shared by all values with the same terms, whether
-    or not they are the same object; and per index the one of them with the
-    largest bound.  Its residue stands for all of them: where its reach
-    check holds, each of theirs does.
-
-    Values are matched by object first, then by term count and key sum, and
-    compared term by term only within such a group, so no term is copied.
-    """
-    by_id = {}
-    groups = {}
-    distinct = []
-    index = []
-    for p in values:
-        i = by_id.get(id(p))
-        if i is None:
-            packed = p._packed
-            group = groups.setdefault((len(packed), sum(packed)), [])
-            i = next((j for j in group if distinct[j]._packed == packed), None)
-            if i is None:
-                i = len(distinct)
-                distinct.append(p)
-                group.append(i)
-            elif p._bound > distinct[i]._bound:
-                distinct[i] = p
-            by_id[id(p)] = i
-        index.append(i)
-    return index, distinct
-
-
-def _group_residues(i, distinct, steps, leads, residues):
-    """The residues (``ringcore._residues``) of the value of content index i
-    modulo the factors of ``steps``, memoized in ``residues`` for one edge
-    group; ``leads`` memoizes its leading exponents by (variable, i) for every
-    group of the check."""
-    if i in residues:
-        return residues[i]
-    key = (steps[0][1], i)
-    e = leads.get(key)
-    if e is None:
-        e = leads[key] = _leading_exponents(distinct[i], key[0])
-    r = residues[i] = _residues(distinct[i], steps, e)
-    return r
-
-
 def _check(model, f):
     """The violations of ``f`` in ``model``'s edge order.
 
-    An edge passes when its two values have the same terms, or the same
-    residue modulo each binomial x^F - 1 of its reflection's divisor, so
-    that every factor, and with them their product (see the module
-    docstring), divides the difference.  Within the edges of one reflection
-    each distinct value is reduced at most once, and each pair of distinct
-    values decided once; its leading exponents are read once per variable
-    and kept for the whole check.  Otherwise ``model.divide`` decides, edge
-    by edge, and forms the remainder witness; it also decides, or raises
-    ``OverflowError``, where a value reaches past a third of the exponent
-    limit and its residue could leave it.
+    An edge passes when its two values have the same terms, or when their
+    residue verdict (``ringcore.TermIndex``) is that each factor of the
+    divisor, and so their product (see the module docstring), divides the
+    difference.  Otherwise ``model.divide`` decides and forms the remainder
+    witness, or raises ``OverflowError``.
     """
     violations = []
     values = [f.values[u] for u in model.vertices(f.rank)]
-    index, distinct = _content_index(values)
-    leads = {}
+    terms = TermIndex(values)
+    index = terms.numbers
     for edge, divisor, pairs in _edges(model, f.rank):
-        steps = divisor._steps
-        residues = {}
-        verdicts = {}
+        verdicts = terms.verdicts(divisor)
         for u, v, iu, iv in pairs:
             a, b = index[iu], index[iv]
-            if a == b:
-                continue
-            pair = (a, b) if a < b else (b, a)
-            agree = verdicts.get(pair)
-            if agree is None:
-                ra = _group_residues(a, distinct, steps, leads, residues)
-                rb = None if ra is None else _group_residues(b, distinct, steps, leads, residues)
-                agree = verdicts[pair] = rb is not None and all(map(_same_residue, ra, rb))
-            if agree:
+            if a == b or verdicts[(a, b) if a < b else (b, a)]:
                 continue
             try:
                 model.divide(values[iu] - values[iv], edge, divisor)
@@ -605,9 +538,9 @@ def demazure(i: int, f: GKMTupleT) -> GKMTupleT:
     share the result.  A class repeats its values on the cosets of its
     descents, so many pairs repeat (f_w, f_{w s_i}, w(alpha_i)) too: one
     numerator and one division serve each distinct pair of values, matched
-    by terms (``_content_index``) and bounds, and root, and the one quotient
-    is stored at every pair that has them.  The bounds are in the match so
-    that each quotient keeps the bound its own pair's division gives it.
+    by terms and bounds (``ringcore.TermIndex.bound_keys``), and root, so
+    that each quotient keeps the bound its own pair's division gives it;
+    the one quotient is stored at every pair that has them.
     The division is exact at w s_i iff it is at w, so a failure raises
     :class:`InexactDivision` with the same (w, i, numerator) as a walk over
     every fixed point in that order: its first failing point is the first
@@ -622,13 +555,13 @@ def demazure(i: int, f: GKMTupleT) -> GKMTupleT:
     n = f.rank
     weyl = enumerate_weyl(n)
     values = list(map(f.values.__getitem__, weyl))
-    index, _ = _content_index(values)
+    keys = TermIndex(values).bound_keys()
     zero = LaurentPoly.zero(n)
     out = [zero] * len(weyl)
     quotients = {}
     for k, kws, e_walpha, divisor in _demazure_steps(n, i):
         fw, fws = values[k], values[kws]
-        key = (index[k], index[kws], fw._bound, fws._bound, divisor.factors)
+        key = (keys[k], keys[kws], divisor.factors)
         q = quotients.get(key)
         if q is None:
             q = zero
@@ -823,12 +756,14 @@ def _diagonal_roots(w: SignedPerm):
 
 def _diagonal(w: SignedPerm) -> LaurentPoly:
     """The class of w at w: prod (1 - e^alpha) over ``_diagonal_roots(w)``,
-    formed as (-1)^k ``_binomial_product`` (as ``BinomialDivisor.as_poly``),
-    in its term order: the Demazure steps from the point class run about 3%
-    faster on it than on the order of prod (1 - e^alpha).  It is 1 at the
-    longest element -1, which has no such roots."""
+    formed as (-1)^k ``BinomialDivisor.as_poly``, in its term order: the
+    Demazure steps from the point class run about 3% faster on it than on
+    the order of prod (1 - e^alpha).  It is 1 at the longest element -1,
+    which has no such roots."""
     roots = _diagonal_roots(w)
-    return (-1) ** len(roots) * _binomial_product(w.rank, roots)
+    if not roots:
+        return LaurentPoly.one(w.rank)
+    return (-1) ** len(roots) * BinomialDivisor(roots).as_poly()
 
 
 def expand_in_schubert(f: GKMTupleT, basis):

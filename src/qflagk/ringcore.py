@@ -42,13 +42,12 @@ its result before it forms a key:
   (d = 1, max|F| = 1), so its transient figure is ``bound + (hi - lo)``;
   its witness f(X_mu := X_nu) reaches ``bound + hi``, checked before it
   is formed.
-* The residue of a term modulo e^F - 1 (``_residues``: one value, one pass
-  over its terms per factor of an edge group, the leading exponents read
-  once for all of them) moves it by -t F with |t| <= 2 * bound // |d|, so
-  it reaches at most ``bound + 2 * bound // |d| * max|F|``, which is also
-  what the long division of a difference of two values within the bound
-  can reach.  At or beyond the limit no residue is formed: the division
-  decides, or raises ``OverflowError``.
+* A residue modulo e^F - 1 (``TermIndex``, which decides GKM edges by
+  residues) moves a term by -t F with |t| <= 2 * bound // |d|, so it
+  reaches at most ``bound + 2 * bound // |d| * max|F|``, as far as the long
+  division of a difference of two values within the bound.  At or beyond
+  the limit no residue is formed: the division decides, or raises
+  ``OverflowError``.
 * ``weyl_act_poly`` permutes and negates exponents; ``x_expand`` and
   ``basis_decompose`` write x^k through X^j with |j| <= |k| and the other
   way round: all three keep the bound.
@@ -73,6 +72,7 @@ __all__ = [
     "LaurentPoly",
     "XPoly",
     "BinomialDivisor",
+    "TermIndex",
     "NotDivisible",
     "NotInvariant",
     "EXPONENT_LIMIT",
@@ -417,14 +417,6 @@ class XPoly(_PolyBase):
             raise ValueError(f"negative exponent in XPoly term {exps}")
 
 
-def _binomial_product(rank, factors):
-    """prod (x^F - 1) over ``factors``, in their order; 1 if there are none."""
-    out = LaurentPoly.one(rank)
-    for f in factors:
-        out = out * (LaurentPoly.monomial(rank, f) - 1)
-    return out
-
-
 class BinomialDivisor:
     """A product of distinct binomials prod (m - 1), m a Laurent monomial != 1.
 
@@ -460,7 +452,11 @@ class BinomialDivisor:
         self._steps = tuple(steps)
 
     def as_poly(self):
-        return _binomial_product(self.rank, self.factors)
+        """prod (x^F - 1) over the factors, in their order."""
+        out = LaurentPoly.one(self.rank)
+        for f in self.factors:
+            out = out * (LaurentPoly.monomial(self.rank, f) - 1)
+        return out
 
     def __repr__(self):
         pieces = "".join(f"({_render([(f, 1)], 'x')} - 1)" for f in self.factors)
@@ -586,6 +582,77 @@ def _same_residue(a, b):
         len(a) - countOf(a.values(), 0) == len(b) - countOf(b.values(), 0)
         and all(map(eq, map(b.get, a, repeat(0)), a.values()))
     )
+
+
+class TermIndex:
+    """Numbers values by their terms (``numbers[k]`` for ``values[k]``),
+    whether or not they are one object: by object, then by term count and
+    key sum, then term by term.  Of each number the value with the largest
+    bound stands for all in the residue verdicts: where its reach check
+    holds, each of theirs does."""
+
+    __slots__ = ("numbers", "_values", "_chosen", "_leads")
+
+    def __init__(self, values):
+        by_id = {}
+        groups = {}
+        chosen = self._chosen = []
+        numbers = self.numbers = []
+        for p in values:
+            i = by_id.get(id(p))
+            if i is None:
+                packed = p._packed
+                group = groups.setdefault((len(packed), sum(packed)), [])
+                i = next((j for j in group if chosen[j]._packed == packed), None)
+                if i is None:
+                    i = len(chosen)
+                    chosen.append(p)
+                    group.append(i)
+                elif p._bound > chosen[i]._bound:
+                    chosen[i] = p
+                by_id[id(p)] = i
+            numbers.append(i)
+        self._values = values
+        self._leads = {}  # (leading variable, number) -> _leading_exponents
+
+    def bound_keys(self):
+        """Per value, (its number, its bound): equal for equal terms and bounds."""
+        return list(zip(self.numbers, [p._bound for p in self._values]))
+
+    def verdicts(self, divisor):
+        """A dict from pairs (a, b), a < b, of numbers to whether each factor of
+        ``divisor`` (all led by one variable) divides the difference of their
+        values, read off residues; False where a residue could leave the
+        limit, as only a division decides there.  A pair is decided on its
+        first read, each number reduced once per dict."""
+        return _Verdicts(self, divisor._steps)
+
+
+class _Verdicts(dict):
+    """The dict of ``TermIndex.verdicts``: a missing pair is decided."""
+
+    __slots__ = ("_chosen", "_leads", "_steps", "_residues")
+
+    def __init__(self, index, steps):
+        self._chosen = index._chosen
+        self._leads = index._leads
+        self._steps = steps
+        self._residues = {}  # number -> _residues of its value
+
+    def __missing__(self, pair):
+        residues, steps, leads = self._residues, self._steps, self._leads
+        for i in pair:
+            if i not in residues:
+                key = (steps[0][1], i)
+                e = leads.get(key)
+                if e is None:
+                    e = leads[key] = _leading_exponents(self._chosen[i], key[0])
+                residues[i] = _residues(self._chosen[i], steps, e)
+            if residues[i] is None:
+                self[pair] = False
+                return False
+        agree = self[pair] = all(map(_same_residue, residues[pair[0]], residues[pair[1]]))
+        return agree
 
 
 def divide_exact(f: LaurentPoly, divisor) -> LaurentPoly:

@@ -520,6 +520,19 @@ def test_check_wrong_index_set_is_a_parse_error(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("model, label, twin", [("G", "[1,2]", "[1, 2]"), ("T", "[-2,1]", "[-2, 1]")])
+def test_check_refuses_a_fixed_point_named_twice(tmp_path, capsys, model, label, twin):
+    # two spellings of one label: neither value may silently win
+    data = getattr(gkm, f"GKMTuple{model}").constant(2, 1).to_json()
+    assert label in data["values"]
+    data["values"][twin] = [["5", [0, 0]]]
+    p = tmp_path / "twice.json"
+    p.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "check", "--model", model, "--n", "2", "--input", str(p))
+    assert (rc, out) == (2, "")
+    assert err == "cannot read tuple: values name a fixed point twice\n"
+
+
 def test_check_non_object_input_is_a_parse_error(tmp_path, capsys):
     p = tmp_path / "list.json"
     for body in ("[]", "[1, 2]", '"T"', '{"model": "T", "rank": 2, "values": []}'):

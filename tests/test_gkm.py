@@ -616,9 +616,9 @@ def test_each_distinct_value_is_reduced_once_per_edge_factor(monkeypatch):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(gkm, "_residues", counted(residues, ringcore._residues))
-    monkeypatch.setattr(gkm, "_same_residue", counted(comparisons, ringcore._same_residue))
-    monkeypatch.setattr(gkm, "_leading_exponents", counted(reads, ringcore._leading_exponents))
+    monkeypatch.setattr(ringcore, "_residues", counted(residues, ringcore._residues))
+    monkeypatch.setattr(ringcore, "_same_residue", counted(comparisons, ringcore._same_residue))
+    monkeypatch.setattr(ringcore, "_leading_exponents", counted(reads, ringcore._leading_exponents))
     assert all(gkm_check_t(f) == [] for f in tuples)
     assert (len(residues), len(comparisons), len(reads)) == (ends, joined, leading)
     # two residues per edge factor, one at each end, would take 3.8 times as

@@ -5,9 +5,11 @@ are part of its run time; without cached bytecode each one is compiled too.
 The module sets are read in a fresh interpreter per case, with
 ``PYTHONDONTWRITEBYTECODE=1`` as a user may set it.  Each name is imported
 from its layer, whose ``__all__`` lists its public names; the package itself
-exports none.
+exports none.  Only ``ringcore`` reads how a polynomial or a divisor is
+stored, and no layer imports a private name from it.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -108,4 +110,22 @@ def test_every_public_name_is_defined_once(layer):
 
 
 def test_the_public_name_count_is_unchanged():
-    assert sum(len(m.__all__) for m in LAYERS) == 85
+    assert sum(len(m.__all__) for m in LAYERS) == 86
+
+
+# the packed-term storage and its bound rule, which ringcore alone reads
+STORAGE = {"_packed", "_bound", "_steps", "_trusted"}
+
+
+def test_only_ringcore_reads_the_packed_storage():
+    readers = []
+    private = []
+    for path in sorted(Path(SRC, "qflagk").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in STORAGE and path.stem != "ringcore":
+                readers.append((path.stem, node.lineno, node.attr))
+            if isinstance(node, ast.ImportFrom) and node.module in ("ringcore", "qflagk.ringcore"):
+                private += [(path.stem, a.name) for a in node.names if a.name.startswith("_")]
+    assert readers == []
+    assert private == []

@@ -15,6 +15,7 @@ from qflagk.ringcore import (
     LaurentPoly,
     NotDivisible,
     NotInvariant,
+    TermIndex,
     XPoly,
     basis_decompose,
     divide_exact,
@@ -941,3 +942,86 @@ def test_not_divisible_crosses_a_process_pool():
             future.result()
     assert caught.value.factor == (1, 2)
     assert caught.value.remainder == X(2) * X(2) + 1
+
+
+# ---------------------------------------------------------------------------
+# the term index: numbers by terms, residue verdicts on pairs of numbers
+# ---------------------------------------------------------------------------
+
+def test_equal_terms_share_a_number_whatever_the_object():
+    p = LaurentPoly(2, {(1, -1): 2, (0, 3): -1})
+    twin = LaurentPoly(2, {(0, 3): -1, (1, -1): 2})
+    other = LaurentPoly(2, {(1, -1): 2})
+    assert twin is not p
+    assert TermIndex([p, other, twin, p]).numbers == [0, 1, 0, 0]
+
+
+def test_the_largest_bound_stands_for_its_number():
+    # (p + m) - m has the terms of p and the bound of m.  Past a third of the
+    # limit the residue of that value could leave it, so the verdict of the
+    # number is no even on a pair the division passes
+    n = 2
+    p = LaurentPoly(n, {(2, 0): 1, (0, 1): -3})
+    q = p + LaurentPoly(n, {(1, 1): 4}) * (LaurentPoly.monomial(n, (1, 0)) - 1)
+    m = LaurentPoly.monomial(n, (LIMIT // 3 + 1, 0))
+    inflated = (p + m) - m
+    assert inflated.terms == p.terms and inflated._bound == m._bound > p._bound
+    divisor = BinomialDivisor([(1, 0)])
+    divide_exact(p - q, divisor)
+    assert TermIndex([p, q]).verdicts(divisor)[(0, 1)] is True
+    for values in ([p, q, inflated], [inflated, q, p]):
+        index = TermIndex(values)
+        assert index.numbers[0] == index.numbers[2]
+        assert index.verdicts(divisor)[(0, 1)] is False
+    keys = TermIndex([p, q, inflated]).bound_keys()
+    assert keys[0] != keys[2] and keys[0][0] == keys[2][0]
+    assert keys == [(0, p._bound), (1, q._bound), (0, m._bound)]
+
+
+def _seeded_pairs(rng, n):
+    """(ring, divisor, a, b, divide) over T roots, X pairs and G pairs, b
+    often a plus a multiple of the divisor or of one of its factors."""
+    root = _random_factor(rng, n)
+    mu, nu = rng.sample(range(1, n + 1), 2)
+    e = [(v == mu) - (v == nu) for v in range(1, n + 1)]
+    pair = [e, [(v == mu) + (v == nu) for v in range(1, n + 1)]]
+    for ring, factors, divide in (
+        (LaurentPoly, [root], lambda d, divisor: divide_exact(d, divisor)),
+        (LaurentPoly, pair, lambda d, divisor: divide_exact(d, divisor)),
+        (XPoly, [e], lambda d, divisor: xpoly_divide_exact(d, mu, nu)),
+    ):
+        lo = 0 if ring is XPoly else -3
+        divisor = BinomialDivisor(factors)
+        by = rng.choice([divisor.as_poly(), BinomialDivisor(factors[:1]).as_poly(), 1])
+        if ring is XPoly:
+            by = XPoly.X(n, mu) - XPoly.X(n, nu) if by != 1 else 1
+        a = ring(n, _random_terms(rng, n, lo))
+        yield ring, divisor, a, a + ring(n, _random_terms(rng, n, lo)) * by, divide
+
+
+def _divides(divide, difference, divisor):
+    try:
+        divide(difference, divisor)
+    except NotDivisible:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_verdicts_agree_with_the_division(n):
+    # and say no past a third of the limit, where only the division decides
+    rng = random.Random(f"term-index:{n}")
+    seen = {True: 0, False: 0, "far": 0}
+    for _ in range(60):
+        for ring, divisor, a, b, divide in _seeded_pairs(rng, n):
+            far = ring.monomial(n, (0,) * (n - 1) + (LIMIT // 3 + 1,))
+            for a, b, near in ((a, b, True), (a * far, b * far, False)):
+                index = TermIndex([a, b])
+                if index.numbers == [0, 0]:
+                    continue
+                got = index.verdicts(divisor)[(0, 1)]
+                want = _divides(divide, a - b, divisor)
+                assert got is (want and near)
+                seen[want] += near
+                seen["far"] += want and not near
+    assert all(seen.values()), seen
