@@ -506,23 +506,34 @@ def point_class(n: int) -> GKMTupleT:
 
 
 @lru_cache(maxsize=None)
+def _euler_factors(n):
+    """Per positive root beta, e^beta and the Euler factor 1 - e^beta
+    (``BinomialDivisor.euler``), each built once at rank n and shared by
+    every Demazure step whose w(alpha_i) is beta."""
+    return {
+        beta: (LaurentPoly.monomial(n, beta), BinomialDivisor.euler([beta]))
+        for beta in positive_roots(n)
+    }
+
+
+@lru_cache(maxsize=None)
 def _demazure_steps(n, i):
     """(the positions of w and w s_i in ``enumerate_weyl(n)``, e^{w(alpha_i)},
-    e^{w(alpha_i)} - 1) for each pair {w, w s_i} once, in that order.  w is
+    1 - e^{w(alpha_i)}) for each pair {w, w s_i} once, in that order.  w is
     the pair's first element there: the shorter one, as that order is by
-    length, so i is not a descent of w and w(alpha_i) > 0.
+    length, so i is not a descent of w and w(alpha_i) > 0.  The monomial and
+    the divisor are those of ``_euler_factors``, one object per root.
     Descents and the window of w s_i are read off w's window (``weylc``), so
     w s_i is found by position, with no group product."""
     alpha = simple_root(i, n)
     weyl = enumerate_weyl(n)
     windows = [w.window() for w in weyl]
     position = {window: k for k, window in enumerate(windows)}
+    factors = _euler_factors(n)
     return tuple(
-        (k, position[_times_simple(window, i)],
-         LaurentPoly.monomial(n, walpha), BinomialDivisor([walpha]))
+        (k, position[_times_simple(window, i)]) + factors[w.act(alpha)]
         for k, (w, window) in enumerate(zip(weyl, windows))
         if i not in _window_descents(window)
-        for walpha in (w.act(alpha),)
     )
 
 
@@ -540,15 +551,17 @@ def demazure(i: int, f: GKMTupleT) -> GKMTupleT:
     numerator and one division serve each distinct pair of values, matched
     by terms and bounds (``ringcore.TermIndex.bound_keys``), and root, so
     that each quotient keeps the bound its own pair's division gives it;
-    the one quotient is stored at every pair that has them.
+    the one quotient is stored at every pair that has them.  The root is
+    matched by its divisor, one object per root (``_euler_factors``).
     The division is exact at w s_i iff it is at w, so a failure raises
     :class:`InexactDivision` with the same (w, i, numerator) as a walk over
     every fixed point in that order: its first failing point is the first
     element of the first pair with those values and root.  Where the
     numerator is zero, or f_w and f_{w s_i} both are (then none is formed),
-    the pair's value is zero.  The numerator keeps f_w first: ``-`` copies
-    its left operand and walks its right one, and f_w is usually the larger,
-    so negating the quotient costs less than forming e^beta f_{w s_i} - f_w.
+    the pair's value is zero.  The divisor is the Euler factor 1 - e^beta
+    itself (``BinomialDivisor.euler``): the division negates the numerator
+    as it buckets its terms, so the quotient is the value, with no second
+    pass to negate it.
     The operator is idempotent on valid tuples, and its result is keyed in
     ``enumerate_weyl`` order.
     """
@@ -561,7 +574,7 @@ def demazure(i: int, f: GKMTupleT) -> GKMTupleT:
     quotients = {}
     for k, kws, e_walpha, divisor in _demazure_steps(n, i):
         fw, fws = values[k], values[kws]
-        key = (keys[k], keys[kws], divisor.factors)
+        key = (keys[k], keys[kws], divisor)
         q = quotients.get(key)
         if q is None:
             q = zero
@@ -569,7 +582,7 @@ def demazure(i: int, f: GKMTupleT) -> GKMTupleT:
                 numerator = fw - e_walpha * fws
                 if numerator:
                     try:
-                        q = -divide_exact(numerator, divisor)  # numerator / (1 - e^beta)
+                        q = divide_exact(numerator, divisor)
                     except NotDivisible:
                         raise InexactDivision(weyl[k], i, numerator) from None
             quotients[key] = q
@@ -756,14 +769,14 @@ def _diagonal_roots(w: SignedPerm):
 
 def _diagonal(w: SignedPerm) -> LaurentPoly:
     """The class of w at w: prod (1 - e^alpha) over ``_diagonal_roots(w)``,
-    formed as (-1)^k ``BinomialDivisor.as_poly``, in its term order: the
-    Demazure steps from the point class run about 3% faster on it than on
-    the order of prod (1 - e^alpha).  It is 1 at the longest element -1,
-    which has no such roots."""
+    from ``BinomialDivisor.euler(...).as_poly``, which keeps the term order
+    of prod (e^alpha - 1): the Demazure steps from the point class run about
+    3% faster on it than on the order that multiplying out the 1 - e^alpha
+    gives.  It is 1 at the longest element -1, which has no such roots."""
     roots = _diagonal_roots(w)
     if not roots:
         return LaurentPoly.one(w.rank)
-    return (-1) ** len(roots) * BinomialDivisor(roots).as_poly()
+    return BinomialDivisor.euler(roots).as_poly()
 
 
 def expand_in_schubert(f: GKMTupleT, basis):
@@ -777,10 +790,10 @@ def expand_in_schubert(f: GKMTupleT, basis):
     is the point class.  A Demazure step up to v = w s_i > w divides the
     diagonal by 1 - e^{w(alpha_i)}, because class_w vanishes at v; and
     w(alpha_i) is the one positive root that v^{-1} makes negative and
-    w^{-1} does not.  So a_w is (-1)^|D| times the residual at w divided
-    exactly by prod (e^alpha - 1) over that set D, and the residual itself
-    at the longest element -1, where D is empty.  A division failure or a
-    nonzero final residual raises :class:`NotInTupleSpan`.
+    w^{-1} does not.  So a_w is the residual at w divided exactly by
+    prod (1 - e^alpha) over that set D (``BinomialDivisor.euler``), and the
+    residual itself at the longest element -1, where D is empty.  A division
+    failure or a nonzero final residual raises :class:`NotInTupleSpan`.
     """
     n = f.rank
     table = schubert_table(n)
@@ -795,7 +808,7 @@ def expand_in_schubert(f: GKMTupleT, basis):
         a = rw
         if roots:
             try:
-                a = (-1) ** len(roots) * divide_exact(rw, BinomialDivisor(roots))
+                a = divide_exact(rw, BinomialDivisor.euler(roots))
             except NotDivisible as exc:
                 raise NotInTupleSpan(w.window(), exc.remainder) from None
         coeffs[w] = a

@@ -41,7 +41,12 @@ its result before it forms a key:
   witness.  Division by X_mu - X_nu is this division by X_mu X_nu^{-1} - 1
   (d = 1, max|F| = 1), so its transient figure is ``bound + (hi - lo)``;
   its witness f(X_mu := X_nu) reaches ``bound + hi``, checked before it
-  is formed.
+  is formed.  The Euler orientation prod (1 - x^F)
+  (``BinomialDivisor.euler``) is (-1)^k times prod (x^F - 1), k factors:
+  for odd k its division negates the dividend's coefficients as it buckets
+  them for the first factor, so the same walk gives its quotient, with the
+  same bound; a failure restores the sign of the remainder, so its witness
+  is that of prod (x^F - 1), terms and bound.
 * A residue modulo e^F - 1 (``TermIndex``, which decides GKM edges by
   residues) moves a term by -t F with |t| <= 2 * bound // |d|, so it
   reaches at most ``bound + 2 * bound // |d| * max|F|``, as far as the long
@@ -418,14 +423,17 @@ class XPoly(_PolyBase):
 
 
 class BinomialDivisor:
-    """A product of distinct binomials prod (m - 1), m a Laurent monomial != 1.
+    """A product of distinct binomials prod (m - 1), m a Laurent monomial != 1,
+    or, from ``euler``, the same product in the Euler orientation prod (1 - m).
 
     Factors are stored as exponent vectors.  These products are the only
     divisors the GKM conditions ever need, and each admits an exact
-    univariate division with a clean remainder criterion.
+    univariate division with a clean remainder criterion.  The two
+    orientations differ by (-1)^k, k the number of factors: ``_negate``
+    is whether they differ, which ``divide_exact`` applies in its first pass.
     """
 
-    __slots__ = ("rank", "factors", "_steps")
+    __slots__ = ("rank", "factors", "_steps", "_euler", "_negate")
 
     def __init__(self, factors):
         factors = tuple(tuple(f) for f in factors)
@@ -450,16 +458,27 @@ class BinomialDivisor:
             v = next(i for i, a in enumerate(f) if a)
             steps.append((f, v, f[v], _pack(f), max(map(abs, f))))
         self._steps = tuple(steps)
+        self._euler = self._negate = False
+
+    @classmethod
+    def euler(cls, factors):
+        """prod (1 - x^F) over the factors: the K-theoretic Euler factors."""
+        self = cls(factors)
+        self._euler = True
+        self._negate = len(self.factors) % 2 == 1
+        return self
 
     def as_poly(self):
-        """prod (x^F - 1) over the factors, in their order."""
+        """The product over the factors, in their order; the Euler product is
+        the plain one times (-1)^k, in the same term order."""
         out = LaurentPoly.one(self.rank)
         for f in self.factors:
             out = out * (LaurentPoly.monomial(self.rank, f) - 1)
-        return out
+        return -out if self._negate else out
 
     def __repr__(self):
-        pieces = "".join(f"({_render([(f, 1)], 'x')} - 1)" for f in self.factors)
+        binomial = "(1 - {})" if self._euler else "({} - 1)"
+        pieces = "".join(binomial.format(_render([(f, 1)], "x")) for f in self.factors)
         return f"BinomialDivisor[{pieces}]"
 
 
@@ -467,9 +486,10 @@ class BinomialDivisor:
 # exact division
 # ---------------------------------------------------------------------------
 
-def _divide_one_factor(terms, bound, rank, v, d, key, fmax):
+def _divide_one_factor(terms, bound, rank, v, d, key, fmax, negate=False):
     """Quotient, remainder and remainder bound of a packed term dict by
-    (m - 1), m = x^factor, with ``key`` the factor's packed key.
+    (m - 1), m = x^factor, with ``key`` the factor's packed key; with
+    ``negate``, of the negated dict, so by (1 - m).
 
     The dividend is treated as univariate in x_v, the first variable
     occurring in the factor, with Laurent coefficients in the others; long
@@ -478,6 +498,8 @@ def _divide_one_factor(terms, bound, rank, v, d, key, fmax):
     vanishes exactly when the division is exact.
 
     Bucket j holds the terms whose x_v-digit (exponent plus the limit) is j.
+    With ``negate`` the coefficients are negated as they are bucketed, in a
+    loop of its own, so the plain loop tests no sign per term.
     A term c x^k of the leading bucket is c x^(k - factor) (m - 1) +
     c x^(k - factor): it gives the quotient term at key k - ``key`` and moves
     there, into bucket j - d.  For d > 0 the walk goes down from the top
@@ -487,13 +509,22 @@ def _divide_one_factor(terms, bound, rank, v, d, key, fmax):
     shift = FIELD_BITS * v
     bias = _bias(rank)
     buckets = {}
-    for k, c in terms.items():
-        j = (k + bias) >> shift & _MASK
-        bucket = buckets.get(j)
-        if bucket is None:
-            buckets[j] = {k: c}
-        else:
-            bucket[k] = c
+    if negate:
+        for k, c in terms.items():
+            j = (k + bias) >> shift & _MASK
+            bucket = buckets.get(j)
+            if bucket is None:
+                buckets[j] = {k: -c}
+            else:
+                bucket[k] = -c
+    else:
+        for k, c in terms.items():
+            j = (k + bias) >> shift & _MASK
+            bucket = buckets.get(j)
+            if bucket is None:
+                buckets[j] = {k: c}
+            else:
+                bucket[k] = c
     lo = min(buckets)
     hi = max(buckets)
     reach = bound + (hi - lo) // abs(d) * fmax
@@ -656,13 +687,16 @@ class _Verdicts(dict):
 
 
 def divide_exact(f: LaurentPoly, divisor) -> LaurentPoly:
-    """Exact quotient of ``f`` by a product of binomials prod (m - 1).
+    """Exact quotient of ``f`` by a product of binomials prod (m - 1), or by
+    prod (1 - m) for a divisor from ``BinomialDivisor.euler``.
 
     Factors are divided out in their listed order; the result is
     order-independent because the quotient, when it exists, is unique.
     Raises :class:`NotDivisible` with the first failing factor and a nonzero
     remainder witness, and ``OverflowError`` before a term of the long
-    division could leave the exponent limit.
+    division could leave the exponent limit.  The Euler orientation negates
+    the dividend in the first factor's bucketing when it has an odd number
+    of factors, and so its witness is that of prod (m - 1), sign restored.
     """
     if not isinstance(divisor, BinomialDivisor):
         divisor = BinomialDivisor(divisor)
@@ -670,11 +704,17 @@ def divide_exact(f: LaurentPoly, divisor) -> LaurentPoly:
     if divisor.rank != rank:
         raise ValueError(f"rank mismatch: {rank} vs {divisor.rank}")
     terms, bound = f._packed, f._bound
+    negate = flipped = divisor._negate
     for factor, v, d, key, fmax in divisor._steps:
         if not terms:
             break
-        terms, remainder, reach = _divide_one_factor(terms, bound, rank, v, d, key, fmax)
+        terms, remainder, reach = _divide_one_factor(
+            terms, bound, rank, v, d, key, fmax, negate
+        )
+        negate = False
         if remainder:
+            if flipped:
+                remainder = {k: -c for k, c in remainder.items()}
             raise NotDivisible(factor, LaurentPoly._trusted(rank, remainder, reach))
     return LaurentPoly._trusted(rank, terms, bound)
 

@@ -1,6 +1,8 @@
 """The three fixed-point models, Schubert classes, and the maps between them."""
 
 import copy
+import hashlib
+import json
 import pickle
 import random
 from functools import partial
@@ -50,6 +52,7 @@ from qflagk.ringcore import (
     BinomialDivisor,
     LaurentPoly,
     NotDivisible,
+    TermIndex,
     XPoly,
     divide_exact,
     x_expand,
@@ -1015,6 +1018,39 @@ def test_schubert_class_and_the_table_follow_one_chain():
             for u in enumerate_weyl(n):
                 assert (got[u]._packed, got[u]._bound) == (want[u]._packed, want[u]._bound)
     assert all(tuple(schubert_table(n).classes) == enumerate_weyl(n) for n in (1, 2, 3))
+
+
+# the sha256 that test_the_rank_4_table_keeps_its_pinned_content forms over
+# the content of the rank-4 table
+RANK_4_TABLE_SHA256 = "efac8902d828420b2c9e51a6fd28041ab8e9d383fd2916fb2e3ee9a5792726c1"
+
+
+def test_the_rank_4_table_keeps_its_pinned_content():
+    # every value of every class at the default rank cap: each distinct value
+    # (terms and bound) is hashed once, as its JSON and its bound, numbered in
+    # the order classes and then points first reach it in enumerate_weyl
+    # order; then the number at each (class, point) is hashed.  The JSON is
+    # rendered once per term set, which several bounds may share
+    n = 4
+    weyl = enumerate_weyl(n)
+    classes = schubert_table(n).classes
+    values = [classes[w].values[u] for w in weyl for u in weyl]
+    digest = hashlib.sha256()
+    rendered = {}
+    numbers = {}
+    at = []
+    for key, p in zip(TermIndex(values).bound_keys(), values):
+        number = numbers.get(key)
+        if number is None:
+            number = numbers[key] = len(numbers)
+            js = rendered.get(key[0])
+            if js is None:
+                js = rendered[key[0]] = json.dumps(p.to_json()).encode()
+            digest.update(b"%s %d\n" % (js, p._bound))
+        at.append(number)
+    digest.update(json.dumps(at).encode())
+    assert (len(values), len(rendered), len(numbers)) == (147_456, 5_016, 8_697)
+    assert digest.hexdigest() == RANK_4_TABLE_SHA256
 
 
 def test_schubert_diagonals_have_the_closed_form():

@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import random
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -181,6 +182,66 @@ def test_divide_negative_exponent_factor():
     q = LaurentPoly(2, {(1, 1): 2, (0, -1): 1})
     f = q * d.as_poly()
     assert divide_exact(f, d) == q
+
+
+def _division_outcome(f, divisor):
+    """The quotient's terms and bound, or the failing factor and the
+    remainder's terms and bound."""
+    try:
+        q = divide_exact(f, divisor)
+    except NotDivisible as exc:
+        return "fails", exc.factor, exc.remainder.terms, exc.remainder._bound
+    return "divides", q.terms, q._bound
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_euler_orientation_is_the_plain_one_times_its_sign(n):
+    # prod (1 - x^F) is (-1)^k prod (x^F - 1): its quotient is (-1)^k the
+    # plain one, with the same bound, and where the plain division fails the
+    # oriented one fails at the same factor with the same remainder, also
+    # past the first factor; its product keeps the plain product's term order
+    rng = random.Random(70 + n)
+    seen = set()
+    for trial in range(120):
+        k = rng.randint(1, 3)
+        factors = []
+        while len(factors) < k:
+            v = rng.randrange(n)
+            f = (0,) * v + (rng.choice([1, -1, 2, -2]),) + tuple(
+                rng.randint(-1, 1) for _ in range(n - v - 1))
+            if f not in factors:
+                factors.append(f)
+        plain, euler = BinomialDivisor(factors), BinomialDivisor.euler(factors)
+        sign = (-1) ** k
+        q = LaurentPoly(n, {
+            tuple(rng.randint(-2, 2) for _ in range(n)): rng.choice([-3, -1, 1, 2])
+            for _ in range(rng.randint(1, 4))
+        })
+        f = q * plain.as_poly()
+        # a unit is divisible by no binomial: m fails the first factor, and
+        # m (x^F1 - 1) passes it and may fail a later one
+        m = LaurentPoly.monomial(n, [rng.randint(-3, 3) for _ in range(n)])
+        f += [0, m, m * BinomialDivisor(factors[:1]).as_poly()][trial % 3]
+        want = _division_outcome(f, plain)
+        got = _division_outcome(f, euler)
+        if want[0] == "divides":
+            assert got == ("divides", {e: sign * c for e, c in want[1].items()}, want[2])
+            seen.add(("divides", k))
+        else:
+            assert got == want
+            seen.add(("fails", k, factors.index(want[1]) > 0))
+        assert list(euler.as_poly().terms.items()) == [
+            (e, sign * c) for e, c in plain.as_poly().terms.items()
+        ]
+        assert repr(euler) == re.sub(r"\(([^()]*) - 1\)", r"(1 - \1)", repr(plain))
+    assert {("divides", k) for k in (1, 2, 3)} | {("fails", k, False) for k in (1, 2, 3)} <= seen
+    assert ("fails", 3, True) in seen
+
+
+def test_the_euler_orientation_reads_as_one_minus_each_monomial():
+    assert repr(BinomialDivisor.euler([(1, -1), (0, 2)])) == "BinomialDivisor[(1 - x1*x2^-1)(1 - x2^2)]"
+    assert repr(BinomialDivisor([(1, -1), (0, 2)])) == "BinomialDivisor[(x1*x2^-1 - 1)(x2^2 - 1)]"
+    assert BinomialDivisor.euler([(2,)]).as_poly() == 1 - LaurentPoly.monomial(1, (2,))
 
 
 # ---------------------------------------------------------------------------
