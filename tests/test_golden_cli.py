@@ -1,4 +1,7 @@
-"""Golden CLI outputs at rank <= 3: exit code and sha256 of normalised stdout.
+"""Golden CLI outputs: exit code and sha256 of normalised stdout.
+
+The entries cover every command at rank <= 3, and every ``verify`` suite and
+``basis`` at rank 4, the default cap.
 
 Each command runs in-process through ``cli.main``.  Normalisation drops the
 only field that may differ between runs: JSON output is re-dumped with sorted
@@ -52,6 +55,15 @@ def _commands():
                     "check", "--model", model, "--input", f"{model}-{state}.json",
                     "--n", str(N), "--format", fmt,
                 ]
+    # rank 4, the default cap: every verify suite and the basis
+    rank4 = ["--n", "4", "--seed", "3", "--format", "json"]
+    for suite in ("schubert", "roots", "gkm-t", "gkm-x"):
+        cmds[f"verify-{suite}-n4"] = [
+            "verify", "--suite", suite, "--trials", "4", "--mutate", "1", *rank4,
+        ]
+    for suite, trials in (("theorem1", 2), ("theorem2", 4), ("presentation", 4), ("cells", 2)):
+        cmds[f"verify-{suite}-n4"] = ["verify", "--suite", suite, "--trials", str(trials), *rank4]
+    cmds["basis-n4"] = ["basis", *rank4]
     return cmds
 
 

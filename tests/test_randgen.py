@@ -1,11 +1,14 @@
-"""The seeded tuple generators: their random streams are pinned."""
+"""The seeded tuple and matrix generators: their random streams are pinned."""
 
 import hashlib
 import json
 
+from qflagk import randgen
+from qflagk.quatflag import Quaternion
 from qflagk.randgen import (
     random_g_tuple,
     random_invariant_t_tuple,
+    random_invertible_matrix,
     random_maxrep_combination,
     random_t_tuple,
     random_x_tuple,
@@ -13,6 +16,8 @@ from qflagk.randgen import (
 )
 
 STREAM_SHA256 = "cb7857584b55a7b442f502e6a027214d1030cd010bf0eaff92d78b17926dfe99"
+MATRIX_STREAM_SHA256 = "c11aa878e7a8f19334b8ac47e5bcd4513e139091ae8d45960f7a5107522d746b"
+SINGULAR_STREAM_SHA256 = "387378d5b457fe68c366e6e91e644e54569f432048846de3cc5b1c190fcbe324"
 
 
 def test_every_tuple_generator_keeps_its_stream():
@@ -34,3 +39,26 @@ def test_every_tuple_generator_keeps_its_stream():
                 digest.update(json.dumps(f.to_json(), sort_keys=True).encode())
             digest.update(str(rng.random()).encode())
     assert digest.hexdigest() == STREAM_SHA256
+
+
+def _matrix_stream(sizes, seeds):
+    digest = hashlib.sha256()
+    for n in sizes:
+        for seed in range(seeds):
+            rng = trial_rng(seed, 0)
+            digest.update(json.dumps(random_invertible_matrix(rng, n).to_json()).encode())
+            digest.update(str(rng.random()).encode())
+    return digest.hexdigest()
+
+
+def test_random_invertible_matrix_keeps_its_stream():
+    assert _matrix_stream((1, 2, 3, 4), 40) == MATRIX_STREAM_SHA256
+
+
+def test_random_invertible_matrix_rejects_the_same_singular_draws(monkeypatch):
+    # entries from a set of five, so many draws are singular and resampled:
+    # the stream pins which draws are rejected
+    units = [Quaternion(*q) for q in ((0, 0, 0, 0), (1, 0, 0, 0), (-1, 0, 0, 0),
+                                      (0, 1, 0, 0), (0, 0, 1, 0))]
+    monkeypatch.setattr(randgen, "random_quaternion", lambda rng: rng.choice(units))
+    assert _matrix_stream((1, 2, 3), 50) == SINGULAR_STREAM_SHA256
