@@ -7,9 +7,11 @@ serialized tuple in one of the three models), ``basis`` (the maximal-length
 coset representatives).
 
 Exit codes: 0 all checks passed, 1 violations found (or singular input),
-2 usage or parse errors, 3 internal inexact division (its witness is the
-last line of standard error, one JSON object).  Reports are deterministic
-for a fixed configuration and seed, except for the wall-time field.
+2 usage or parse errors, 3 internal error: an inexact division, or a
+``decompose`` whose factors do not multiply back to its input (its witness
+is the last line of standard error, one JSON object).  Reports are
+deterministic for a fixed configuration and seed, except for the wall-time
+field.
 
 A ``verify`` suite is an exhaustive generator of rank n, a per-trial
 generator, or both (``SUITES``).  Each yields one list per check it makes,
@@ -141,12 +143,13 @@ def _suite_schubert(n):
 
     table = gkm.schubert_table(n)
     W = weylc.enumerate_weyl(n)
+    off_diagonal = set(gkm.diagonal_check(table))
     for w in W:
         cls = table.classes[w]
         yield [{"check": "gkm-valid", "class": list(w.window()), **viol.to_json()}
                for viol in gkm.gkm_check_t(cls)]
-        yield [] if cls.values[w] == gkm._diagonal(w) else [
-            {"check": "diagonal-closed-form", "class": list(w.window())}]
+        yield [{"check": "diagonal-closed-form", "class": list(w.window())}
+               ] if w in off_diagonal else []
         for v in W:
             yield [] if not cls.values[v] or weylc.bruhat_leq(v, w) else [
                 {"check": "triangularity", "class": list(w.window()), "at": list(v.window())}]
@@ -257,14 +260,14 @@ def _trial_theorem1(n, seed, t, mutate):
 def _trial_theorem2(n, seed, t, mutate):
     if n < 2:
         return  # no index pairs at rank one
-    from . import gkm, randgen, ringcore
+    from . import randgen, ringcore
 
     rng = randgen.trial_rng(seed, t)
     mu = rng.randint(1, n - 1)
     nu = rng.randint(mu + 1, n)
     g0 = randgen.random_xpoly(rng, n)
     f = (ringcore.XPoly.X(n, mu) - ringcore.XPoly.X(n, nu)) * g0
-    pair = gkm._pair_divisor(n, mu, nu)
+    pair = ringcore.BinomialDivisor.pair(n, mu, nu)
     try:
         q_x = ringcore.xpoly_divide_exact(f, mu, nu)
         q_l = ringcore.divide_exact(ringcore.x_expand(f), pair)
@@ -490,9 +493,6 @@ def cmd_decompose(cfg) -> int:
     except quatflag.SingularMatrix:
         print("matrix is singular", file=sys.stderr)
         return 1
-    if u * quatflag.perm_matrix(tau) * b != g:
-        print("internal error: recomposition mismatch", file=sys.stderr)
-        return 3
     try:
         payload = {"u": u.to_json(), "tau": list(tau), "b": b.to_json()}
     except ValueError:  # a component past the interpreter's limit on int digits
@@ -500,6 +500,11 @@ def cmd_decompose(cfg) -> int:
             "cannot print the factors: a component has more digits than the "
             "interpreter converts to text"
         ) from None
+    if u * quatflag.perm_matrix(tau) * b != g:
+        witness = {"error": "recomposition-mismatch", "g": g.to_json(), **payload}
+        print("internal error: recomposition mismatch; witness:", file=sys.stderr)
+        print(json.dumps(witness, sort_keys=True), file=sys.stderr)
+        return 3
     _emit(cfg, payload, lambda: json.dumps(payload, indent=2))
     return 0
 
@@ -551,7 +556,7 @@ def cmd_basis(cfg) -> int:
     from . import weylc
 
     reps = {
-        weylc._key(tau): list(weylc.max_length_rep(tau).window())
+        weylc.perm_embed(tau).window_str(): list(weylc.max_length_rep(tau).window())
         for tau in weylc.all_perms(cfg.n)
     }
     payload = {"rank": cfg.n, "representatives": reps}

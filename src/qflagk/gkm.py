@@ -59,15 +59,11 @@ from .ringcore import (
     divide_exact,
     sigma_k,
     sym_in_x,
-    weyl_act_poly,
     x_expand,
     xpoly_divide_exact,
 )
 from .weylc import (
     SignedPerm,
-    _key,
-    _times_simple,
-    _window_descents,
     all_perms,
     coset_map,
     descents,
@@ -80,6 +76,7 @@ from .weylc import (
     positive_roots,
     reduced_word,
     reflection,
+    simple_pairs,
     simple_reflection,
     simple_root,
 )
@@ -97,8 +94,6 @@ __all__ = [
     "gkm_check_t",
     "gkm_check_x",
     "gkm_check_g",
-    "weyl_act_tuple",
-    "coeff_act_tuple",
     "point_class",
     "demazure",
     "schubert_class",
@@ -107,6 +102,7 @@ __all__ = [
     "QUATERNIONIC_CONVENTION",
     "quaternionic_schubert_classes",
     "descent_invariance_check",
+    "diagonal_check",
     "pullback_pi",
     "descend_pi",
     "j_expand",
@@ -194,11 +190,8 @@ def _perm_from_label(label):
     return tau
 
 
-def _pair_divisor(n, mu, nu):
-    """(x_mu x_nu^{-1} - 1)(x_mu x_nu - 1), the X-model edge divisor."""
-    hi = tuple((v == mu) - (v == nu) for v in range(1, n + 1))
-    lo = tuple((v == mu) + (v == nu) for v in range(1, n + 1))
-    return BinomialDivisor([hi, lo])
+def _perm_key(tau):
+    return perm_embed(tau).window_str()
 
 
 def _value_map(window):
@@ -218,18 +211,18 @@ def _root_reflections(n):
 
 def _pair_reflections(factors):
     """The transposition edges, each with the first ``factors`` factors of
-    ``_pair_divisor``: both for X, and X_mu X_nu^{-1} - 1 alone for G.  The
-    transposition (mu nu) acts on one-line labels by swapping mu and nu."""
+    ``BinomialDivisor.pair``: both for X, and X_mu X_nu^{-1} - 1 alone for G.
+    The transposition (mu nu) acts on one-line labels by swapping mu and nu."""
     def reflections(n):
         for mu in range(1, n + 1):
             for nu in range(mu + 1, n + 1):
-                divisor = BinomialDivisor(_pair_divisor(n, mu, nu).factors[:factors])
+                divisor = BinomialDivisor(BinomialDivisor.pair(n, mu, nu).factors[:factors])
                 yield (mu, nu), _value_map(perm_transposition(n, mu, nu)), divisor
 
     return reflections
 
 
-class _Model(namedtuple("_Model", "name ring vertices reflections divide label from_label")):
+class _Model(namedtuple("_Model", "name ring vertices reflections divide label key from_label")):
     """What tells one GKM model from another.
 
     ``reflections(n)`` yields (edge, value map, divisor).  The value map is
@@ -244,7 +237,9 @@ class _Model(namedtuple("_Model", "name ring vertices reflections divide label f
     X_mu - X_nu = X_nu (X_mu X_nu^{-1} - 1), a unit times it, in G.
     ``label`` is a fixed point as violations report it, and edges are
     checked from the endpoint with the smaller label.  In JSON a fixed point
-    is keyed by its label (``_key``) and read back by ``from_label``.
+    is keyed by ``key``, its window as a compact JSON list
+    (``SignedPerm.window_str``; a plain permutation is embedded first), and
+    read back by ``from_label``.
     """
 
     __slots__ = ()
@@ -253,17 +248,17 @@ class _Model(namedtuple("_Model", "name ring vertices reflections divide label f
 _T = _Model(
     "T", LaurentPoly, enumerate_weyl, _root_reflections,
     lambda diff, edge, divisor: divide_exact(diff, divisor),
-    SignedPerm.window, SignedPerm.from_window,
+    SignedPerm.window, SignedPerm.window_str, SignedPerm.from_window,
 )
 _X = _Model(
     "X", LaurentPoly, all_perms, _pair_reflections(2),
     lambda diff, edge, divisor: divide_exact(diff, divisor),
-    tuple, _perm_from_label,
+    tuple, _perm_key, _perm_from_label,
 )
 _G = _Model(
     "G", XPoly, all_perms, _pair_reflections(1),
     lambda diff, pair, divisor: xpoly_divide_exact(diff, *pair),
-    tuple, _perm_from_label,
+    tuple, _perm_key, _perm_from_label,
 )
 
 
@@ -360,7 +355,7 @@ class _GKMTuple:
             js = rendered.get(id(p))
             if js is None:
                 js = rendered[id(p)] = p.to_json()
-            values[_key(m.label(v))] = js
+            values[m.key(v)] = js
         return {"model": m.name, "rank": self.rank, "values": values}
 
     @classmethod
@@ -470,28 +465,6 @@ def gkm_check_g(f: GKMTupleG):
 
 
 # ---------------------------------------------------------------------------
-# Weyl actions on tuples
-# ---------------------------------------------------------------------------
-
-def weyl_act_tuple(v: SignedPerm, f: GKMTupleT) -> GKMTupleT:
-    """Index reshuffle only: the new value at w is the old value at w * v^{-1}.
-
-    Composing two of these reverses the order of the group elements (the
-    action comes from a pullback), so acting by u then by v equals acting by
-    v * u in one step.
-    """
-    vinv = v.inverse()
-    return GKMTupleT(f.rank, {w: f.values[w * vinv] for w in f.values})
-
-
-def coeff_act_tuple(v: SignedPerm, f: GKMTupleX) -> GKMTupleX:
-    """Coefficient action of a sign change: acts on every component, fixes indices."""
-    if not v.is_sign_change():
-        raise ValueError(f"{v} is not a sign change")
-    return GKMTupleX(f.rank, {t: weyl_act_poly(v, p) for t, p in f.values.items()})
-
-
-# ---------------------------------------------------------------------------
 # the Schubert basis
 # ---------------------------------------------------------------------------
 
@@ -519,22 +492,14 @@ def _euler_factors(n):
 @lru_cache(maxsize=None)
 def _demazure_steps(n, i):
     """(the positions of w and w s_i in ``enumerate_weyl(n)``, e^{w(alpha_i)},
-    1 - e^{w(alpha_i)}) for each pair {w, w s_i} once, in that order.  w is
-    the pair's first element there: the shorter one, as that order is by
-    length, so i is not a descent of w and w(alpha_i) > 0.  The monomial and
-    the divisor are those of ``_euler_factors``, one object per root.
-    Descents and the window of w s_i are read off w's window (``weylc``), so
-    w s_i is found by position, with no group product."""
+    1 - e^{w(alpha_i)}) for each pair {w, w s_i} of ``weylc.simple_pairs``.
+    w is the shorter element, so i is not a descent of w and w(alpha_i) > 0.
+    The monomial and the divisor are those of ``_euler_factors``, one object
+    per root."""
     alpha = simple_root(i, n)
     weyl = enumerate_weyl(n)
-    windows = [w.window() for w in weyl]
-    position = {window: k for k, window in enumerate(windows)}
     factors = _euler_factors(n)
-    return tuple(
-        (k, position[_times_simple(window, i)]) + factors[w.act(alpha)]
-        for k, (w, window) in enumerate(zip(weyl, windows))
-        if i not in _window_descents(window)
-    )
+    return tuple((k, j) + factors[weyl[k].act(alpha)] for k, j in simple_pairs(n, i))
 
 
 def demazure(i: int, f: GKMTupleT) -> GKMTupleT:
@@ -660,7 +625,7 @@ def descent_invariance_check(table: SchubertTable):
     (w, i) pairs.
 
     That action moves the value at u to u s_i, so it fixes a class when the
-    two values of each pair {u, u s_i} of ``_demazure_steps(n, i)`` are
+    two values of each pair {u, u s_i} of ``weylc.simple_pairs(n, i)`` are
     equal; the pairs are positions in ``enumerate_weyl(n)``.  No group
     element acts on a tuple.
     """
@@ -671,9 +636,15 @@ def descent_invariance_check(table: SchubertTable):
         values = list(map(table.classes[w].values.__getitem__, weyl))
         for i in descents(w):
             if any(values[a] is not values[b] and values[a] != values[b]
-                   for a, b, _, _ in _demazure_steps(n, i)):
+                   for a, b in simple_pairs(n, i)):
                 bad.append((w, i))
     return bad
+
+
+def diagonal_check(table: SchubertTable):
+    """The class of w must take at w the closed form ``_diagonal(w)``.
+    Returns the w where it does not."""
+    return [w for w in enumerate_weyl(table.rank) if table.classes[w].values[w] != _diagonal(w)]
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def random_invertible_matrix(rng, n) -> QMatrix:
     land in the big cell, that of the longest permutation (1000 of 1000
     seeded draws at n = 3), so a trial that needs every cell draws the cell
     first and builds the matrix from it, as ``cli._trial_cells`` does."""
-    from .quatflag import QMatrix, SingularMatrix, _pivot_columns
+    from .quatflag import QMatrix, SingularMatrix, cell_index
 
     while True:
         m = QMatrix(tuple(
@@ -90,7 +90,7 @@ def random_invertible_matrix(rng, n) -> QMatrix:
             for _ in range(n)
         ))
         try:
-            _pivot_columns(m.entries)
+            cell_index(m)
         except SingularMatrix:
             continue
         return m
@@ -143,13 +143,13 @@ def vertex_class_x(n, tau) -> GKMTupleX:
     each difference across an edge is a multiple of that edge's divisor.
     This is the pattern of the K-theoretic Euler class of the fixed point.
     """
-    from .gkm import GKMTupleX, _pair_divisor
-    from .ringcore import LaurentPoly
+    from .gkm import GKMTupleX
+    from .ringcore import BinomialDivisor, LaurentPoly
 
     d = LaurentPoly.one(n)
     for mu in range(1, n + 1):
         for nu in range(mu + 1, n + 1):
-            d = d * _pair_divisor(n, mu, nu).as_poly()
+            d = d * BinomialDivisor.pair(n, mu, nu).as_poly()
     values = {t: LaurentPoly.zero(n) for t in all_perms(n)}
     values[tuple(tau)] = d
     return GKMTupleX(n, values)

@@ -468,6 +468,14 @@ class BinomialDivisor:
         self._negate = len(self.factors) % 2 == 1
         return self
 
+    @classmethod
+    def pair(cls, n, mu, nu):
+        """(x_mu x_nu^{-1} - 1)(x_mu x_nu - 1) at rank n: the X-model edge
+        divisor of the pair (mu, nu), 1-based."""
+        hi = tuple((v == mu) - (v == nu) for v in range(1, n + 1))
+        lo = tuple((v == mu) + (v == nu) for v in range(1, n + 1))
+        return cls([hi, lo])
+
     def as_poly(self):
         """The product over the factors, in their order; the Euler product is
         the plain one times (-1)^k, in the same term order."""

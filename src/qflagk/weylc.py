@@ -46,6 +46,7 @@ __all__ = [
     "bruhat_leq",
     "bruhat_leq_by_rank_matrix",
     "enumerate_weyl",
+    "simple_pairs",
     "enumerate_sign_changes",
     "coset_map",
     "max_length_rep",
@@ -137,7 +138,9 @@ class SignedPerm:
         return self._window
 
     def window_str(self):
-        return _key(self._window)
+        """The window as a compact JSON list, '[-2,1]': the JSON object key of
+        a fixed point, a plain permutation tau keyed as ``perm_embed(tau)``."""
+        return json.dumps(list(self._window), separators=(",", ":"))
 
     @classmethod
     def from_window_str(cls, s):
@@ -361,6 +364,22 @@ def enumerate_weyl(n: int) -> tuple:
 
 
 @cache
+def simple_pairs(n: int, i: int) -> tuple:
+    """Each pair {w, w s_i} once, as the positions of w and w s_i in
+    ``enumerate_weyl(n)``, with w the shorter element, in w's order there.
+    w s_i is found by its window, with no group product."""
+    if not 1 <= i <= n:
+        raise ValueError(f"simple index {i} out of range for rank {n}")
+    windows = [w.window() for w in enumerate_weyl(n)]
+    position = {window: k for k, window in enumerate(windows)}
+    return tuple(
+        (k, position[_times_simple(window, i)])
+        for k, window in enumerate(windows)
+        if i not in _window_descents(window)
+    )
+
+
+@cache
 def enumerate_sign_changes(n: int) -> tuple:
     """The 2^n sign-change elements (the Weyl group of the diagonal subgroup),
     in the order of ``enumerate_weyl``."""
@@ -430,9 +449,3 @@ def perm_embed(tau: tuple) -> SignedPerm:
 
 def all_perms(n: int) -> tuple:
     return tuple(sorted(permutations(range(1, n + 1)), key=lambda t: (perm_inversions(t), t)))
-
-
-def _key(label):
-    """The JSON object key of a fixed point: its label (a window or a
-    permutation) as a compact JSON list."""
-    return json.dumps(list(label), separators=(",", ":"))

@@ -39,7 +39,6 @@ from qflagk.gkm import (
     pullback_pi,
     quaternionic_schubert_classes,
     schubert_table,
-    weyl_act_tuple,
 )
 from qflagk.randgen import random_laurent, trial_rng
 from qflagk.ringcore import XPoly, x_expand
@@ -52,6 +51,7 @@ from qflagk.weylc import (
     max_length_rep,
     perm_identity,
 )
+from tuple_actions import weyl_act_tuple
 
 SEED = 20260810
 

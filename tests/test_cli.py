@@ -361,18 +361,28 @@ def test_decompose_singular_and_parse_errors(tmp_path, capsys):
 
 def test_decompose_recomposition_mismatch_exits_3(tmp_path, capsys, monkeypatch):
     p = tmp_path / "m.json"
-    g = quatflag.perm_matrix((2, 1))
+    g = random_invertible_matrix(trial_rng(21, 0), 3)
     _write_matrix(p, g)
     decompose = quatflag.bruhat_decompose
+    scale = quatflag.QMatrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def wrong_b(m):
         u, tau, b = decompose(m)
-        return u, tau, b * quatflag.QMatrix.from_rows([[2, 0], [0, 1]])
+        return u, tau, b * scale
 
     monkeypatch.setattr(quatflag, "bruhat_decompose", wrong_b)
     rc, out, err = run(capsys, "decompose", "--input", str(p))
     assert (rc, out) == (3, "")
-    assert "internal error: recomposition mismatch" in err
+    assert err.splitlines()[0] == "internal error: recomposition mismatch; witness:"
+    u, tau, b = wrong_b(g)
+    witness = json.loads(err.splitlines()[-1])
+    assert witness == {"error": "recomposition-mismatch", "g": g.to_json(), "u": u.to_json(),
+                       "tau": list(tau), "b": b.to_json()}
+    # the witness's g is an input that decompose reads back
+    monkeypatch.undo()
+    p.write_text(json.dumps(witness["g"]))
+    rc, out, _ = run(capsys, "decompose", "--input", str(p), "--n", "3", "--format", "json")
+    assert rc == 0 and json.loads(out)["tau"] == list(tau)
 
 
 def test_cell_index_singular_exits_1(tmp_path, capsys):

@@ -252,7 +252,7 @@ DATA_FLAGS = {
 def _fixed_points(model, n):
     if model == "T":
         return [w.window_str() for w in weylc.enumerate_weyl(n)]
-    return [weylc._key(tau) for tau in weylc.all_perms(n)]
+    return [weylc.perm_embed(tau).window_str() for tau in weylc.all_perms(n)]
 
 
 @st.composite

@@ -20,7 +20,6 @@ from qflagk.gkm import (
     NotInTupleSpan,
     TupleNotInvariant,
     canonical_class,
-    coeff_act_tuple,
     demazure,
     descend_pi,
     expand_in_schubert,
@@ -30,6 +29,7 @@ from qflagk.gkm import (
     j_descend,
     j_expand,
     descent_invariance_check,
+    diagonal_check,
     point_class,
     presentation_check,
     pullback_pi,
@@ -37,7 +37,6 @@ from qflagk.gkm import (
     schubert_class,
     schubert_class_from_word,
     schubert_table,
-    weyl_act_tuple,
 )
 from qflagk.randgen import (
     random_g_tuple,
@@ -77,6 +76,7 @@ from qflagk.weylc import (
     simple_reflection,
     simple_root,
 )
+from tuple_actions import coeff_act_tuple, weyl_act_tuple
 
 
 def all_reduced_words(w):
@@ -1063,6 +1063,14 @@ def test_schubert_diagonals_have_the_closed_form():
         cls = schubert_table(n).classes[w] if n <= 3 else schubert_class(w)
         assert len(gkm._diagonal_roots(w)) == n * n - length(w)
         assert cls.values[w] == gkm._diagonal(w)
+    for n in (1, 2, 3):
+        assert diagonal_check(schubert_table(n)) == []
+    # and the check finds a class off its closed form
+    table = schubert_table(2)
+    w = enumerate_weyl(2)[3]
+    bumped = GKMTupleT(2, {**table.classes[w].values, w: table.classes[w].values[w] + 1})
+    broken = gkm.SchubertTable(2, {**table.classes, w: bumped}, table.convention)
+    assert diagonal_check(broken) == [w]
 
 
 def test_descent_invariance_exhaustive_rank_two():

@@ -244,6 +244,18 @@ def test_the_euler_orientation_reads_as_one_minus_each_monomial():
     assert BinomialDivisor.euler([(2,)]).as_poly() == 1 - LaurentPoly.monomial(1, (2,))
 
 
+def test_the_pair_divisor_is_the_x_model_edge_condition():
+    n = 4
+    for mu, nu in itertools.combinations(range(1, n + 1), 2):
+        pair = BinomialDivisor.pair(n, mu, nu)
+        assert pair.rank == n
+        ratio = [0] * n
+        ratio[mu - 1], ratio[nu - 1] = 1, -1
+        ratio = LaurentPoly.monomial(n, tuple(ratio))
+        assert pair.as_poly() == (ratio - 1) * (x(mu, n) * x(nu, n) - 1)
+    assert repr(BinomialDivisor.pair(3, 1, 3)) == "BinomialDivisor[(x1*x3^-1 - 1)(x1*x3 - 1)]"
+
+
 # ---------------------------------------------------------------------------
 # Weyl action on polynomials
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Signed permutations: reflections, length, Bruhat order, coset structure."""
 
+import json
 import math
 import pickle
 from collections import deque
@@ -29,6 +30,7 @@ from qflagk.weylc import (
     positive_roots,
     reduced_word,
     reflection,
+    simple_pairs,
     simple_reflection,
     simple_root,
 )
@@ -223,6 +225,22 @@ def test_enumerate_weyl_matches_the_product_route():
         assert all(type(w) is SignedPerm for w in weyl)
 
 
+def test_simple_pairs_match_the_product_route():
+    # each coset {w, w s_i} once, w the shorter, by the group product
+    for n in range(1, 5):
+        weyl = enumerate_weyl(n)
+        position = {w: k for k, w in enumerate(weyl)}
+        for i in range(1, n + 1):
+            s = simple_reflection(i, n)
+            expected = tuple((k, position[w * s]) for k, w in enumerate(weyl)
+                             if length(w * s) > length(w))
+            assert simple_pairs(n, i) == expected
+            assert len(expected) == len(weyl) // 2
+    for i in (0, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            simple_pairs(2, i)
+
+
 def test_reduced_word_reconstructs():
     for n in (1, 2, 3, 4):
         for w in enumerate_weyl(n):
@@ -387,6 +405,10 @@ def test_window_roundtrip():
     assert SignedPerm.from_window([-2, 1]) == _from_pair((2, 1), (-1, 1))
     with pytest.raises(ValueError):
         SignedPerm.from_window([0, 1])
+    # the compact JSON key of a fixed point, a plain permutation embedded first
+    assert SignedPerm((-2, 1)).window_str() == "[-2,1]"
+    for tau in all_perms(3):
+        assert perm_embed(tau).window_str() == json.dumps(list(tau), separators=(",", ":"))
 
 
 @pytest.mark.parametrize("window, message", [
