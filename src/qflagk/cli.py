@@ -7,11 +7,11 @@ serialized tuple in one of the three models), ``basis`` (the maximal-length
 coset representatives).
 
 Exit codes: 0 all checks passed, 1 violations found (or singular input),
-2 usage or parse errors, 3 internal error: an inexact division, or a
-``decompose`` whose factors do not multiply back to its input (its witness
-is the last line of standard error, one JSON object).  Reports are
-deterministic for a fixed configuration and seed, except for the wall-time
-field.
+2 usage or parse errors, 3 internal error: a ``gkm.InexactDivision`` or
+``ringcore.NotDivisible`` (each serializes its own witness) or a
+``decompose`` whose factors do not multiply back to its input.  The witness
+is the last line of standard error, one JSON object.  Reports are
+deterministic for a fixed configuration and seed, but for the wall time.
 
 A ``verify`` suite is an exhaustive generator of rank n, a per-trial
 generator, or both (``SUITES``).  Each yields one list per check it makes,
@@ -20,10 +20,10 @@ report's ``checks`` are the lists yielded, ``passed`` the empty ones, and
 a failed check may list several violations, one per witness.
 
 Every suite, trial worker and command imports the layers it runs inside its
-own body, on purpose: each command is a process of its own, and ``basis``
-then loads only ``weylc`` and ``decompose`` only ``quatflag`` and
-``weylc``, without compiling ``gkm`` and ``ringcore`` where no bytecode is
-cached.
+own body, on purpose, and names each library object it calls: each command
+is a process of its own, and ``basis`` then loads only ``weylc`` and
+``decompose`` only ``quatflag`` and ``weylc``, without compiling ``gkm``
+and ``ringcore`` where no bytecode is cached.
 """
 
 from __future__ import annotations
@@ -235,10 +235,11 @@ def _trial_cells(n, seed, t, mutate):
 def _trial_gkm(n, seed, t, mutate, model):
     from . import gkm, randgen
 
+    draw, check = {"t": (randgen.random_t_tuple, gkm.gkm_check_t),
+                   "x": (randgen.random_x_tuple, gkm.gkm_check_x)}[model]
     rng = randgen.trial_rng(seed, t)
-    f = _mutate(rng, getattr(randgen, f"random_{model}_tuple")(rng, n), mutate)
-    yield [{"check": "membership", "trial": t, **v.to_json()}
-           for v in getattr(gkm, f"gkm_check_{model}")(f)]
+    f = _mutate(rng, draw(rng, n), mutate)
+    yield [{"check": "membership", "trial": t, **v.to_json()} for v in check(f)]
 
 
 def _trial_theorem1(n, seed, t, mutate):
@@ -375,19 +376,11 @@ def run_suite(cfg, suite: str) -> dict:
 # data commands
 # ---------------------------------------------------------------------------
 
-def _division_witness(exc):
-    """The witness of an internal inexact division as a JSON object, or None
-    if ``exc`` is not one.  Only a loaded layer can have raised its own
-    exception, so this loads none."""
-    gkm = sys.modules.get(f"{__package__}.gkm")
-    ringcore = sys.modules.get(f"{__package__}.ringcore")
-    if gkm and isinstance(exc, gkm.InexactDivision):
-        return {"error": "inexact-division", "w": list(exc.w.window()), "i": exc.i,
-                "numerator": exc.numerator.to_json()}
-    if ringcore and isinstance(exc, ringcore.NotDivisible):
-        return {"error": "not-divisible", "factor": list(exc.factor),
-                "remainder": exc.remainder.to_json()}
-    return None
+def _internal_error(message, witness):
+    """Exit 3: ``message`` on standard error, then its witness as one JSON line."""
+    print(f"{message}; witness:", file=sys.stderr)
+    print(json.dumps(witness, sort_keys=True), file=sys.stderr)
+    return 3
 
 
 def cmd_verify(cfg) -> int:
@@ -396,12 +389,9 @@ def cmd_verify(cfg) -> int:
     try:
         report = run_suite(cfg, cfg.suite)
     except ArithmeticError as exc:
-        witness = _division_witness(exc)
-        if witness is None:
+        if not hasattr(exc, "to_json"):  # not a failed division
             raise
-        print("internal inexact division; witness:", file=sys.stderr)
-        print(json.dumps(witness, sort_keys=True), file=sys.stderr)
-        return 3
+        return _internal_error("internal inexact division", exc.to_json())
     _emit(cfg, report, partial(to_text, report))
     return 0 if not report["violations"] else 1
 
@@ -501,10 +491,8 @@ def cmd_decompose(cfg) -> int:
             "interpreter converts to text"
         ) from None
     if u * quatflag.perm_matrix(tau) * b != g:
-        witness = {"error": "recomposition-mismatch", "g": g.to_json(), **payload}
-        print("internal error: recomposition mismatch; witness:", file=sys.stderr)
-        print(json.dumps(witness, sort_keys=True), file=sys.stderr)
-        return 3
+        return _internal_error("internal error: recomposition mismatch",
+                               {"error": "recomposition-mismatch", "g": g.to_json(), **payload})
     _emit(cfg, payload, lambda: json.dumps(payload, indent=2))
     return 0
 
@@ -526,7 +514,9 @@ def cmd_cell_index(cfg) -> int:
 def cmd_check(cfg) -> int:
     from . import gkm
 
-    model = cfg.model
+    tuple_type, check = {"T": (gkm.GKMTupleT, gkm.gkm_check_t),
+                         "X": (gkm.GKMTupleX, gkm.gkm_check_x),
+                         "G": (gkm.GKMTupleG, gkm.gkm_check_g)}[cfg.model]
     try:
         with open(cfg.input, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -534,18 +524,18 @@ def cmd_check(cfg) -> int:
             raise ValueError("a tuple is a JSON object")
         if int(data["rank"]) != cfg.n:
             raise _UsageError(f"tuple has rank {data['rank']!r}, expected {cfg.n}")
-        f = getattr(gkm, f"GKMTuple{model}").from_json(data)
+        f = tuple_type.from_json(data)
     except _BAD_INPUT as exc:
         raise _UsageError(f"cannot read tuple: {exc}") from None
     try:
-        found = getattr(gkm, f"gkm_check_{model.lower()}")(f)
+        found = check(f)
     except OverflowError as exc:  # exponents inside the limit, divisions beyond it
         raise _UsageError(f"cannot check tuple: {exc}") from None
     try:
         violations = [v.to_json() for v in found]
     except ValueError:  # a remainder past the interpreter's limit on int digits
         raise _UsageError("cannot print the violations: a remainder is too long") from None
-    payload = {"model": model, "rank": f.rank, "violations": violations}
+    payload = {"model": cfg.model, "rank": f.rank, "violations": violations}
     _emit(cfg, payload, lambda: "OK" if not violations else "\n".join(
         ["FAILED"] + [json.dumps(v, sort_keys=True) for v in violations]
     ))

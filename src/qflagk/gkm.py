@@ -141,6 +141,11 @@ class InexactDivision(ArithmeticError):
     def __reduce__(self):
         return (type(self), (self.w, self.i, self.numerator))
 
+    def to_json(self):
+        """The witness ``qflagk verify`` prints when this escapes a suite."""
+        return {"error": "inexact-division", "w": list(self.w.window()), "i": self.i,
+                "numerator": self.numerator.to_json()}
+
 
 class NotInTupleSpan(ArithmeticError):
     """A tuple is not a combination of the requested Schubert classes."""

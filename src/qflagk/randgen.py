@@ -79,9 +79,9 @@ def random_quaternion(rng) -> Quaternion:
 
 def random_invertible_matrix(rng, n) -> QMatrix:
     """Dense random matrix, resampled until invertible.  Almost all its draws
-    land in the big cell, that of the longest permutation (1000 of 1000
-    seeded draws at n = 3), so a trial that needs every cell draws the cell
-    first and builds the matrix from it, as ``cli._trial_cells`` does."""
+    land in the big cell, that of the longest permutation (1000 of 1000 seeded
+    draws at n = 3), so a trial that needs every cell draws the cell first and
+    builds the matrix from it, as ``qflagk verify --suite cells`` does."""
     from .quatflag import QMatrix, SingularMatrix, cell_index
 
     while True:

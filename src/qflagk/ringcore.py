@@ -113,6 +113,11 @@ class NotDivisible(ArithmeticError):
         # rendered on demand: a witness may hold ints too long to print
         return f"not divisible; factor={self.factor}, remainder={self.remainder}"
 
+    def to_json(self):
+        """The witness ``qflagk verify`` prints when this escapes a suite."""
+        return {"error": "not-divisible", "factor": list(self.factor),
+                "remainder": self.remainder.to_json()}
+
 
 class NotInvariant(ValueError):
     """A Laurent polynomial moved under the sign change x_v -> x_v^{-1}."""

@@ -9,7 +9,8 @@ Criteria 2, 3, 4b and 5 to 10 run the ``verify`` suites of ``qflagk.cli``
 through ``run_suite``, as ``qflagk verify`` does, and assert on the report:
 its number of checks, so a suite that drops a check fails its criterion,
 and its violations.  What each of them checks is stated once, in the suite.
-Criteria 1, 4a and 4c make checks no suite makes, and are written out here.
+Criteria 1, 4a and 4c make checks no suite makes, and are written out here,
+as is criterion 9's trial on G-tuples, which no suite draws.
 
 Criteria 4a and 4c check the n! classes indexed by maximal-length coset
 representatives that descend to the quaternionic flag space.  Those are the
@@ -29,6 +30,7 @@ import pytest
 
 from qflagk import cli, quatflag
 from qflagk.gkm import (
+    GKMTupleG,
     GKMTupleT,
     TupleNotInvariant,
     descend_pi,
@@ -40,7 +42,7 @@ from qflagk.gkm import (
     quaternionic_schubert_classes,
     schubert_table,
 )
-from qflagk.randgen import random_laurent, trial_rng
+from qflagk.randgen import random_g_tuple, random_laurent, trial_rng
 from qflagk.ringcore import XPoly, x_expand
 from qflagk.weylc import (
     all_perms,
@@ -222,6 +224,18 @@ def test_criterion_8_cell_combinatorics():
     accept(8, [run("cells", n, trials=0) for n in (3, 4)], [43, 601])
 
 
+def _g_trials(n, trials):
+    """The violations of each G-trial that ``--mutate 1`` would make: a
+    ``random_g_tuple`` with +1 at one fixed point, sampled from the trial's
+    stream as the ``gkm-t`` and ``gkm-x`` trials sample it."""
+    for t in range(trials):
+        rng = trial_rng(SEED, t)
+        f = random_g_tuple(rng, n)
+        [v] = rng.sample(list(f.values), k=1)
+        yield [viol.to_json() for viol in gkm_check_g(
+            GKMTupleG(f.rank, {**f.values, v: f.values[v] + 1}))]
+
+
 def test_criterion_9_checker_sensitivity():
     """Single-component +1 perturbations of 100 valid tuples per model at
     n = 2 are rejected, each with a concrete witness (``gkm-t`` and ``gkm-x``
@@ -229,8 +243,8 @@ def test_criterion_9_checker_sensitivity():
     tallies = [(r["checks"], r["passed"], r["violations"])
                for r in (run("gkm-t", 2, trials=100, mutate=1),
                          run("gkm-x", 2, trials=100, mutate=1))]
-    tallies.append(cli._tally(found for t in range(100)
-                              for found in cli._trial_gkm(2, SEED, t, 1, "g")))
+    g = list(_g_trials(2, 100))
+    tallies.append((len(g), g.count([]), [v for found in g for v in found]))
     ok = all(checks == 100 and passed == 0 and all(v["remainder"] for v in violations)
              for checks, passed, violations in tallies)
     report(9, ok, f"checks, passed: {[t[:2] for t in tallies]}")

@@ -210,12 +210,17 @@ def test_internal_inexact_division_exits_3_with_its_witness(capsys, monkeypatch,
 
 
 def test_other_arithmetic_errors_are_not_exit_3(capsys, monkeypatch):
-    def fail(n):
-        raise ZeroDivisionError("not a division of the ring")
+    # only a failed division serializes its witness and exits 3
+    for exc in (ZeroDivisionError("not a division of the ring"),
+                gkm.NotInTupleSpan((1, 2), ringcore.LaurentPoly.one(2)),
+                quatflag.SingularMatrix("no pivot"),
+                OverflowError("exponent out of range")):
+        def fail(n, exc=exc):
+            raise exc
 
-    monkeypatch.setitem(SUITES, "roots", (fail, None))
-    with pytest.raises(ZeroDivisionError):
-        main(["verify", "--suite", "roots", "--n", "2"])
+        monkeypatch.setitem(SUITES, "roots", (fail, None))
+        with pytest.raises(type(exc)):
+            main(["verify", "--suite", "roots", "--n", "2"])
 
 
 def test_verify_deterministic_reports(capsys):

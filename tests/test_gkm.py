@@ -785,13 +785,19 @@ def test_gkm_exceptions_survive_pickling():
                            [max_length_rep(tau) for tau in all_perms(n)])
     with pytest.raises(TupleNotInvariant) as moved:
         j_descend(GKMTupleX(n, {(1, 2): LaurentPoly.x(n, 1), (2, 1): LaurentPoly.one(n)}))
+    with pytest.raises(NotDivisible) as not_divisible:
+        xpoly_divide_exact(XPoly.X(n, 1) + 1, 1, 2)
     for caught, fields in ((inexact, ("w", "i", "numerator")),
+                           (not_divisible, ("factor", "remainder")),
                            (outside, ("witness_index", "residual")),
                            (moved, ("group_element", "index"))):
         exc = pickle.loads(pickle.dumps(caught.value))
         assert type(exc) is caught.type and str(exc) == str(caught.value)
         for name in fields:
             assert getattr(exc, name) == getattr(caught.value, name)
+    # a --jobs worker's failed division reaches verify pickled: same witness
+    for caught in (inexact, not_divisible):
+        assert pickle.loads(pickle.dumps(caught.value)).to_json() == caught.value.to_json()
 
 
 def test_demazure_rank_four_is_word_independent():

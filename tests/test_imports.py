@@ -6,7 +6,8 @@ The module sets are read in a fresh interpreter per case, with
 ``PYTHONDONTWRITEBYTECODE=1`` as a user may set it.  Each name is imported
 from its layer, whose ``__all__`` lists its public names; the package itself
 exports none.  Layers reach each other only by public names: no module of
-the package imports or reads a private name of another, and only
+the package imports or reads a private name of another, looks a layer's
+attribute up by a name built at run time or reads ``sys.modules``, and only
 ``ringcore`` reads how a polynomial or a divisor is stored.
 """
 
@@ -126,38 +127,66 @@ def _private(name):
 
 def _cross_layer_reads(path, layers):
     """(module, line, layer, name) for each private name of another layer
-    that the module at ``path`` imports or reads, and (module, line,
+    that the module at ``path`` imports or reads, (module, line, layer,
+    source) for each lookup of a layer's attribute by a name that is not a
+    literal (``getattr``, ``vars`` or ``__dict__``), (module, line, "sys",
+    "modules") for each read of ``sys.modules``, and (module, line,
     "storage", attribute) for each packed-storage attribute read outside
     ringcore."""
     module = path.stem
     found = []
     bound = {}  # local name -> the layer module it is bound to
+    sys_names = set()  # local names of the sys module
     tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
+        if isinstance(node, ast.Import):
+            sys_names.update(a.asname or a.name for a in node.names if a.name == "sys")
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            found.extend((module, node.lineno, "sys", a.name)
+                         for a in node.names if a.name == "modules")
+        elif isinstance(node, ast.ImportFrom):
             source = (node.module or "").removeprefix("qflagk").lstrip(".")
             for alias in node.names:
                 if not source and alias.name in layers:  # from . import gkm
                     bound[alias.asname or alias.name] = alias.name
                 elif source in layers and source != module and _private(alias.name):
                     found.append((module, node.lineno, source, alias.name))
+
+    def layer_of(expr):
+        layer = bound.get(expr.id, expr.id) if isinstance(expr, ast.Name) else None
+        return layer if layer in layers and layer != module else None
+
+    # vars(layer)["name"] and layer.__dict__["name"] name what they read
+    by_literal = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)}
     for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.args:
+            func, args = node.func.id, node.args
+            if ((func == "getattr" and len(args) > 1 and not isinstance(args[1], ast.Constant)
+                 or func == "vars" and id(node) not in by_literal)
+                    and (layer := layer_of(args[0]))):
+                found.append((module, node.lineno, layer, ast.unparse(node)))
         if not isinstance(node, ast.Attribute):
             continue
         if node.attr in STORAGE and module != "ringcore":
             found.append((module, node.lineno, "storage", node.attr))
-        elif isinstance(node.value, ast.Name) and _private(node.attr):
-            layer = bound.get(node.value.id, node.value.id)
-            if layer in layers and layer != module:
-                found.append((module, node.lineno, layer, node.attr))
+        elif node.attr == "modules" and getattr(node.value, "id", None) in sys_names:
+            found.append((module, node.lineno, "sys", "modules"))
+        elif (node.attr == "__dict__" and id(node) not in by_literal
+              and (layer := layer_of(node.value))):
+            found.append((module, node.lineno, layer, ast.unparse(node)))
+        elif _private(node.attr) and (layer := layer_of(node.value)):
+            found.append((module, node.lineno, layer, node.attr))
     return found
 
 
 def test_layers_reach_each_other_only_by_public_names():
     # Every module of the package, each a layer: none imports or reads a
-    # private name of another (dunder names are public), and only ringcore
-    # reads how a polynomial or a divisor is stored.  bench/ wraps private
-    # names on purpose, from outside the program, and is not scanned.
+    # private name of another (dunder names are public), looks a layer's
+    # attribute up by a built name or reads sys.modules (each call names
+    # what it calls), and only ringcore reads how a polynomial or a divisor
+    # is stored.  bench/ wraps private names on purpose, from outside the
+    # program, and is not scanned.
     paths = sorted(Path(SRC, "qflagk").glob("*.py"))
     layers = {path.stem for path in paths} - {"__init__"}
     assert {"cli", "gkm", "quatflag", "randgen", "ringcore", "weylc"} <= layers
