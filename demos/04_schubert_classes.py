@@ -8,6 +8,7 @@ sign conventions in the recursion.
 """
 
 from qflagk.gkm import (
+    CONVENTION,
     demazure,
     expand_in_schubert,
     gkm_check_t,
@@ -19,7 +20,7 @@ from qflagk.weylc import enumerate_weyl, length, max_length_rep, perm_identity
 
 n = 2
 table = schubert_table(n)
-print(f"rank {n}: {len(table.classes)} classes, convention {table.convention}")
+print(f"rank {n}: {len(table)} classes, convention {CONVENTION}")
 print()
 
 print("the point class:")
@@ -38,12 +39,12 @@ print()
 
 w0 = max_length_rep(perm_identity(n))
 print("the class at the longest element", w0.window(), "is constant:",
-      all(p == 1 for p in table.classes[w0].values.values()))
+      all(p == 1 for p in table[w0].values.values()))
 print("every class passes the edge-divisibility membership test:",
-      all(not gkm_check_t(c) for c in table.classes.values()))
+      all(not gkm_check_t(c) for c in table.values()))
 print("supports are triangular in the Bruhat order (zeros above):")
 for w in sorted(enumerate_weyl(n), key=length):
-    support = [v.window() for v in enumerate_weyl(n) if table.classes[w].values[v]]
+    support = [v.window() for v in enumerate_weyl(n) if table[w].values[v]]
     print(f"  class {str(w.window()):>10}: support {support}")
 print()
 

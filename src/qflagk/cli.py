@@ -7,9 +7,10 @@ serialized tuple in one of the three models), ``basis`` (the maximal-length
 coset representatives).
 
 Exit codes: 0 all checks passed, 1 violations found (or singular input),
-2 usage or parse errors, 3 internal error: a ``gkm.InexactDivision`` or
-``ringcore.NotDivisible`` (each serializes its own witness) or a
-``decompose`` whose factors do not multiply back to its input.  The witness
+2 usage or parse errors (a closed standard output too), 3 internal error: a
+``gkm.InexactDivision`` or ``ringcore.NotDivisible`` (each serializes its
+own witness) or a ``decompose`` whose factors do not multiply back to its
+input.  The witness
 is the last line of standard error, one JSON object.  Reports are
 deterministic for a fixed configuration and seed, but for the wall time.
 
@@ -67,19 +68,65 @@ def to_text(report):
 def _emit(cfg, payload, text=None):
     """Print ``payload`` as JSON, or under ``--format text`` what ``text()``
     returns; without ``text`` both formats print the JSON.  Only the chosen
-    form is rendered."""
-    if cfg.fmt == "json" or text is None:
-        body = json.dumps(payload, indent=2, sort_keys=True)
+    form is rendered.  A ``payload`` that is not a dict is JSON already
+    rendered, as an iterable of chunks (``_table_chunks``).  An unwritable
+    ``--output`` or a closed standard output is a usage error."""
+    if not isinstance(payload, dict):
+        chunks = payload
+    elif cfg.fmt == "json" or text is None:
+        chunks = [json.dumps(payload, indent=2, sort_keys=True)]
     else:
-        body = text()
+        chunks = [text()]
     if cfg.output:
         try:
             with open(cfg.output, "w", encoding="utf-8") as fh:
-                fh.write(body + "\n")
+                fh.writelines(chunks)
+                fh.write("\n")
         except OSError as exc:
             raise _UsageError(f"cannot write --output: {exc}") from None
-    else:
-        print(body)
+        return
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # what is left in the buffer goes nowhere at the interpreter's last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _UsageError(f"cannot write standard output: {exc}") from None
+
+
+def _object(members, depth):
+    """A JSON object as ``json.dumps(..., indent=2)`` lays it out at nesting
+    ``depth``, from its (key, value) members already rendered, in order."""
+    indent = "\n" + "  " * depth
+    return "{" + ",".join(f"{indent}  {key}: {text}" for key, text in members) + indent + "}"
+
+
+def _table_chunks(table, n):
+    """``json.dumps(payload, indent=2, sort_keys=True)`` for the payload
+    {"classes", "convention", "rank"} of ``schubert --all``, one chunk per
+    class, without building the payload.  The JSON prints no bound, so the
+    values are numbered by their terms (``ringcore.TermIndex``) and each
+    number is rendered once and re-indented to its depth: at rank 4 the
+    table holds 147 456 values but about 5 000 distinct term sets."""
+    from . import gkm, ringcore
+
+    points = sorted((gkm.GKMTupleT.model.key(w), w) for w in table)
+    labels = [json.dumps(key) for key, _ in points]
+    values = [table[w].values[v] for _, w in points for _, v in points]
+    numbers = ringcore.TermIndex(values).numbers
+    rendered = {}
+    for k, p in zip(numbers, values):
+        if k not in rendered:
+            rendered[k] = json.dumps(p.to_json(), indent=2).replace("\n", "\n" + "  " * 4)
+    texts = map(rendered.__getitem__, numbers)  # class by class, as written
+    head = [('"model"', json.dumps(gkm.GKMTupleT.model.name)), ('"rank"', str(n))]
+    yield '{\n  "classes": {'
+    for c, label in enumerate(labels):
+        cls = _object([*head, ('"values"', _object(zip(labels, texts), 3))], 2)
+        yield f'{"," if c else ""}\n    {label}: {cls}'
+    convention = json.dumps(gkm.CONVENTION, indent=2, sort_keys=True).replace("\n", "\n  ")
+    yield f'\n  }},\n  "convention": {convention},\n  "rank": {n}\n}}'
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +192,7 @@ def _suite_schubert(n):
     W = weylc.enumerate_weyl(n)
     off_diagonal = set(gkm.diagonal_check(table))
     for w in W:
-        cls = table.classes[w]
+        cls = table[w]
         yield [{"check": "gkm-valid", "class": list(w.window()), **viol.to_json()}
                for viol in gkm.gkm_check_t(cls)]
         yield [{"check": "diagonal-closed-form", "class": list(w.window())}
@@ -400,16 +447,15 @@ def cmd_schubert(cfg) -> int:
     from . import gkm, weylc
 
     if cfg.all:
-        payload = gkm.schubert_table(cfg.n).to_json()
-    else:
-        try:
-            w = weylc.SignedPerm.from_window_str(cfg.w)
-        except _BAD_INPUT:
-            raise _UsageError(f"bad window notation: {cfg.w!r}") from None
-        if w.rank != cfg.n:
-            raise _UsageError(f"window {cfg.w!r} has rank {w.rank}, expected {cfg.n}")
-        payload = gkm.schubert_class(w).to_json()
-    _emit(cfg, payload)
+        _emit(cfg, _table_chunks(gkm.schubert_table(cfg.n), cfg.n))
+        return 0
+    try:
+        w = weylc.SignedPerm.from_window_str(cfg.w)
+    except _BAD_INPUT:
+        raise _UsageError(f"bad window notation: {cfg.w!r}") from None
+    if w.rank != cfg.n:
+        raise _UsageError(f"window {cfg.w!r} has rank {w.rank}, expected {cfg.n}")
+    _emit(cfg, gkm.schubert_class(w).to_json())
     return 0
 
 

@@ -25,7 +25,7 @@ Schubert classes are built by the Demazure recursion from the point class
 (``demazure``).  The two sign choices that recursion leaves open (the
 exponent sign in the K-theoretic Euler product and in the Demazure
 denominator) are pinned by requiring the rank-one recursion to reach the
-constant tuple 1, and the chosen convention is recorded on the table.  At
+constant tuple 1, and the chosen convention is recorded in ``CONVENTION``.  At
 w, the class of w is prod (1 - e^alpha) over the positive roots alpha with
 w^{-1}(alpha) > 0 (``_diagonal``): the closed-form divisor of the Schubert
 expansion.
@@ -85,7 +85,6 @@ __all__ = [
     "GKMTupleT",
     "GKMTupleX",
     "GKMTupleG",
-    "SchubertTable",
     "EdgeViolation",
     "InexactDivision",
     "NotInTupleSpan",
@@ -400,23 +399,6 @@ class GKMTupleG(_GKMTuple):
     model = _G
 
 
-class SchubertTable(namedtuple("SchubertTable", "rank classes convention")):
-    """All Schubert classes of one rank, SignedPerm -> GKMTupleT, plus the
-    pinned sign convention."""
-
-    __slots__ = ()
-
-    def to_json(self):
-        return {
-            "rank": self.rank,
-            "convention": dict(self.convention),
-            "classes": {
-                w.window_str(): self.classes[w].to_json()
-                for w in enumerate_weyl(self.rank)
-            },
-        }
-
-
 # ---------------------------------------------------------------------------
 # membership checkers
 # ---------------------------------------------------------------------------
@@ -601,18 +583,30 @@ def schubert_class_from_word(n: int, word) -> GKMTupleT:
     return cls
 
 
+class _Classes(dict):
+    """The dict ``schubert_table`` returns.  ``classes`` is the dict itself:
+    ``bench/test_oracles.py`` still reads the table through it."""
+
+    __slots__ = ()
+
+    @property
+    def classes(self):
+        return self
+
+
 @lru_cache(maxsize=None)
-def _schubert_table(n: int) -> SchubertTable:
+def _schubert_table(n: int) -> dict:
     e, *rest = enumerate_weyl(n)
-    classes = {e: point_class(n)}
+    classes = _Classes({e: point_class(n)})
     for w in rest:  # by length, so w s_i comes before w
         i = descents(w)[0]
         classes[w] = demazure(i, classes[w * simple_reflection(i, n)])
-    return SchubertTable(n, classes, dict(CONVENTION))
+    return classes
 
 
-def schubert_table(n: int) -> SchubertTable:
-    """All classes, keyed in ``enumerate_weyl`` order.  The class of w is
+def schubert_table(n: int) -> dict:
+    """All classes, SignedPerm -> GKMTupleT, keyed in ``enumerate_weyl``
+    order; their sign convention is ``CONVENTION``.  The class of w is
     ``demazure(i, class of w s_i)``, i the smallest right descent of w: the
     chain ``schubert_class`` folds along ``reduced_word(w)``, so both give
     the same values, bounds included."""
@@ -624,7 +618,7 @@ def schubert_class(w: SignedPerm) -> GKMTupleT:
     return schubert_class_from_word(w.rank, reduced_word(w))
 
 
-def descent_invariance_check(table: SchubertTable):
+def descent_invariance_check(table: dict):
     """Whenever right multiplication by s_i shortens w (``weylc.descents``),
     the index action of s_i must fix the class of w.  Returns the offending
     (w, i) pairs.
@@ -634,11 +628,11 @@ def descent_invariance_check(table: SchubertTable):
     equal; the pairs are positions in ``enumerate_weyl(n)``.  No group
     element acts on a tuple.
     """
-    n = table.rank
+    n = next(iter(table)).rank
     weyl = enumerate_weyl(n)
     bad = []
     for w in weyl:
-        values = list(map(table.classes[w].values.__getitem__, weyl))
+        values = list(map(table[w].values.__getitem__, weyl))
         for i in descents(w):
             if any(values[a] is not values[b] and values[a] != values[b]
                    for a, b in simple_pairs(n, i)):
@@ -646,10 +640,10 @@ def descent_invariance_check(table: SchubertTable):
     return bad
 
 
-def diagonal_check(table: SchubertTable):
+def diagonal_check(table: dict):
     """The class of w must take at w the closed form ``_diagonal(w)``.
-    Returns the w where it does not."""
-    return [w for w in enumerate_weyl(table.rank) if table.classes[w].values[w] != _diagonal(w)]
+    Returns the w where it does not, in the table's order."""
+    return [w for w, cls in table.items() if cls.values[w] != _diagonal(w)]
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +782,7 @@ def expand_in_schubert(f: GKMTupleT, basis):
             except NotDivisible as exc:
                 raise NotInTupleSpan(w.window(), exc.remainder) from None
         coeffs[w] = a
-        residual = residual - table.classes[w] * a
+        residual = residual - table[w] * a
     for v in enumerate_weyl(n):
         if residual.values[v]:
             raise NotInTupleSpan(v.window(), residual.values[v])

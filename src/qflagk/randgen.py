@@ -115,7 +115,7 @@ def random_upper_triangular(rng, n) -> QMatrix:
 def _combination(n, basis_elements, coeffs):
     from .gkm import GKMTupleT, schubert_table
 
-    classes = schubert_table(n).classes
+    classes = schubert_table(n)
     terms = (classes[b] * a for b, a in zip(basis_elements, coeffs))
     return sum(terms, GKMTupleT.constant(n, 0))
 

@@ -4,12 +4,18 @@ import concurrent.futures
 import json
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qflagk import gkm, quatflag, ringcore, weylc
 from qflagk.cli import MAX_COMPONENT_DIGITS, SUITES, main
 from qflagk.randgen import random_invertible_matrix, trial_rng
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -305,6 +311,24 @@ def test_schubert_all_classes_valid(capsys):
         assert gkm.gkm_check_t(cls) == []
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_schubert_all_prints_the_json_of_its_payload(tmp_path, capsys, n, fmt):
+    # the writer streams the bytes of json.dumps over the whole payload
+    # without building it; both formats print the JSON
+    payload = {
+        "classes": {w.window_str(): cls.to_json() for w, cls in gkm.schubert_table(n).items()},
+        "convention": gkm.CONVENTION,
+        "rank": n,
+    }
+    want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert run(capsys, "schubert", "--all", "--n", str(n), "--format", fmt) == (0, want, "")
+    p = tmp_path / "all.json"
+    assert run(capsys, "schubert", "--all", "--n", str(n), "--format", fmt,
+               "--output", str(p)) == (0, "", "")
+    assert p.read_text(encoding="utf-8") == want
+
+
 def test_schubert_bad_window(capsys):
     rc, _, err = run(capsys, "schubert", "--n", "2", "--w", "[0,1]")
     assert rc == 2
@@ -421,7 +445,6 @@ def test_commands_render_only_the_form_they_print(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(json, "dumps", counted)
     for argv, keys in (
-        (["schubert", "--n", "2", "--all"], ["classes", "convention", "rank"]),
         (["schubert", "--n", "2", "--w", "[2,1]"], ["model", "rank", "values"]),
         (["decompose", "--input", str(p)], ["b", "tau", "u"]),
         (["cell-index", "--input", str(p)], ["tau"]),
@@ -430,6 +453,51 @@ def test_commands_render_only_the_form_they_print(tmp_path, capsys, monkeypatch,
         rc, _, _ = run(capsys, *argv, "--format", fmt)
         assert rc == 0
         assert rendered == [keys]
+
+
+def _closed_stdout(*argv, after):
+    """Run ``qflagk argv`` as a child process and close the read end of its
+    standard output after its first ``after`` bytes; (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with subprocess.Popen([sys.executable, "-m", "qflagk.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.read(after)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    return proc.returncode, err.decode()
+
+
+@pytest.mark.parametrize("argv, after", [
+    # the table is past the pipe's buffer, so the child is still writing
+    (["schubert", "--all", "--n", "3"], 100),
+    # a report is written in one piece, after the suite: close at once
+    (["verify", "--suite", "roots", "--n", "3"], 0),
+])
+def test_a_closed_stdout_is_exit_2_without_a_traceback(argv, after):
+    rc, err = _closed_stdout(*argv, after=after)
+    assert rc == 2
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith("cannot write standard output")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_schubert_all_renders_each_term_set_once(capsys, monkeypatch, fmt):
+    # the rank-3 table holds 2 304 values in 472 objects, with 170 distinct
+    # term sets: each is rendered once, whichever objects share it
+    n = 3
+    table = gkm.schubert_table(n)
+    term_sets = {frozenset(p.terms.items()) for cls in table.values() for p in cls.values.values()}
+    calls = []
+    to_json = ringcore.LaurentPoly.to_json
+
+    def counted(p):
+        calls.append(frozenset(p.terms.items()))
+        return to_json(p)
+
+    monkeypatch.setattr(ringcore.LaurentPoly, "to_json", counted)
+    rc, _, _ = run(capsys, "schubert", "--n", str(n), "--all", "--format", fmt)
+    assert rc == 0
+    assert sorted(map(sorted, calls)) == sorted(map(sorted, term_sets))
 
 
 # ---------------------------------------------------------------------------

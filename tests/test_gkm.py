@@ -11,7 +11,6 @@ import pytest
 
 from qflagk import gkm, ringcore
 from qflagk.gkm import (
-    CONVENTION,
     EdgeViolation,
     GKMTupleG,
     GKMTupleT,
@@ -137,7 +136,7 @@ def test_tuple_validation_hashes_no_fixed_point(monkeypatch):
     # the vertex set is hashed once per model and rank, and the keys of a
     # built dict keep their hashes: constructing a tuple hashes no SignedPerm
     n = 3
-    values = dict(schubert_table(n).classes[enumerate_weyl(n)[5]].values)
+    values = dict(schubert_table(n)[enumerate_weyl(n)[5]].values)
     hashes = []
     plain = SignedPerm.__hash__
 
@@ -527,7 +526,7 @@ def test_residue_verdicts_match_the_division_on_every_schubert_class():
     # two seeded fixed points breaks some edges
     rng = trial_rng(47, 0)
     for n in (1, 2, 3):
-        for cls in schubert_table(n).classes.values():
+        for cls in schubert_table(n).values():
             f = _unshared(cls)
             _assert_same_verdicts(f)
             for vertices in (1, 2):
@@ -604,7 +603,7 @@ def test_each_distinct_value_is_reduced_once_per_edge_factor(monkeypatch):
     # the leading exponents of each distinct value are read once per
     # variable, for all the roots that variable leads
     n = 3
-    tuples = list(schubert_table(n).classes.values())
+    tuples = list(schubert_table(n).values())
     tuples.append(pullback_pi(random_x_tuple(trial_rng(49, 0), n)))
     ends, joined, per_edge, leading = (
         sum(c) for c in zip(*(_distinct_residue_count(gkm._T, f) for f in tuples))
@@ -887,7 +886,7 @@ def test_demazure_matches_the_per_point_route_with_one_division_per_distinct_pai
     monkeypatch.setattr(gkm, "divide_exact", counted)
     saved = 0
     for n in (1, 2, 3):
-        for cls in schubert_table(n).classes.values():
+        for cls in schubert_table(n).values():
             for i in range(1, n + 1):
                 want, divisions = _demazure_by_point(i, cls)
                 calls.clear()
@@ -907,7 +906,7 @@ def test_demazure_keeps_each_pairs_bound_on_values_with_equal_terms():
     rng = trial_rng(23, n)
     weyl = enumerate_weyl(n)
     inflated = 0
-    for cls in schubert_table(n).classes.values():
+    for cls in schubert_table(n).values():
         for i in range(1, n + 1):
             for u in rng.sample(weyl, 2):
                 p = cls.values[u]
@@ -930,7 +929,7 @@ def test_demazure_reads_its_input_by_fixed_point_not_by_dict_order():
     # order: the same values and bounds, keyed in enumerate_weyl order
     n = 3
     rng = trial_rng(24, n)
-    for cls in schubert_table(n).classes.values():
+    for cls in schubert_table(n).values():
         items = [(SignedPerm.from_window(w.window()), p) for w, p in cls.values.items()]
         rng.shuffle(items)
         shuffled = GKMTupleT(n, dict(items))
@@ -949,7 +948,7 @@ def test_demazure_witness_matches_the_per_point_route():
     for n in (2, 3):
         rng = trial_rng(15, n)
         W = enumerate_weyl(n)
-        for cls in schubert_table(n).classes.values():
+        for cls in schubert_table(n).values():
             hit = rng.sample(W, rng.choice((1, 2)))
             bad = GKMTupleT(n, {w: p + 1 if w in hit else p for w, p in cls.values.items()})
             for i in range(1, n + 1):
@@ -966,19 +965,18 @@ def test_demazure_witness_matches_the_per_point_route():
 def test_schubert_base_and_top():
     for n in (1, 2):
         table = schubert_table(n)
-        assert table.classes[SignedPerm.identity(n)] == point_class(n)
+        assert table[SignedPerm.identity(n)] == point_class(n)
         w0 = max_length_rep(perm_identity(n))
-        assert table.classes[w0] == GKMTupleT.constant(n, 1)
-        assert table.convention == CONVENTION
+        assert table[w0] == GKMTupleT.constant(n, 1)
 
 
 def test_schubert_all_classes_valid_and_triangular_rank_two():
     n = 2
     table = schubert_table(n)
     W = enumerate_weyl(n)
-    assert len(table.classes) == 8
+    assert len(table) == 8
     for w in W:
-        cls = table.classes[w]
+        cls = table[w]
         assert gkm_check_t(cls) == []
         assert cls.values[w]
         for v in W:
@@ -991,7 +989,7 @@ def test_schubert_word_independence_exhaustive_rank_two():
     table = schubert_table(n)
     for w in enumerate_weyl(n):
         for word in all_reduced_words(w):
-            assert schubert_class_from_word(n, word) == table.classes[w]
+            assert schubert_class_from_word(n, word) == table[w]
 
 
 def test_schubert_word_independence_sampled_rank_three():
@@ -1001,13 +999,13 @@ def test_schubert_word_independence_sampled_rank_three():
     words = all_reduced_words(w0)
     step = max(1, len(words) // 5)
     for word in words[::step]:
-        assert schubert_class_from_word(n, word) == table.classes[w0]
+        assert schubert_class_from_word(n, word) == table[w0]
 
 
 def test_schubert_class_matches_the_table():
     table = schubert_table(3)
     for w in enumerate_weyl(3):
-        assert schubert_class(w) == table.classes[w]
+        assert schubert_class(w) == table[w]
     assert schubert_class(max_length_rep(perm_identity(4))) == GKMTupleT.constant(4, 1)
 
 
@@ -1020,10 +1018,10 @@ def test_schubert_class_and_the_table_follow_one_chain():
         table = schubert_table(n)
         for w in enumerate_weyl(n):
             got = schubert_class(w).values
-            want = table.classes[w].values
+            want = table[w].values
             for u in enumerate_weyl(n):
                 assert (got[u]._packed, got[u]._bound) == (want[u]._packed, want[u]._bound)
-    assert all(tuple(schubert_table(n).classes) == enumerate_weyl(n) for n in (1, 2, 3))
+    assert all(tuple(schubert_table(n)) == enumerate_weyl(n) for n in (1, 2, 3))
 
 
 # the sha256 that test_the_rank_4_table_keeps_its_pinned_content forms over
@@ -1039,7 +1037,7 @@ def test_the_rank_4_table_keeps_its_pinned_content():
     # rendered once per term set, which several bounds may share
     n = 4
     weyl = enumerate_weyl(n)
-    classes = schubert_table(n).classes
+    classes = schubert_table(n)
     values = [classes[w].values[u] for w in weyl for u in weyl]
     digest = hashlib.sha256()
     rendered = {}
@@ -1066,7 +1064,7 @@ def test_schubert_diagonals_have_the_closed_form():
     ws += trial_rng(14, 0).sample(list(enumerate_weyl(4)), k=4)
     for w in ws:
         n = w.rank
-        cls = schubert_table(n).classes[w] if n <= 3 else schubert_class(w)
+        cls = schubert_table(n)[w] if n <= 3 else schubert_class(w)
         assert len(gkm._diagonal_roots(w)) == n * n - length(w)
         assert cls.values[w] == gkm._diagonal(w)
     for n in (1, 2, 3):
@@ -1074,8 +1072,8 @@ def test_schubert_diagonals_have_the_closed_form():
     # and the check finds a class off its closed form
     table = schubert_table(2)
     w = enumerate_weyl(2)[3]
-    bumped = GKMTupleT(2, {**table.classes[w].values, w: table.classes[w].values[w] + 1})
-    broken = gkm.SchubertTable(2, {**table.classes, w: bumped}, table.convention)
+    bumped = GKMTupleT(2, {**table[w].values, w: table[w].values[w] + 1})
+    broken = {**table, w: bumped}
     assert diagonal_check(broken) == [w]
 
 
@@ -1085,10 +1083,10 @@ def test_descent_invariance_exhaustive_rank_two():
 
 def _descent_invariance_by_action(table):
     # the reference: act by s_i on the whole class at each right descent
-    n = table.rank
+    n = next(iter(table)).rank
     bad = []
     for w in enumerate_weyl(n):
-        cls = table.classes[w]
+        cls = table[w]
         for i in range(1, n + 1):
             s = simple_reflection(i, n)
             if length(w * s) < length(w) and weyl_act_tuple(s, cls) != cls:
@@ -1103,16 +1101,15 @@ def test_descent_invariance_matches_the_index_action():
     for n in (1, 2, 3):
         table = schubert_table(n)
         variants = [
-            table.classes,
-            {w: _unshared(c) for w, c in table.classes.items()},
-            {w: _mutated(rng, c, vertices=1) for w, c in table.classes.items()},
-            {w: _mutated(rng, c, vertices=2) for w, c in table.classes.items()},
+            table,
+            {w: _unshared(c) for w, c in table.items()},
+            {w: _mutated(rng, c, vertices=1) for w, c in table.items()},
+            {w: _mutated(rng, c, vertices=2) for w, c in table.items()},
         ]
         found = []
         for classes in variants:
-            t = gkm.SchubertTable(n, classes, table.convention)
-            found.append(descent_invariance_check(t))
-            assert found[-1] == _descent_invariance_by_action(t)
+            found.append(descent_invariance_check(classes))
+            assert found[-1] == _descent_invariance_by_action(classes)
         assert found[0] == found[1] == [] and found[2]  # +1 at one point breaks some
 
 
@@ -1248,7 +1245,7 @@ def test_expand_recovers_single_classes():
     table = schubert_table(n)
     basis = list(enumerate_weyl(n))
     for w in basis:
-        coeffs = expand_in_schubert(table.classes[w], basis)
+        coeffs = expand_in_schubert(table[w], basis)
         for v, a in coeffs.items():
             assert a == (LaurentPoly.one(n) if v == w else LaurentPoly.zero(n))
 
@@ -1340,10 +1337,6 @@ def test_serialization_roundtrip_all_models():
     assert GKMTupleX.from_json(fx.to_json()) == fx
     fg = random_g_tuple(trial_rng(10, 2), n)
     assert GKMTupleG.from_json(fg.to_json()) == fg
-    table = schubert_table(1)
-    data = table.to_json()
-    assert data["convention"] == CONVENTION
-    assert set(data["classes"]) == {"[1]", "[-1]"}
 
 
 def test_tuples_and_records_pickle_and_compare_as_values():
@@ -1365,7 +1358,7 @@ def test_tuples_and_records_pickle_and_compare_as_values():
     # the records unpack and compare as the tuples of their fields
     model, index, partner, edge, remainder = violation
     assert (model, index, partner, edge) == ("X", (1, 2), (2, 1), (1, 2))
-    assert violation == EdgeViolation(*violation) and table == (n, table.classes, CONVENTION)
+    assert violation == EdgeViolation(*violation)
 
 
 def test_tuple_codec_reads_only_its_own_model_tag():
@@ -1404,7 +1397,7 @@ def test_documented_gap_counterexample_is_pinned():
     table = schubert_table(n)
     w = max_length_rep((2, 1))
     assert w.window() == (-2, -1)
-    cls = table.classes[w]
+    cls = table[w]
     lo = 1 - LaurentPoly.monomial(n, (1, 1))
     hi = 1 - LaurentPoly.monomial(n, (1, -1))
     assert cls.values[SignedPerm.from_window((2, 1))] == lo
@@ -1424,10 +1417,10 @@ def test_demazure_maxrep_classes_are_invariant_only_at_the_identity():
         table = schubert_table(n)
         identity = SignedPerm.identity(n)
         assert max_length_rep(perm_identity(n)).window() == tuple(range(-1, -n - 1, -1))
-        assert all(cls.values[identity] for cls in table.classes.values())
+        assert all(cls.values[identity] for cls in table.values())
         moves = 0
         for tau in all_perms(n):
-            cls = table.classes[max_length_rep(tau)]
+            cls = table[max_length_rep(tau)]
             moved = [v for v in enumerate_sign_changes(n) if weyl_act_tuple(v, cls) != cls]
             assert (not moved) == (tau == perm_identity(n))
             moves += len(moved)
