@@ -1,7 +1,7 @@
 """Golden CLI outputs: exit code and sha256 of normalised stdout.
 
-The entries cover every command at rank <= 3, and every ``verify`` suite and
-``basis`` at rank 4, the default cap.
+The entries cover every command at rank <= 3, and every ``verify`` suite,
+``basis`` and one ``schubert --w`` at rank 4, the default cap.
 
 Each command runs in-process through ``cli.main``.  Normalisation drops the
 only field that may differ between runs: JSON output is re-dumped with sorted
@@ -64,6 +64,7 @@ def _commands():
     for suite, trials in (("theorem1", 2), ("theorem2", 4), ("presentation", 4), ("cells", 2)):
         cmds[f"verify-{suite}-n4"] = ["verify", "--suite", suite, "--trials", str(trials), *rank4]
     cmds["basis-n4"] = ["basis", *rank4]
+    cmds["schubert-w-n4"] = ["schubert", "--w", "[1,-3,-2,-4]", *rank4]
     return cmds
 
 
