@@ -7,12 +7,13 @@ serialized tuple in one of the three models), ``basis`` (the maximal-length
 coset representatives).
 
 Exit codes: 0 all checks passed, 1 violations found (or singular input),
-2 usage or parse errors (a closed standard output too), 3 internal error: a
-``gkm.InexactDivision`` or ``ringcore.NotDivisible`` (each serializes its
-own witness) or a ``decompose`` whose factors do not multiply back to its
-input.  The witness
-is the last line of standard error, one JSON object.  Reports are
-deterministic for a fixed configuration and seed, but for the wall time.
+2 usage or parse errors (an output that cannot be written too: a bad
+``--output``, or a closed or full standard output, ``--help`` included),
+3 internal error: a ``gkm.InexactDivision`` or ``ringcore.NotDivisible``
+(each serializes its own witness) or a ``decompose`` whose factors do not
+multiply back to its input.  The witness is the last line of standard
+error, one JSON object.  Reports are deterministic for a fixed
+configuration and seed, but for the wall time.
 
 A ``verify`` suite is an exhaustive generator of rank n, a per-trial
 generator, or both (``SUITES``).  Each yields one list per check it makes,
@@ -30,6 +31,8 @@ and ``ringcore`` where no bytecode is cached.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -69,30 +72,27 @@ def _emit(cfg, payload, text=None):
     """Print ``payload`` as JSON, or under ``--format text`` what ``text()``
     returns; without ``text`` both formats print the JSON.  Only the chosen
     form is rendered.  A ``payload`` that is not a dict is JSON already
-    rendered, as an iterable of chunks (``_table_chunks``).  An unwritable
-    ``--output`` or a closed standard output is a usage error."""
+    rendered, as an iterable of chunks (``_table_chunks``).  A failed write,
+    to ``--output`` or to standard output, is a usage error."""
     if not isinstance(payload, dict):
         chunks = payload
     elif cfg.fmt == "json" or text is None:
         chunks = [json.dumps(payload, indent=2, sort_keys=True)]
     else:
         chunks = [text()]
-    if cfg.output:
-        try:
-            with open(cfg.output, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
-                fh.write("\n")
-        except OSError as exc:
-            raise _UsageError(f"cannot write --output: {exc}") from None
-        return
+    to_file = cfg.output is not None  # "" is a path, and cannot be opened
     try:
-        sys.stdout.writelines(chunks)
-        sys.stdout.write("\n")
-        sys.stdout.flush()
-    except BrokenPipeError as exc:
-        # what is left in the buffer goes nowhere at the interpreter's last flush
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise _UsageError(f"cannot write standard output: {exc}") from None
+        with (open(cfg.output, "w", encoding="utf-8") if to_file
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            fh.writelines(chunks)
+            fh.write("\n")
+            fh.flush()
+    except OSError as exc:
+        if not to_file:
+            # what is left in the buffer goes nowhere at the interpreter's last flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        where = "--output" if to_file else "standard output"
+        raise _UsageError(f"cannot write {where}: {exc}") from None
 
 
 def _object(members, depth):
@@ -102,29 +102,36 @@ def _object(members, depth):
     return "{" + ",".join(f"{indent}  {key}: {text}" for key, text in members) + indent + "}"
 
 
+def _class_texts(classes, depth):
+    """``json.dumps(cls.to_json(), indent=2, sort_keys=True)`` at nesting
+    ``depth`` for each Schubert class in ``classes``.  The JSON prints no
+    bound, so the values are numbered by their terms (``ringcore.TermIndex``)
+    and each number is rendered once: the rank-4 table holds 147 456 values
+    but about 5 000 distinct term sets."""
+    from . import ringcore, weylc
+
+    points = sorted(classes[0].values, key=weylc.SignedPerm.window_str)
+    labels = [json.dumps(w.window_str()) for w in points]
+    values = [cls.values[w] for cls in classes for w in points]
+    numbers = ringcore.TermIndex(values).numbers
+    indent = "\n" + "  " * (depth + 2)
+    rendered = {k: json.dumps(p.to_json(), indent=2).replace("\n", indent)
+                for k, p in dict(zip(numbers, values)).items()}  # one value per number
+    texts = map(rendered.__getitem__, numbers)  # class by class, as written
+    for cls in classes:  # T-model tuples
+        body = _object(zip(labels, texts), depth + 1)
+        yield _object([('"model"', '"T"'), ('"rank"', str(cls.rank)), ('"values"', body)], depth)
+
+
 def _table_chunks(table, n):
     """``json.dumps(payload, indent=2, sort_keys=True)`` for the payload
-    {"classes", "convention", "rank"} of ``schubert --all``, one chunk per
-    class, without building the payload.  The JSON prints no bound, so the
-    values are numbered by their terms (``ringcore.TermIndex``) and each
-    number is rendered once and re-indented to its depth: at rank 4 the
-    table holds 147 456 values but about 5 000 distinct term sets."""
-    from . import gkm, ringcore
+    {"classes", "convention", "rank"} of ``schubert --all``, one chunk per class."""
+    from . import gkm, weylc
 
-    points = sorted((gkm.GKMTupleT.model.key(w), w) for w in table)
-    labels = [json.dumps(key) for key, _ in points]
-    values = [table[w].values[v] for _, w in points for _, v in points]
-    numbers = ringcore.TermIndex(values).numbers
-    rendered = {}
-    for k, p in zip(numbers, values):
-        if k not in rendered:
-            rendered[k] = json.dumps(p.to_json(), indent=2).replace("\n", "\n" + "  " * 4)
-    texts = map(rendered.__getitem__, numbers)  # class by class, as written
-    head = [('"model"', json.dumps(gkm.GKMTupleT.model.name)), ('"rank"', str(n))]
+    points = sorted(table, key=weylc.SignedPerm.window_str)
     yield '{\n  "classes": {'
-    for c, label in enumerate(labels):
-        cls = _object([*head, ('"values"', _object(zip(labels, texts), 3))], 2)
-        yield f'{"," if c else ""}\n    {label}: {cls}'
+    for c, (w, cls) in enumerate(zip(points, _class_texts([table[w] for w in points], 2))):
+        yield f'{"," if c else ""}\n    {json.dumps(w.window_str())}: {cls}'
     convention = json.dumps(gkm.CONVENTION, indent=2, sort_keys=True).replace("\n", "\n  ")
     yield f'\n  }},\n  "convention": {convention},\n  "rank": {n}\n}}'
 
@@ -455,7 +462,7 @@ def cmd_schubert(cfg) -> int:
         raise _UsageError(f"bad window notation: {cfg.w!r}") from None
     if w.rank != cfg.n:
         raise _UsageError(f"window {cfg.w!r} has rank {w.rank}, expected {cfg.n}")
-    _emit(cfg, gkm.schubert_class(w).to_json())
+    _emit(cfg, _class_texts([gkm.schubert_class(w)], 0))
     return 0
 
 
@@ -674,18 +681,24 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    """Run one command; the parsed namespace is the configuration (``cfg``)."""
+    """Run one command; the parsed namespace is the configuration (``cfg``).
+    argparse prints ``--help`` into a buffer that ``_emit`` then writes, so
+    help follows the rule of every command's output."""
+    shown = io.StringIO()
     try:
-        cfg = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        cap = _count(os.environ.get("QFLAGK_MAX_N", DEFAULT_MAX_N))
-    except argparse.ArgumentTypeError as exc:
-        print(f"QFLAGK_MAX_N: {exc}", file=sys.stderr)
-        return 2
-    cfg.cap = math.inf if cfg.unsafe_n else cap
-    try:
+        try:
+            with contextlib.redirect_stdout(shown):
+                cfg = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # after help (0) or a usage error (2)
+            if exc.code not in (0, None):
+                return 2
+            _emit(argparse.Namespace(output=None), [shown.getvalue().removesuffix("\n")])
+            return 0
+        try:
+            cap = _count(os.environ.get("QFLAGK_MAX_N", DEFAULT_MAX_N))
+        except argparse.ArgumentTypeError as exc:
+            raise _UsageError(f"QFLAGK_MAX_N: {exc}") from None
+        cfg.cap = math.inf if cfg.unsafe_n else cap
         _check_cap(cfg, cfg.n, "rank")
         return cfg.run(cfg)
     except _UsageError as exc:

@@ -348,18 +348,8 @@ class _GKMTuple:
     __rmul__ = __mul__
 
     def to_json(self):
-        # a value shared by several fixed points is rendered once, and its
-        # JSON list shared; the objects stay alive in self.values, so their
-        # ids are not reused meanwhile
         m = self.model
-        rendered = {}
-        values = {}
-        for v in m.vertices(self.rank):
-            p = self.values[v]
-            js = rendered.get(id(p))
-            if js is None:
-                js = rendered[id(p)] = p.to_json()
-            values[m.key(v)] = js
+        values = {m.key(v): self.values[v].to_json() for v in m.vertices(self.rank)}
         return {"model": m.name, "rank": self.rank, "values": values}
 
     @classmethod

@@ -447,5 +447,7 @@ def perm_embed(tau: tuple) -> SignedPerm:
     return SignedPerm(tau)
 
 
+@cache
 def all_perms(n: int) -> tuple:
+    """All n! permutations of 1..n, sorted by (inversions, window)."""
     return tuple(sorted(permutations(range(1, n + 1)), key=lambda t: (perm_inversions(t), t)))

@@ -10,12 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from qflagk import gkm, quatflag, ringcore, weylc
+from qflagk import cli, gkm, quatflag, ringcore, weylc
 from qflagk.cli import MAX_COMPONENT_DIGITS, SUITES, main
 from qflagk.randgen import random_invertible_matrix, trial_rng
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+DEV_FULL = "/dev/full"  # every write to it fails with ENOSPC
 
 
 def run(capsys, *argv):
@@ -276,9 +277,13 @@ def test_output_file(tmp_path, capsys):
     assert report["violations"] == []
 
 
-@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("where", ["directory", "missing-parent", "empty", "full-device"])
 def test_unwritable_output_exits_2(tmp_path, capsys, where):
-    target = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+    # an empty path is a path that cannot be opened, not standard output
+    target = {"directory": tmp_path, "missing-parent": tmp_path / "missing" / "out.txt",
+              "empty": "", "full-device": DEV_FULL}[where]
+    if where == "full-device" and not os.path.exists(DEV_FULL):
+        pytest.skip(f"no {DEV_FULL} on this system")
     rc, out, err = run(capsys, "basis", "--n", "2", "--output", str(target))
     assert rc == 2 and out == ""
     assert "cannot write --output" in err and "Traceback" not in err
@@ -445,7 +450,6 @@ def test_commands_render_only_the_form_they_print(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(json, "dumps", counted)
     for argv, keys in (
-        (["schubert", "--n", "2", "--w", "[2,1]"], ["model", "rank", "values"]),
         (["decompose", "--input", str(p)], ["b", "tau", "u"]),
         (["cell-index", "--input", str(p)], ["tau"]),
     ):
@@ -455,16 +459,27 @@ def test_commands_render_only_the_form_they_print(tmp_path, capsys, monkeypatch,
         assert rendered == [keys]
 
 
+def _qflagk(*argv, stdout):
+    """Start ``qflagk argv`` as a child process writing to ``stdout``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.Popen([sys.executable, "-m", "qflagk.cli", *argv], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
 def _closed_stdout(*argv, after):
     """Run ``qflagk argv`` as a child process and close the read end of its
     standard output after its first ``after`` bytes; (exit code, stderr)."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    with subprocess.Popen([sys.executable, "-m", "qflagk.cli", *argv], env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+    with _qflagk(*argv, stdout=subprocess.PIPE) as proc:
         proc.stdout.read(after)
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
     return proc.returncode, err.decode()
+
+
+def _assert_one_stdout_error(rc, err):
+    assert rc == 2
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith("cannot write standard output")
 
 
 @pytest.mark.parametrize("argv, after", [
@@ -472,21 +487,50 @@ def _closed_stdout(*argv, after):
     (["schubert", "--all", "--n", "3"], 100),
     # a report is written in one piece, after the suite: close at once
     (["verify", "--suite", "roots", "--n", "3"], 0),
+    (["--help"], 0),
+    (["verify", "--help"], 0),
 ])
 def test_a_closed_stdout_is_exit_2_without_a_traceback(argv, after):
-    rc, err = _closed_stdout(*argv, after=after)
-    assert rc == 2
-    assert "Traceback" not in err and err.count("\n") == 1
-    assert err.startswith("cannot write standard output")
+    _assert_one_stdout_error(*_closed_stdout(*argv, after=after))
+
+
+@pytest.mark.skipif(not os.path.exists(DEV_FULL), reason=f"no {DEV_FULL} on this system")
+@pytest.mark.parametrize("argv", [
+    ["basis", "--n", "2"],
+    ["verify", "--suite", "roots", "--n", "2"],
+    ["schubert", "--all", "--n", "3"],
+    ["schubert", "--w", "[-2,1]"],
+    ["--help"],
+], ids=["basis", "verify", "schubert-all", "schubert-w", "help"])
+def test_a_full_stdout_is_exit_2_without_a_traceback(argv):
+    with open(DEV_FULL, "w") as full, _qflagk(*argv, stdout=full) as proc:
+        _, err = proc.communicate(timeout=120)
+    _assert_one_stdout_error(proc.returncode, err.decode())
+
+
+def test_help_prints_what_argparse_prints(capsys):
+    for argv in (["--help"], ["verify", "--help"], ["schubert", "-h"]):
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(argv)
+        shown = capsys.readouterr().out
+        assert shown.startswith("usage: qflagk")
+        assert run(capsys, *argv) == (0, shown, "")
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
-def test_schubert_all_renders_each_term_set_once(capsys, monkeypatch, fmt):
+@pytest.mark.parametrize("argv", [
+    ["--all"],
+    # the class of [-1,-2,3] holds 22 objects with 8 distinct term sets
+    ["--w", "[-1,-2,3]"],
+], ids=["all", "w"])
+def test_schubert_all_renders_each_term_set_once(capsys, monkeypatch, argv, fmt):
     # the rank-3 table holds 2 304 values in 472 objects, with 170 distinct
     # term sets: each is rendered once, whichever objects share it
     n = 3
     table = gkm.schubert_table(n)
-    term_sets = {frozenset(p.terms.items()) for cls in table.values() for p in cls.values.values()}
+    classes = table.values() if argv == ["--all"] else [
+        table[weylc.SignedPerm.from_window_str(argv[1])]]
+    term_sets = {frozenset(p.terms.items()) for cls in classes for p in cls.values.values()}
     calls = []
     to_json = ringcore.LaurentPoly.to_json
 
@@ -495,9 +539,17 @@ def test_schubert_all_renders_each_term_set_once(capsys, monkeypatch, fmt):
         return to_json(p)
 
     monkeypatch.setattr(ringcore.LaurentPoly, "to_json", counted)
-    rc, _, _ = run(capsys, "schubert", "--n", str(n), "--all", "--format", fmt)
+    rc, _, _ = run(capsys, "schubert", "--n", str(n), *argv, "--format", fmt)
     assert rc == 0
     assert sorted(map(sorted, calls)) == sorted(map(sorted, term_sets))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_schubert_w_prints_the_json_of_its_class(capsys, n):
+    # the rendering --all shares, at depth 0: the bytes of json.dumps
+    for w in weylc.enumerate_weyl(n)[::48 if n == 4 else 1]:
+        want = json.dumps(gkm.schubert_class(w).to_json(), indent=2, sort_keys=True) + "\n"
+        assert run(capsys, "schubert", "--n", str(n), "--w", w.window_str()) == (0, want, "")
 
 
 # ---------------------------------------------------------------------------
