@@ -3,9 +3,9 @@
 The entries cover every command at rank <= 3, and every ``verify`` suite,
 ``basis`` and one ``schubert --w`` at rank 4, the default cap.
 
-Each command runs in-process through ``cli.main``.  Normalisation drops the
-only field that may differ between runs: JSON output is re-dumped with sorted
-keys and without ``wall_time_s``; text output loses its ``wall_time_s:`` line.
+Each command runs in-process through ``cli.main``.  An entry hashes the
+printed bytes, layout included, less the only line that may differ between
+runs: the ``wall_time_s`` line of a ``verify`` report, JSON or text.
 ``check`` reports violations in edge order, so its entries pin that order.
 
 Regenerate entries (all, or only the named ones) after a deliberate change:
@@ -93,14 +93,12 @@ def _argv(name, directory):
     return [str(directory / a) if a.endswith(".json") else a for a in COMMANDS[name]]
 
 
-def _entry(argv, rc, out):
-    if "json" in argv:
-        data = json.loads(out)
-        data.pop("wall_time_s", None)
-        out = json.dumps(data, sort_keys=True)
-    else:
-        out = "\n".join(line for line in out.splitlines() if not line.startswith("wall_time_s:"))
-    return {"exit": rc, "sha256": hashlib.sha256(out.encode()).hexdigest()}
+def _entry(rc, out):
+    kept = "".join(
+        line for line in out.splitlines(keepends=True)
+        if not line.lstrip().startswith(('"wall_time_s":', "wall_time_s:"))
+    )
+    return {"exit": rc, "sha256": hashlib.sha256(kept.encode()).hexdigest()}
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +117,7 @@ def test_golden_output(name, inputs, capsys):
     want = json.loads(FIXTURE.read_text())[name]
     argv = _argv(name, inputs)
     rc = main(argv)
-    assert _entry(argv, rc, capsys.readouterr().out) == want
+    assert _entry(rc, capsys.readouterr().out) == want
 
 
 def _regenerate(names):
@@ -132,7 +130,7 @@ def _regenerate(names):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 rc = main(argv)
-            golden[name] = _entry(argv, rc, buf.getvalue())
+            golden[name] = _entry(rc, buf.getvalue())
     FIXTURE.write_text(json.dumps(dict(sorted(golden.items())), indent=2) + "\n")
 
 
