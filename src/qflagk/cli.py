@@ -12,7 +12,9 @@ Exit codes: 0 all checks passed, 1 violations found (or singular input),
 3 internal error: a ``gkm.InexactDivision`` or ``ringcore.NotDivisible``
 (each serializes its own witness) or a ``decompose`` whose factors do not
 multiply back to its input.  The witness is the last line of standard
-error, one JSON object.  Reports are deterministic for a fixed
+error, one JSON object.  Messages go to standard error through ``_warn``;
+a standard error that cannot be written loses them, and the exit code
+stands.  Reports are deterministic for a fixed
 configuration and seed, but for the wall time.
 
 A ``verify`` suite is an exhaustive generator of rank n, a per-trial
@@ -66,6 +68,13 @@ def to_text(report):
     lines.append(f"wall_time_s: {report['wall_time_s']:.3f}")
     lines.append("OK" if not violations else "FAILED")
     return "\n".join(lines)
+
+
+def _warn(*lines):
+    """Print ``lines`` on standard error.  A failed write is dropped, so the
+    command's own exit code stands: there is nowhere left to report it."""
+    with contextlib.suppress(OSError):
+        print(*lines, sep="\n", file=sys.stderr, flush=True)
 
 
 def _emit(cfg, payload, text=None):
@@ -432,8 +441,7 @@ def run_suite(cfg, suite: str) -> dict:
 
 def _internal_error(message, witness):
     """Exit 3: ``message`` on standard error, then its witness as one JSON line."""
-    print(f"{message}; witness:", file=sys.stderr)
-    print(json.dumps(witness, sort_keys=True), file=sys.stderr)
+    _warn(f"{message}; witness:", json.dumps(witness, sort_keys=True))
     return 3
 
 
@@ -534,7 +542,7 @@ def cmd_decompose(cfg) -> int:
     try:
         u, tau, b = quatflag.bruhat_decompose(g)
     except quatflag.SingularMatrix:
-        print("matrix is singular", file=sys.stderr)
+        _warn("matrix is singular")
         return 1
     try:
         payload = {"u": u.to_json(), "tau": list(tau), "b": b.to_json()}
@@ -557,7 +565,7 @@ def cmd_cell_index(cfg) -> int:
     try:
         tau = quatflag.cell_index(g)
     except quatflag.SingularMatrix:
-        print("matrix is singular", file=sys.stderr)
+        _warn("matrix is singular")
         return 1
     payload = {"tau": list(tau)}
     _emit(cfg, payload, lambda: json.dumps(payload))
@@ -702,7 +710,7 @@ def main(argv=None) -> int:
         _check_cap(cfg, cfg.n, "rank")
         return cfg.run(cfg)
     except _UsageError as exc:
-        print(exc, file=sys.stderr)
+        _warn(exc)
         return 2
 
 

@@ -399,8 +399,14 @@ def _check(model, f):
     An edge passes when its two values have the same terms, or when their
     residue verdict (``ringcore.TermIndex``) is that each factor of the
     divisor, and so their product (see the module docstring), divides the
-    difference.  Otherwise ``model.divide`` decides and forms the remainder
-    witness, or raises ``OverflowError``.
+    difference.  A rejected edge takes the remainder witness that
+    ``model.divide`` would form from the residues its verdict read.  Only
+    where there are none, past a third of the exponent limit, or where an X
+    pair's first factor divides (the second then divides a quotient) does
+    ``model.divide`` run: it decides, forms the witness or raises
+    ``OverflowError``.  Residues exist only when bound + 2 * bound // |d| *
+    max|F| is inside the limit, which also bounds the division's reach, so
+    no ``OverflowError`` is skipped.
     """
     violations = []
     values = [f.values[u] for u in model.vertices(f.rank)]
@@ -412,12 +418,17 @@ def _check(model, f):
             a, b = index[iu], index[iv]
             if a == b or verdicts[(a, b) if a < b else (b, a)]:
                 continue
-            try:
-                model.divide(values[iu] - values[iv], edge, divisor)
-            except NotDivisible as exc:
-                violations.append(
-                    EdgeViolation(model.name, model.label(u), model.label(v), edge, exc.remainder)
-                )
+            diff = values[iu] - values[iv]
+            remainder = verdicts.witness(a, b, diff)
+            if remainder is None:
+                try:
+                    model.divide(diff, edge, divisor)
+                    continue
+                except NotDivisible as exc:
+                    remainder = exc.remainder
+            violations.append(
+                EdgeViolation(model.name, model.label(u), model.label(v), edge, remainder)
+            )
     return violations
 
 

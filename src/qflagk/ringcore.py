@@ -52,7 +52,11 @@ its result before it forms a key:
   reaches at most ``bound + 2 * bound // |d| * max|F|``, as far as the long
   division of a difference of two values within the bound.  At or beyond
   the limit no residue is formed: the division decides, or raises
-  ``OverflowError``.
+  ``OverflowError``.  Inside it the witness of a failing edge is read off
+  the two residues, as the division's remainder, the residue of the
+  difference moved by whole factors into the division's last window: it
+  has the division's bound, which the same check keeps inside the limit,
+  so no ``OverflowError`` is skipped.
 * ``weyl_act_poly`` permutes and negates exponents; ``x_expand`` and
   ``basis_decompose`` write x^k through X^j with |j| <= |k| and the other
   way round: all three keep the bound.
@@ -633,7 +637,8 @@ class TermIndex:
     whether or not they are one object: by object, then by term count and
     key sum, then term by term.  Of each number the value with the largest
     bound stands for all in the residue verdicts: where its reach check
-    holds, each of theirs does."""
+    holds, each of theirs does.  A rejected pair's remainder witness comes
+    from the residues its verdict formed (``verdicts(...).witness``)."""
 
     __slots__ = ("numbers", "_values", "_chosen", "_leads")
 
@@ -668,7 +673,8 @@ class TermIndex:
         ``divisor`` (all led by one variable) divides the difference of their
         values, read off residues; False where a residue could leave the
         limit, as only a division decides there.  A pair is decided on its
-        first read, each number reduced once per dict."""
+        first read, each number reduced once per dict; ``witness`` forms a
+        rejected pair's remainder from the same residues."""
         return _Verdicts(self, divisor._steps)
 
 
@@ -698,6 +704,43 @@ class _Verdicts(dict):
         agree = self[pair] = all(map(_same_residue, residues[pair[0]], residues[pair[1]]))
         return agree
 
+    def witness(self, a, b, diff):
+        """The remainder witness of a rejected pair, read off the residues its
+        verdict formed, ``diff`` the value of number ``a`` minus that of
+        ``b``; None where only a division forms it: past the residues' reach,
+        where the first factor divides (the witness is then a quotient's), or
+        for an X-polynomial whose factor is led by a negative exponent.
+
+        Long division by x^F - 1 moves each term by whole factors F into the
+        last window of x_v-exponents it walks, [lo, lo + d) for d > 0 and
+        (hi + d, hi] for d < 0, lo and hi the least and largest of ``diff``:
+        the residue term of x_v-exponent rho gets there after ceil((end -
+        rho) / d) factors, end that window's end.  The bound is the
+        division's reach.  An X-polynomial's residue already is f(X_mu :=
+        X_nu), the witness of division by X_mu - X_nu, bound plus hi.  Terms
+        are in key order, as the divisions give them."""
+        ra, rb = self._residues.get(a), self._residues.get(b)
+        if ra is None or rb is None or _same_residue(ra[0], rb[0]):
+            return None
+        _, v, d, key, fmax = self._steps[0]
+        xpoly = type(diff) is XPoly
+        if xpoly and d < 0:
+            return None
+        terms = {r: c for r, c in ra[0].items() if c}
+        for r, c in rb[0].items():
+            _acc(terms, r, -c)
+        leads = _leading_exponents(diff, v)
+        lo, hi = min(leads), max(leads)
+        if xpoly:
+            return XPoly._trusted(diff.rank, dict(sorted(terms.items())), diff._bound + hi)
+        shift = FIELD_BITS * v
+        bias = _bias(diff.rank)
+        end = (lo if d > 0 else hi) + EXPONENT_LIMIT  # the last window's end, as a digit
+        moved = {r - (((r + bias) >> shift & _MASK) - end) // d * key: c
+                 for r, c in terms.items()}
+        return LaurentPoly._trusted(diff.rank, dict(sorted(moved.items())),
+                                    diff._bound + (hi - lo) // abs(d) * fmax)
+
 
 def divide_exact(f: LaurentPoly, divisor) -> LaurentPoly:
     """Exact quotient of ``f`` by a product of binomials prod (m - 1), or by
@@ -706,8 +749,8 @@ def divide_exact(f: LaurentPoly, divisor) -> LaurentPoly:
     Factors are divided out in their listed order; the result is
     order-independent because the quotient, when it exists, is unique.
     Raises :class:`NotDivisible` with the first failing factor and a nonzero
-    remainder witness, and ``OverflowError`` before a term of the long
-    division could leave the exponent limit.  The Euler orientation negates
+    remainder witness, its terms in key order, and ``OverflowError`` before
+    a term of the long division could leave the exponent limit.  The Euler orientation negates
     the dividend in the first factor's bucketing when it has an odd number
     of factors, and so its witness is that of prod (m - 1), sign restored.
     """
@@ -726,8 +769,8 @@ def divide_exact(f: LaurentPoly, divisor) -> LaurentPoly:
         )
         negate = False
         if remainder:
-            if flipped:
-                remainder = {k: -c for k, c in remainder.items()}
+            sign = -1 if flipped else 1
+            remainder = {k: sign * c for k, c in sorted(remainder.items())}
             raise NotDivisible(factor, LaurentPoly._trusted(rank, remainder, reach))
     return LaurentPoly._trusted(rank, terms, bound)
 
@@ -754,7 +797,7 @@ def xpoly_divide_exact(f: XPoly, mu: int, nu: int) -> XPoly:
         lo = next(iter(remainder)) >> shift & _MASK  # the one bucket left
         reach += lo  # bound + hi, what the witness reaches
         _check_reach(reach, "a division")
-        witness = {k - lo * key: c for k, c in remainder.items()}
+        witness = {k - lo * key: c for k, c in sorted(remainder.items())}
         raise NotDivisible((mu, nu), XPoly._trusted(f.rank, witness, reach))
     return XPoly._trusted(f.rank, {k - e_nu: c for k, c in quotient.items()}, f._bound)
 

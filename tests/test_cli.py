@@ -466,6 +466,37 @@ def _qflagk(*argv, stdout):
                             stdout=stdout, stderr=subprocess.PIPE)
 
 
+# a child whose decompose returns the factors of the identity: exit 3
+_MISMATCH = """
+import sys
+from qflagk import cli, quatflag
+real = quatflag.bruhat_decompose
+quatflag.bruhat_decompose = lambda g: real(quatflag.perm_matrix(tuple(range(1, g.n + 1))))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists(DEV_FULL), reason=f"no {DEV_FULL} on this system")
+@pytest.mark.parametrize("code, argv, matrix", [
+    (None, ["verify", "--suite", "nope", "--n", "2"], None),  # a usage error
+    (None, ["verify", "--n", "2"], None),  # argparse's own
+    (None, ["decompose", "--input", "m.json"], [[0, 0], [0, 0]]),
+    (None, ["cell-index", "--input", "m.json"], [[1, 2], [2, 4]]),
+    (_MISMATCH, ["decompose", "--input", "m.json"], [[0, 1], [1, 0]]),
+], ids=["usage", "argparse", "decompose-singular", "cell-index-singular", "mismatch"])
+def test_a_full_stderr_keeps_the_exit_code(tmp_path, code, argv, matrix):
+    # the messages are lost, and each command still exits 2, 1 or 3 as it would
+    if matrix is not None:
+        _write_matrix(tmp_path / "m.json", quatflag.QMatrix.from_rows(matrix))
+    head = ["-m", "qflagk.cli"] if code is None else ["-c", code]
+    want = {"verify": 2, "cell-index": 1, "decompose": 1 if code is None else 3}[argv[0]]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with open(DEV_FULL, "w") as full:
+        done = subprocess.run([sys.executable, *head, *argv], cwd=tmp_path, env=env,
+                              stdout=subprocess.DEVNULL, stderr=full, timeout=120)
+    assert done.returncode == want
+
+
 def _closed_stdout(*argv, after):
     """Run ``qflagk argv`` as a child process and close the read end of its
     standard output after its first ``after`` bytes; (exit code, stderr)."""

@@ -10,9 +10,10 @@ Whatever the input, ``main`` must return an exit code of the contract
 Matrix documents include dense 4x4 ones and components at and beyond the
 bound on their digits, such as ``"1e100000"`` and 60-digit numerators.
 Exponents in the tuple documents are small (-2..2) or +-10 000, below a
-third of the ring's limit: an edge that passes is decided by residues in
-time that does not depend on the span, and only a failing edge walks the
-span in a long division for its witness.  Exponents at and beyond the limit
+third of the ring's limit: an edge is decided, and a failing edge's
+witness formed, by residues in time that does not depend on the span;
+only an X edge whose first factor alone divides walks the span in a long
+division.  Exponents at and beyond the limit
 (``ringcore.EXPONENT_LIMIT``), such as 2^62 and 10^30, are refused with
 exit 2 wherever they appear in a well-formed document.
 """

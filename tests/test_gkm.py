@@ -478,7 +478,7 @@ def test_valid_tuples_pass_without_long_division_whatever_the_span(monkeypatch):
     # a shift of width 10 000 is below a third of the limit: the verdict is
     # the residue's, and no division runs
     def refuse(*args):
-        raise AssertionError("a valid tuple was long-divided")
+        raise AssertionError("a tuple was long-divided")
 
     n = 3
     rng = trial_rng(46, 0)
@@ -496,24 +496,35 @@ def test_valid_tuples_pass_without_long_division_whatever_the_span(monkeypatch):
     monkeypatch.setattr(ringcore, "_divide_one_factor", refuse)
     for f in valid:
         assert CHECKS[type(f).model](f) == []
-    monkeypatch.undo()
-
-    # a failing edge still gets the division's witness, and only a failing
-    # edge is divided
-    calls = []
-
-    def counted(divide):
-        def wrapped(*args):
-            calls.append(args)
-            return divide(*args)
-        return wrapped
-
-    monkeypatch.setattr(gkm, "divide_exact", counted(divide_exact))
-    monkeypatch.setattr(gkm, "xpoly_divide_exact", counted(xpoly_divide_exact))
+    # a failing edge gets the division's witness from the residues its
+    # verdict formed, without a division either
     for f, want in zip(mutated, expected):
-        calls.clear()
         assert _outcome(CHECKS[type(f).model], f) == want
-        assert len(calls) == len(want)
+
+
+def test_an_x_pair_whose_first_factor_divides_is_long_divided(monkeypatch):
+    # (x_mu x_nu^{-1} - 1) m added at one fixed point: across its (mu, nu)
+    # edge the first factor divides the difference and the second does not,
+    # so the witness is a quotient's remainder, which only the division forms
+    n, mu, nu = 3, 1, 3
+    f = random_x_tuple(trial_rng(47, 0), n)
+    first = LaurentPoly.monomial(n, (1, 0, -1)) - 1
+    m = LaurentPoly(n, {(2, -1, 0): 3, (0, 1, 1): -1})
+    at = all_perms(n)[2]
+    bumped = GKMTupleX(n, {tau: p + first * m if tau == at else p for tau, p in f.values.items()})
+    divided = []
+
+    def counted(diff, divisor):
+        divided.append(divisor.factors)
+        return divide_exact(diff, divisor)
+
+    monkeypatch.setattr(gkm, "divide_exact", counted)
+    got = gkm_check_x(bumped)
+    assert divided == [BinomialDivisor.pair(n, mu, nu).factors]
+    monkeypatch.undo()
+    reference = _check_by_division(gkm._X, bumped)
+    assert (mu, nu) in [v.edge for v in got] and len(got) > 1
+    assert pickle.dumps(got) == pickle.dumps(reference)
 
 
 def _unshared(f):

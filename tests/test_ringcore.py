@@ -1098,3 +1098,34 @@ def test_verdicts_agree_with_the_division(n):
                 seen[want] += near
                 seen["far"] += want and not near
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_rejected_pair_takes_the_divisions_witness(n):
+    # over random factors (leading exponents -2..2) and X pairs in either
+    # order: the witness read off the residues has the division's terms, in
+    # its order, and its bound; None only where the first factor divides or
+    # an X-polynomial's factor is led by a negative exponent
+    rng = random.Random(f"witness:{n}")
+    seen = {"read": 0, "d=2": 0, "d<0": 0, "X": 0, "none": 0}
+    for _ in range(60):
+        for ring, divisor, a, b, divide in _seeded_pairs(rng, n):
+            index = TermIndex([a, b])
+            verdicts = index.verdicts(divisor)
+            if index.numbers == [0, 0] or verdicts[(0, 1)]:
+                continue
+            with pytest.raises(NotDivisible) as caught:
+                divide(a - b, divisor)
+            got = verdicts.witness(0, 1, a - b)
+            _, _, d, _, _ = divisor._steps[0]
+            if got is None:
+                first = BinomialDivisor(divisor.factors[:1])
+                assert _divides(divide, a - b, first) or (ring is XPoly and d < 0)
+                seen["none"] += 1
+                continue
+            assert pickle.dumps(got) == pickle.dumps(caught.value.remainder)
+            seen["read"] += 1
+            seen["d=2"] += abs(d) == 2
+            seen["d<0"] += d < 0
+            seen["X"] += ring is XPoly
+    assert all(seen.values()), seen
