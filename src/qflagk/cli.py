@@ -476,9 +476,7 @@ def cmd_schubert(cfg) -> int:
 
 def _check_cap(cfg, size, what):
     if size > cfg.cap:
-        raise _UsageError(
-            f"{what} {size} exceeds the cap {cfg.cap}; pass --unsafe-n or set QFLAGK_MAX_N"
-        )
+        raise _UsageError(f"{what} {size} exceeds the cap {cfg.cap}; pass --unsafe-n")
 
 
 # A matrix component may have at most this many digits above and below the
@@ -622,8 +620,8 @@ def cmd_basis(cfg) -> int:
 # ---------------------------------------------------------------------------
 
 def _count(text, least=1):
-    """An integer >= least: the type of --n, --trials, --jobs and QFLAGK_MAX_N
-    (least 1) and of --mutate (least 0)."""
+    """An integer >= least: the type of --n, --trials and --jobs (least 1)
+    and of --mutate (least 0)."""
     try:
         value = int(text)
     except ValueError:
@@ -644,7 +642,7 @@ def _build_parser():
     common.add_argument(
         "--unsafe-n",
         action="store_true",
-        help="allow ranks above the cap (QFLAGK_MAX_N, default 4)",
+        help=f"allow ranks above the cap of {DEFAULT_MAX_N}",
     )
 
     parser = argparse.ArgumentParser(
@@ -702,11 +700,7 @@ def main(argv=None) -> int:
                 return 2
             _emit(argparse.Namespace(output=None), [shown.getvalue().removesuffix("\n")])
             return 0
-        try:
-            cap = _count(os.environ.get("QFLAGK_MAX_N", DEFAULT_MAX_N))
-        except argparse.ArgumentTypeError as exc:
-            raise _UsageError(f"QFLAGK_MAX_N: {exc}") from None
-        cfg.cap = math.inf if cfg.unsafe_n else cap
+        cfg.cap = math.inf if cfg.unsafe_n else DEFAULT_MAX_N
         _check_cap(cfg, cfg.n, "rank")
         return cfg.run(cfg)
     except _UsageError as exc:

@@ -10,12 +10,14 @@ from pathlib import Path
 
 import pytest
 
+import qflagk
 from qflagk import cli, gkm, quatflag, ringcore, weylc
 from qflagk.cli import MAX_COMPONENT_DIGITS, SUITES, main
 from qflagk.randgen import random_invertible_matrix, trial_rng
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+# child processes import the package this process imported, not the checkout's
+SRC = str(Path(qflagk.__file__).resolve().parent.parent)
 DEV_FULL = "/dev/full"  # every write to it fails with ENOSPC
 
 
@@ -257,9 +259,12 @@ def test_verify_jobs_parallel_matches_serial(capsys):
 def test_rank_cap_and_env_override(capsys, monkeypatch):
     rc, _, err = run(capsys, "verify", "--suite", "roots", "--n", "5", "--trials", "1")
     assert rc == 2 and "cap" in err
+    # --unsafe-n is the one way past the cap; the retired QFLAGK_MAX_N is ignored
     monkeypatch.setenv("QFLAGK_MAX_N", "5")
-    rc, _, _ = run(capsys, "basis", "--n", "5")
-    assert rc == 0
+    rc, _, err = run(capsys, "basis", "--n", "5")
+    assert rc == 2 and "cap" in err
+    monkeypatch.setenv("QFLAGK_MAX_N", "abc")
+    assert run(capsys, "basis")[0] == 0
     monkeypatch.delenv("QFLAGK_MAX_N")
     rc, _, _ = run(capsys, "basis", "--n", "5", "--unsafe-n")
     assert rc == 0
@@ -275,6 +280,13 @@ def test_output_file(tmp_path, capsys):
     report = json.loads(target.read_text())
     assert report["suite"] == "presentation"
     assert report["violations"] == []
+    # the CLI reads back a class it wrote
+    target = tmp_path / "class.json"
+    assert run(capsys, "schubert", "--w", "[2,-1]", "--n", "2", "--format", "json",
+               "--output", str(target)) == (0, "", "")
+    rc, out, _ = run(capsys, "check", "--model", "T", "--input", str(target), "--n", "2",
+                     "--format", "json")
+    assert rc == 0 and json.loads(out)["violations"] == []
 
 
 @pytest.mark.parametrize("where", ["directory", "missing-parent", "empty", "full-device"])
@@ -461,7 +473,7 @@ def test_commands_render_only_the_form_they_print(tmp_path, capsys, monkeypatch,
 
 def _qflagk(*argv, stdout):
     """Start ``qflagk argv`` as a child process writing to ``stdout``."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.Popen([sys.executable, "-m", "qflagk.cli", *argv], env=env,
                             stdout=stdout, stderr=subprocess.PIPE)
 
@@ -490,7 +502,7 @@ def test_a_full_stderr_keeps_the_exit_code(tmp_path, code, argv, matrix):
         _write_matrix(tmp_path / "m.json", quatflag.QMatrix.from_rows(matrix))
     head = ["-m", "qflagk.cli"] if code is None else ["-c", code]
     want = {"verify": 2, "cell-index": 1, "decompose": 1 if code is None else 3}[argv[0]]
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=SRC)
     with open(DEV_FULL, "w") as full:
         done = subprocess.run([sys.executable, *head, *argv], cwd=tmp_path, env=env,
                               stdout=subprocess.DEVNULL, stderr=full, timeout=120)
@@ -754,14 +766,6 @@ def test_matrix_size_obeys_the_rank_cap(tmp_path, capsys, command):
     rc, out, _ = run(capsys, command, "--input", str(p), "--unsafe-n", "--format", "json")
     assert rc == 0
     assert json.loads(out)["tau"] == [1, 2, 3, 4, 5, 6]
-
-
-def test_max_n_env_must_be_a_positive_integer(capsys, monkeypatch):
-    for value in ("abc", "0", "-3"):
-        monkeypatch.setenv("QFLAGK_MAX_N", value)
-        rc, out, err = run(capsys, "basis")
-        assert rc == 2 and out == "", value
-        assert "QFLAGK_MAX_N" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,5 @@
-"""Every demo script runs to completion against the package sources, and
-prints the same bytes as when its digest was pinned.
+"""Every demo script runs to completion against the package this process
+imported, and prints the same bytes as when its digest was pinned.
 
 Regenerate the digests after a deliberate change to a demo's output:
 
@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import qflagk
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -28,7 +30,7 @@ STDOUT_SHA256 = {
 
 
 def _run(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(Path(qflagk.__file__).resolve().parent.parent))
     return subprocess.run(
         [sys.executable, str(demo)], env=env, cwd=ROOT, capture_output=True, timeout=120
     )

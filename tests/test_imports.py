@@ -39,7 +39,6 @@ print(json.dumps([sorted(m for m in sys.modules if m.startswith("qflagk.")),
 
 def _loaded(code):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=SRC)
-    env.pop("QFLAGK_MAX_N", None)
     proc = subprocess.run([sys.executable, "-c", PROBE, code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
