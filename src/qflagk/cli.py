@@ -9,13 +9,14 @@ coset representatives).
 Exit codes: 0 all checks passed, 1 violations found (or singular input),
 2 usage or parse errors (an output that cannot be written too: a bad
 ``--output``, or a closed or full standard output, ``--help`` included),
-3 internal error: a ``gkm.InexactDivision`` or ``ringcore.NotDivisible``
-(each serializes its own witness) or a ``decompose`` whose factors do not
-multiply back to its input.  The witness is the last line of standard
-error, one JSON object.  Messages go to standard error through ``_warn``;
-a standard error that cannot be written loses them, and the exit code
-stands.  Reports are deterministic for a fixed
-configuration and seed, but for the wall time.
+3 internal error: any exception a command lets out, or a ``decompose``
+whose factors do not multiply back to its input.  No traceback: the last
+line of standard error is a JSON witness, the exception's own ``to_json()``
+(``gkm.InexactDivision``, ``ringcore.NotDivisible``) or else {"error":
+"internal", "exception": its type name, "message": str(exc)}.  Messages go
+to standard error through ``_warn``; a standard error that cannot be
+written loses them, and the exit code stands.  Reports are deterministic
+for a fixed configuration and seed, but for the wall time.
 
 A ``verify`` suite is an exhaustive generator of rank n, a per-trial
 generator, or both (``SUITES``).  Each yields one list per check it makes,
@@ -271,12 +272,11 @@ def _suite_cells(n):
 # per-trial workers (top level so process pools can pickle them)
 # ---------------------------------------------------------------------------
 
-def _trial_cells(n, seed, t, mutate):
+def _trial_cells(n, rng, t, mutate):
     # a dense random matrix lands in the big cell, so draw the cell tau and
     # build g = u * p_tau * b with u random on the free positions of tau
     from . import quatflag, randgen, weylc
 
-    rng = randgen.trial_rng(seed, t)
     cell = rng.choice(weylc.all_perms(n))
     rows = [list(r) for r in quatflag.QMatrix.identity(n).entries]
     for mu, nu in quatflag.free_positions(cell):
@@ -295,20 +295,18 @@ def _trial_cells(n, seed, t, mutate):
     yield [] if (u2, tau2) == (u, tau) else [{"check": "uniqueness", "trial": t}]
 
 
-def _trial_gkm(n, seed, t, mutate, model):
+def _trial_gkm(n, rng, t, mutate, model):
     from . import gkm, randgen
 
     draw, check = {"t": (randgen.random_t_tuple, gkm.gkm_check_t),
                    "x": (randgen.random_x_tuple, gkm.gkm_check_x)}[model]
-    rng = randgen.trial_rng(seed, t)
     f = _mutate(rng, draw(rng, n), mutate)
     yield [{"check": "membership", "trial": t, **v.to_json()} for v in check(f)]
 
 
-def _trial_theorem1(n, seed, t, mutate):
+def _trial_theorem1(n, rng, t, mutate):
     from . import gkm, randgen
 
-    rng = randgen.trial_rng(seed, t)
     combo, coeffs = randgen.random_maxrep_combination(rng, n)
     try:
         recovered = gkm.expand_in_schubert(combo, list(coeffs)) == coeffs
@@ -321,12 +319,11 @@ def _trial_theorem1(n, seed, t, mutate):
         {"check": "pullback-descend-roundtrip", "trial": t}]
 
 
-def _trial_theorem2(n, seed, t, mutate):
+def _trial_theorem2(n, rng, t, mutate):
     if n < 2:
         return  # no index pairs at rank one
     from . import randgen, ringcore
 
-    rng = randgen.trial_rng(seed, t)
     mu = rng.randint(1, n - 1)
     nu = rng.randint(mu + 1, n)
     g0 = randgen.random_xpoly(rng, n)
@@ -388,8 +385,10 @@ SUITES = {
 
 
 def _run_trial_chunk(suite, n, seed, lo, hi, mutate):
+    from .randgen import trial_rng  # trial t draws its own stream, so it replays alone
+
     fn = SUITES[suite][1]
-    return _tally(found for t in range(lo, hi) for found in fn(n, seed, t, mutate))
+    return _tally(found for t in range(lo, hi) for found in fn(n, trial_rng(seed, t), t, mutate))
 
 
 def _run_trials(cfg, suite):
@@ -448,12 +447,7 @@ def _internal_error(message, witness):
 def cmd_verify(cfg) -> int:
     if cfg.suite not in SUITES:
         raise _UsageError(f"unknown suite {cfg.suite!r}; choose from {', '.join(SUITES)}")
-    try:
-        report = run_suite(cfg, cfg.suite)
-    except ArithmeticError as exc:
-        if not hasattr(exc, "to_json"):  # not a failed division
-            raise
-        return _internal_error("internal inexact division", exc.to_json())
+    report = run_suite(cfg, cfg.suite)
     _emit(cfg, report, partial(to_text, report))
     return 0 if not report["violations"] else 1
 
@@ -706,6 +700,12 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         _warn(exc)
         return 2
+    except Exception as exc:  # Ctrl-C and SystemExit pass through
+        if hasattr(exc, "to_json"):  # a failed division serializes its own witness
+            return _internal_error("internal inexact division", exc.to_json())
+        name = type(exc).__name__
+        return _internal_error(f"internal error: {name}",
+                               {"error": "internal", "exception": name, "message": str(exc)})
 
 
 def entry():

@@ -5,19 +5,14 @@ import json
 import os
 import random
 import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import qflagk
+import child
 from qflagk import cli, gkm, quatflag, ringcore, weylc
 from qflagk.cli import MAX_COMPONENT_DIGITS, SUITES, main
 from qflagk.randgen import random_invertible_matrix, trial_rng
 
-
-# child processes import the package this process imported, not the checkout's
-SRC = str(Path(qflagk.__file__).resolve().parent.parent)
 DEV_FULL = "/dev/full"  # every write to it fails with ENOSPC
 
 
@@ -218,42 +213,43 @@ def test_internal_inexact_division_exits_3_with_its_witness(capsys, monkeypatch,
         assert json.loads(err.splitlines()[-1]) == witness
 
 
-def test_other_arithmetic_errors_are_not_exit_3(capsys, monkeypatch):
-    # only a failed division serializes its witness and exits 3
-    for exc in (ZeroDivisionError("not a division of the ring"),
-                gkm.NotInTupleSpan((1, 2), ringcore.LaurentPoly.one(2)),
-                quatflag.SingularMatrix("no pivot"),
-                OverflowError("exponent out of range")):
-        def fail(n, exc=exc):
-            raise exc
-
-        monkeypatch.setitem(SUITES, "roots", (fail, None))
-        with pytest.raises(type(exc)):
-            main(["verify", "--suite", "roots", "--n", "2"])
+def _assert_generic_witness(rc, out, err, exc):
+    name = type(exc).__name__
+    assert rc == 3 and out == "" and "Traceback" not in err
+    assert err.splitlines()[0] == f"internal error: {name}; witness:"
+    assert json.loads(err.splitlines()[-1]) == {
+        "error": "internal", "exception": name, "message": str(exc)}
 
 
-def test_verify_deterministic_reports(capsys):
-    args = ["verify", "--suite", "gkm-x", "--n", "2", "--trials", "4",
-            "--seed", "11", "--format", "json"]
-    rc1, out1, _ = run(capsys, *args)
-    rc2, out2, _ = run(capsys, *args)
-    assert rc1 == rc2 == 0
-    r1, r2 = json.loads(out1), json.loads(out2)
-    r1.pop("wall_time_s")
-    r2.pop("wall_time_s")
-    assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+@pytest.mark.parametrize("exc", [
+    ZeroDivisionError("not a division of the ring"),
+    KeyError("no such point"),
+    gkm.NotInTupleSpan((1, 2), ringcore.LaurentPoly.one(2)),
+    quatflag.SingularMatrix("no pivot"),
+    OverflowError("exponent out of range"),
+], ids=lambda exc: type(exc).__name__)
+def test_any_other_exception_exits_3_with_a_generic_witness(capsys, monkeypatch, exc):
+    # a crash is not a violation found: it exits 3, not 1, without a traceback
+    def fail(n):
+        raise exc
+
+    monkeypatch.setitem(SUITES, "roots", (fail, None))
+    _assert_generic_witness(*run(capsys, "verify", "--suite", "roots", "--n", "2"), exc)
 
 
-def test_verify_jobs_parallel_matches_serial(capsys):
-    base = ["verify", "--suite", "cells", "--n", "2", "--trials", "6",
-            "--seed", "3", "--format", "json"]
-    rc1, out1, _ = run(capsys, *base, "--jobs", "1")
-    rc2, out2, _ = run(capsys, *base, "--jobs", "2")
-    assert rc1 == rc2 == 0
-    r1, r2 = json.loads(out1), json.loads(out2)
-    r1.pop("wall_time_s")
-    r2.pop("wall_time_s")
-    assert r1 == r2
+def test_an_exception_in_a_pool_worker_exits_3_with_a_generic_witness(capsys, monkeypatch):
+    # trial 0 runs in this process, so only a later trial crosses the pool
+    parent = os.getpid()
+
+    def fail(n, rng, t, mutate):
+        if os.getpid() != parent:
+            raise KeyError(f"trial {t}")
+        yield []
+
+    monkeypatch.setitem(SUITES, "cells", (None, fail))
+    rc, out, err = run(capsys, "verify", "--suite", "cells", "--n", "2", "--trials", "3",
+                       "--jobs", "2")
+    _assert_generic_witness(rc, out, err, KeyError("trial 1"))
 
 
 def test_rank_cap_and_env_override(capsys, monkeypatch):
@@ -473,39 +469,36 @@ def test_commands_render_only_the_form_they_print(tmp_path, capsys, monkeypatch,
 
 def _qflagk(*argv, stdout):
     """Start ``qflagk argv`` as a child process writing to ``stdout``."""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.Popen([sys.executable, "-m", "qflagk.cli", *argv], env=env,
+    return subprocess.Popen(child.qflagk_argv(*argv), env=child.env(),
                             stdout=stdout, stderr=subprocess.PIPE)
 
 
-# a child whose decompose returns the factors of the identity: exit 3
+# planted in a child: decompose returns the factors of the identity, exit 3
 _MISMATCH = """
-import sys
-from qflagk import cli, quatflag
+from qflagk import quatflag
 real = quatflag.bruhat_decompose
 quatflag.bruhat_decompose = lambda g: real(quatflag.perm_matrix(tuple(range(1, g.n + 1))))
-sys.exit(cli.main(sys.argv[1:]))
 """
 
 
 @pytest.mark.skipif(not os.path.exists(DEV_FULL), reason=f"no {DEV_FULL} on this system")
-@pytest.mark.parametrize("code, argv, matrix", [
-    (None, ["verify", "--suite", "nope", "--n", "2"], None),  # a usage error
-    (None, ["verify", "--n", "2"], None),  # argparse's own
-    (None, ["decompose", "--input", "m.json"], [[0, 0], [0, 0]]),
-    (None, ["cell-index", "--input", "m.json"], [[1, 2], [2, 4]]),
+@pytest.mark.parametrize("plant, argv, matrix", [
+    ("", ["verify", "--suite", "nope", "--n", "2"], None),  # a usage error
+    ("", ["verify", "--n", "2"], None),  # argparse's own
+    ("", ["decompose", "--input", "m.json"], [[0, 0], [0, 0]]),
+    ("", ["cell-index", "--input", "m.json"], [[1, 2], [2, 4]]),
     (_MISMATCH, ["decompose", "--input", "m.json"], [[0, 1], [1, 0]]),
 ], ids=["usage", "argparse", "decompose-singular", "cell-index-singular", "mismatch"])
-def test_a_full_stderr_keeps_the_exit_code(tmp_path, code, argv, matrix):
-    # the messages are lost, and each command still exits 2, 1 or 3 as it would
+def test_a_full_stderr_keeps_the_exit_code(tmp_path, plant, argv, matrix):
+    # the messages are lost, and each command still exits 2, 1 or 3 as it
+    # would; an exception that escaped would exit child.ESCAPED
     if matrix is not None:
         _write_matrix(tmp_path / "m.json", quatflag.QMatrix.from_rows(matrix))
-    head = ["-m", "qflagk.cli"] if code is None else ["-c", code]
-    want = {"verify": 2, "cell-index": 1, "decompose": 1 if code is None else 3}[argv[0]]
-    env = dict(os.environ, PYTHONPATH=SRC)
+    want = {"verify": 2, "cell-index": 1, "decompose": 3 if plant else 1}[argv[0]]
     with open(DEV_FULL, "w") as full:
-        done = subprocess.run([sys.executable, *head, *argv], cwd=tmp_path, env=env,
-                              stdout=subprocess.DEVNULL, stderr=full, timeout=120)
+        done = subprocess.run(child.qflagk_argv(*argv, plant=plant), cwd=tmp_path,
+                              env=child.env(), stdout=subprocess.DEVNULL, stderr=full,
+                              timeout=120)
     assert done.returncode == want
 
 

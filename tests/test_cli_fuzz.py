@@ -5,8 +5,8 @@ arbitrary window text to ``schubert --w``, arbitrary tokens to the
 counted flags of ``basis``, and flag values, well-formed or with one flag
 broken, to ``verify --jobs 1``, to ``schubert`` and to ``decompose``,
 ``cell-index``, ``check`` and ``basis`` at ranks 1 to 3.
-Whatever the input, ``main`` must return an exit code of the contract
-(0, 1, 2 or 3) without an exception escaping it.
+Whatever the input, ``main`` must return 0, 1 or 2: an exception a command
+lets out exits 3, so a fuzzed input that reached a bug would exit 3.
 Matrix documents include dense 4x4 ones and components at and beyond the
 bound on their digits, such as ``"1e100000"`` and 60-digit numerators.
 Exponents in the tuple documents are small (-2..2) or +-10 000, below a
@@ -123,7 +123,7 @@ def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
-    assert rc in (0, 1, 2, 3), (argv, rc)
+    assert rc in (0, 1, 2), (argv, rc)
     assert "Traceback" not in err.getvalue()
     return rc
 

@@ -7,14 +7,13 @@ Regenerate the digests after a deliberate change to a demo's output:
 """
 
 import hashlib
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import qflagk
+import child
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -30,9 +29,8 @@ STDOUT_SHA256 = {
 
 
 def _run(demo):
-    env = dict(os.environ, PYTHONPATH=str(Path(qflagk.__file__).resolve().parent.parent))
     return subprocess.run(
-        [sys.executable, str(demo)], env=env, cwd=ROOT, capture_output=True, timeout=120
+        [sys.executable, str(demo)], env=child.env(), cwd=ROOT, capture_output=True, timeout=120
     )
 
 

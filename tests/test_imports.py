@@ -13,17 +13,15 @@ attribute up by a name built at run time or reads ``sys.modules``, and only
 
 import ast
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import child
 import qflagk
 from qflagk import gkm, quatflag, randgen, ringcore, weylc
-
-SRC = str(Path(qflagk.__file__).resolve().parent.parent)
 
 # in a fresh interpreter: run the code in argv[1], print the loaded submodules
 # and which of ``dataclasses`` and the ``inspect`` it imports were loaded: no
@@ -38,8 +36,8 @@ print(json.dumps([sorted(m for m in sys.modules if m.startswith("qflagk.")),
 
 
 def _loaded(code):
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", PROBE, code], env=env,
+    proc = subprocess.run([sys.executable, "-c", PROBE, code],
+                          env=child.env(PYTHONDONTWRITEBYTECODE="1"),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     layers, unneeded = json.loads(proc.stdout)
@@ -186,7 +184,7 @@ def test_layers_reach_each_other_only_by_public_names():
     # what it calls), and only ringcore reads how a polynomial or a divisor
     # is stored.  bench/ wraps private names on purpose, from outside the
     # program, and is not scanned.
-    paths = sorted(Path(SRC, "qflagk").glob("*.py"))
+    paths = sorted(Path(child.SRC, "qflagk").glob("*.py"))
     layers = {path.stem for path in paths} - {"__init__"}
     assert {"cli", "gkm", "quatflag", "randgen", "ringcore", "weylc"} <= layers
     assert sorted(read for path in paths for read in _cross_layer_reads(path, layers)) == []
