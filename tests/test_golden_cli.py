@@ -1,7 +1,8 @@
 """Golden CLI outputs: exit code and sha256 of normalised stdout.
 
 The entries cover every command at rank <= 3, and every ``verify`` suite,
-``basis`` and one ``schubert --w`` at rank 4, the default cap.
+``basis``, one ``schubert --w``, ``decompose`` and ``cell-index`` at rank 4,
+the default cap.
 
 Each command runs in-process through ``cli.main``.  An entry hashes the
 printed bytes, layout included, less the only line that may differ between
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from qflagk import randgen
+from qflagk import quatflag, randgen
 from qflagk.cli import SUITES, main
 
 FIXTURE = Path(__file__).with_name("golden_cli.json")
@@ -65,6 +66,8 @@ def _commands():
         cmds[f"verify-{suite}-n4"] = ["verify", "--suite", suite, "--trials", str(trials), *rank4]
     cmds["basis-n4"] = ["basis", *rank4]
     cmds["schubert-w-n4"] = ["schubert", "--w", "[1,-3,-2,-4]", *rank4]
+    for command in ("decompose", "cell-index"):
+        cmds[f"{command}-n4"] = [command, "--input", "matrix-n4.json", *rank4]
     return cmds
 
 
@@ -72,7 +75,8 @@ COMMANDS = _commands()
 
 
 def _write_inputs(directory):
-    """Seeded valid T/X/G tuples, copies with +1 at two vertices, a matrix."""
+    """Seeded valid T/X/G tuples, copies with +1 at two vertices, a dense
+    rank-3 matrix and a rank-4 matrix in a small cell."""
     makers = {
         "T": randgen.random_t_tuple,
         "X": randgen.random_x_tuple,
@@ -87,6 +91,15 @@ def _write_inputs(directory):
             (directory / f"{model}-{state}.json").write_text(json.dumps(tup.to_json()))
     g = randgen.random_invertible_matrix(randgen.trial_rng(3, 3), N)
     (directory / "matrix.json").write_text(json.dumps(g.to_json()))
+    # g = u * p_tau * b for a tau of two inversions: its rows keep zeros,
+    # where a dense matrix, which lands in the big cell, keeps none
+    rng, tau = randgen.trial_rng(3, 4), (2, 3, 1, 4)
+    rows = [list(r) for r in quatflag.QMatrix.identity(4).entries]
+    for mu, nu in quatflag.free_positions(tau):
+        rows[mu - 1][nu - 1] = randgen.random_quaternion(rng)
+    g = (quatflag.QMatrix(rows) * quatflag.perm_matrix(tau)
+         * randgen.random_upper_triangular(rng, 4))
+    (directory / "matrix-n4.json").write_text(json.dumps(g.to_json()))
 
 
 def _argv(name, directory):
