@@ -74,8 +74,11 @@ def to_text(report):
 def _warn(*lines):
     """Print ``lines`` on standard error.  A failed write is dropped, so the
     command's own exit code stands: there is nowhere left to report it."""
-    with contextlib.suppress(OSError):
+    try:
         print(*lines, sep="\n", file=sys.stderr, flush=True)
+    except OSError:
+        # what is left in the buffer goes nowhere at the interpreter's last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
 
 def _emit(cfg, payload, text=None):
@@ -682,15 +685,17 @@ def _build_parser():
 
 def main(argv=None) -> int:
     """Run one command; the parsed namespace is the configuration (``cfg``).
-    argparse prints ``--help`` into a buffer that ``_emit`` then writes, so
-    help follows the rule of every command's output."""
-    shown = io.StringIO()
+    argparse prints ``--help`` into a buffer that ``_emit`` then writes, and
+    its usage errors into one that ``_warn`` writes, so help follows the rule
+    of every command's output and a usage error that of every message."""
+    shown, said = io.StringIO(), io.StringIO()
     try:
         try:
-            with contextlib.redirect_stdout(shown):
+            with contextlib.redirect_stdout(shown), contextlib.redirect_stderr(said):
                 cfg = _build_parser().parse_args(argv)
         except SystemExit as exc:  # after help (0) or a usage error (2)
             if exc.code not in (0, None):
+                _warn(said.getvalue().removesuffix("\n"))
                 return 2
             _emit(argparse.Namespace(output=None), [shown.getvalue().removesuffix("\n")])
             return 0

@@ -117,7 +117,7 @@ class Quaternion:
 
     def __neg__(self):
         a, b, c, d = self._x
-        return _trusted(-a, -b, -c, -d, self._den)
+        return _reduced((-a, -b, -c, -d), self._den)
 
     def __mul__(self, other):
         a1, b1, c1, d1 = self._x
@@ -132,7 +132,7 @@ class Quaternion:
 
     def conjugate(self):
         a, b, c, d = self._x
-        return _trusted(a, -b, -c, -d, self._den)
+        return _reduced((a, -b, -c, -d), self._den)
 
     def is_zero(self):
         return not any(self._x)
@@ -174,6 +174,33 @@ def _trusted(a, b, c, d, den):
     _set_x(q, (a, b, c, d))
     _set_den(q, den)
     return q
+
+
+def _reduced(x, den):
+    """The quaternion x / den for a tuple x of ints already in lowest terms
+    over den > 0, as a sign change of a reduced quaternion is: no gcd."""
+    q = _new(Quaternion)
+    _set_x(q, x)
+    _set_den(q, den)
+    return q
+
+
+def _sub_mul(e, a, b):
+    """e - a * b, reduced once.  The product is not reduced on its own: the
+    form in lowest terms with a positive denominator is unique, so one
+    reduction of the whole gives the quaternion that reducing a * b and then
+    the difference gives, with one gcd instead of two."""
+    a0, a1, a2, a3 = a._x
+    b0, b1, b2, b3 = b._x
+    e0, e1, e2, e3 = e._x
+    m, n = a._den * b._den, e._den
+    return _trusted(
+        e0 * m - (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3) * n,
+        e1 * m - (a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2) * n,
+        e2 * m - (a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1) * n,
+        e3 * m - (a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0) * n,
+        n * m,
+    )
 
 
 _Q0 = Quaternion.zero()
@@ -319,6 +346,12 @@ def bruhat_decompose(g: QMatrix):
     distinct leading columns; the permutation read off those columns is tau
     and the row-permuted matrix is the upper triangular b.
 
+    Arithmetic happens only where an entry changes: a row update e - lam * f
+    leaves e as it is where f is zero, and the u update e + u[r][mu] * lam,
+    made as e - u[r][mu] * (-lam), where u[r][mu] is zero.  Each update is
+    one ``_sub_mul``, reduced once; a form in lowest terms is unique, so the
+    entry is the one that reducing the product and then the sum gives.
+
     Returns (u, tau, b) with g == u * perm_matrix(tau) * b exactly.
     """
     n = g.n
@@ -334,10 +367,13 @@ def bruhat_decompose(g: QMatrix):
             if k is None:
                 break
             lam = rows[mu][lead] * rows[k][lead].inverse()
-            rows[mu] = [e - lam * f for e, f in zip(rows[mu], rows[k])]
+            rows[mu] = [e if f.is_zero() else _sub_mul(e, lam, f)
+                        for e, f in zip(rows[mu], rows[k])]
             # g = u_new * M_new with u_new = u * (I + lam * E_{mu,k})
+            minus_lam = -lam
             for r in range(n):
-                u[r][k] = u[r][k] + u[r][mu] * lam
+                if not u[r][mu].is_zero():
+                    u[r][k] = _sub_mul(u[r][k], u[r][mu], minus_lam)
         claimed[lead] = mu
     tau = tuple(claimed[c] + 1 for c in range(n))
     b = QMatrix(tuple(tuple(rows[tau[k] - 1]) for k in range(n)))
@@ -353,7 +389,9 @@ def _pivot_columns(rows):
     r in the same left span, so the reduced rows are a basis of the span of
     the rows seen so far, with distinct last-nonzero columns.  A row that
     clears to zero is a left combination of the earlier rows, and raises
-    SingularMatrix.
+    SingularMatrix.  An entry of r changes only where k is nonzero, and only
+    there is it updated, by one ``_sub_mul``: the same canonical entry as
+    e - lam * f.
     """
     reduced = {}  # last nonzero column -> reduced row, in the order rows claim them
     for row in rows:
@@ -366,7 +404,7 @@ def _pivot_columns(rows):
             if k is None:
                 break
             lam = r[c] * k[c].inverse()
-            r = [e - lam * f for e, f in zip(r, k)]
+            r = [e if f.is_zero() else _sub_mul(e, lam, f) for e, f in zip(r, k)]
         reduced[c] = r
     return list(reduced)
 

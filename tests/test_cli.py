@@ -491,15 +491,19 @@ quatflag.bruhat_decompose = lambda g: real(quatflag.perm_matrix(tuple(range(1, g
 ], ids=["usage", "argparse", "decompose-singular", "cell-index-singular", "mismatch"])
 def test_a_full_stderr_keeps_the_exit_code(tmp_path, plant, argv, matrix):
     # the messages are lost, and each command still exits 2, 1 or 3 as it
-    # would; an exception that escaped would exit child.ESCAPED
+    # would; an exception that escaped would exit child.ESCAPED.  With a
+    # buffered standard error the bytes a failed write left behind must not
+    # fail the interpreter's last flush either, which would exit 120
     if matrix is not None:
         _write_matrix(tmp_path / "m.json", quatflag.QMatrix.from_rows(matrix))
     want = {"verify": 2, "cell-index": 1, "decompose": 3 if plant else 1}[argv[0]]
-    with open(DEV_FULL, "w") as full:
-        done = subprocess.run(child.qflagk_argv(*argv, plant=plant), cwd=tmp_path,
-                              env=child.env(), stdout=subprocess.DEVNULL, stderr=full,
-                              timeout=120)
-    assert done.returncode == want
+    buffered = {k: v for k, v in child.env().items() if k != "PYTHONUNBUFFERED"}
+    for env in (dict(buffered, PYTHONUNBUFFERED="1"), buffered):
+        with open(DEV_FULL, "w") as full:
+            done = subprocess.run(child.qflagk_argv(*argv, plant=plant), cwd=tmp_path,
+                                  env=env, stdout=subprocess.DEVNULL, stderr=full,
+                                  timeout=120)
+        assert done.returncode == want, env.get("PYTHONUNBUFFERED", "buffered")
 
 
 def _closed_stdout(*argv, after):

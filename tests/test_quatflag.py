@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from qflagk import quatflag
 from qflagk.quatflag import (
     QMatrix,
     Quaternion,
@@ -116,6 +117,28 @@ def test_quaternion_arithmetic_matches_fraction_reference():
         # every result is stored in lowest terms, whatever route built it
         for r in (p + q, p - q, p * q, -p, p.conjugate()):
             assert r == Quaternion(*_ref(r)) and hash(r) == hash(Quaternion(*_ref(r)))
+
+
+def test_sub_mul_is_the_reduced_difference():
+    # e - a * b in one reduction: the same _x and _den as the two-step route
+    rng = random.Random(1618)
+    cases = [(_random_components(rng), _random_components(rng), _random_components(rng))
+             for _ in range(400)]
+    x = (Fraction(1, 6), Fraction(-2, 3), 0, Fraction(5, 4))
+    y = (Fraction(2, 5), 0, Fraction(-1, 7), 3)
+    zero = (0, 0, 0, 0)
+    cases += [
+        (_ref_mul(x, y), x, y),  # cancels to zero
+        (zero, x, zero), (x, zero, y), (zero, zero, zero),
+        (x, x, x),  # equal denominators
+        ((Fraction(1, 2), 0, 0, 0), (Fraction(1, 3), 0, 0, 0), (Fraction(1, 5), 0, 0, 0)),
+    ]
+    for e, a, b in cases:
+        p, q, r = Quaternion(*e), Quaternion(*a), Quaternion(*b)
+        got, want = quatflag._sub_mul(p, q, r), p - q * r
+        assert (got._x, got._den) == (want._x, want._den)
+        assert _ref(got) == tuple(s - t for s, t in zip(e, _ref_mul(a, b)))
+    assert quatflag._sub_mul(Quaternion(*_ref_mul(x, y)), Quaternion(*x), Quaternion(*y)) == ZERO
 
 
 def test_quaternion_form_is_canonical():
@@ -368,6 +391,34 @@ def test_both_routes_find_every_cell(n):
         u2, tau2, b2 = bruhat_decompose(g)
         assert (u2, tau2) == (u, tau)
         assert u2 * perm_matrix(tau2) * b2 == g
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_no_step_takes_a_zero_factor(n, monkeypatch):
+    # an update by a zero leaves its entry unchanged, so neither route makes it;
+    # the matrices are built as in test_both_routes_find_every_cell
+    matrices = []
+    for t, tau in enumerate(all_perms(n)):
+        rng = trial_rng(9 + n, t)
+        rows = [list(r) for r in QMatrix.identity(n).entries]
+        for mu, nu in free_positions(tau):
+            rows[mu - 1][nu - 1] = _non_real(rng)
+        matrices.append(
+            QMatrix.from_rows(rows) * perm_matrix(tau) * random_upper_triangular(rng, n))
+    zero_factors = []
+
+    def watch(real, *operands):
+        def step(*args):
+            zero_factors.extend(args[i] for i in operands if args[i].is_zero())
+            return real(*args)
+        return step
+
+    monkeypatch.setattr(Quaternion, "__mul__", watch(Quaternion.__mul__, 0, 1))
+    monkeypatch.setattr(quatflag, "_sub_mul", watch(quatflag._sub_mul, 1, 2))
+    for g in matrices:
+        bruhat_decompose(g)
+        cell_index(g)
+    assert zero_factors == []
 
 
 def test_singular_means_a_left_combination_of_flag_rows():
