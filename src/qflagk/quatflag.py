@@ -10,7 +10,8 @@ Every invertible g factors uniquely as g = u * p_tau * b with b upper
 triangular, u unit upper triangular supported on a constrained set of
 positions, and p_tau the permutation matrix with entry (mu, nu) = 1 iff
 mu = tau(nu).  The permutation tau is also computable directly from the
-flag's intersection-dimension jumps, and the two routes must agree.
+flag's intersection-dimension jumps, on integer rows with none of the
+quaternion arithmetic of the factorization, and the two routes must agree.
 """
 
 from __future__ import annotations
@@ -257,12 +258,6 @@ class QMatrix:
             out.append(tuple(row))
         return QMatrix(tuple(out))
 
-    def conj_transpose(self):
-        n = self.n
-        return QMatrix(tuple(
-            tuple(self.entries[j][i].conjugate() for j in range(n)) for i in range(n)
-        ))
-
     def is_upper_triangular(self):
         return all(
             self.entries[i][j].is_zero()
@@ -380,32 +375,64 @@ def bruhat_decompose(g: QMatrix):
     return QMatrix(tuple(tuple(r) for r in u)), tau, b
 
 
+def _lsub_mul(m, e, lam, f):
+    """m * e - lam * f for an int m and quaternions e, lam, f as 4-int tuples."""
+    a0, a1, a2, a3 = lam
+    f0, f1, f2, f3 = f
+    e0, e1, e2, e3 = e
+    return (
+        m * e0 - (a0 * f0 - a1 * f1 - a2 * f2 - a3 * f3),
+        m * e1 - (a0 * f1 + a1 * f0 + a2 * f3 - a3 * f2),
+        m * e2 - (a0 * f2 - a1 * f3 + a2 * f0 + a3 * f1),
+        m * e3 - (a0 * f3 + a1 * f2 - a2 * f1 + a3 * f0),
+    )
+
+
+_Z4 = (0, 0, 0, 0)
+
+
 def _pivot_columns(rows):
     """The last-nonzero column, 0-based, that each row claims in left reduction.
 
-    Each row in turn is cleared against the rows already reduced: while its
-    last nonzero column c is claimed by a reduced row k, subtract the left
-    multiple (r[c] * k[c]^{-1}) * k.  That leaves the entries after c zero and
-    r in the same left span, so the reduced rows are a basis of the span of
-    the rows seen so far, with distinct last-nonzero columns.  A row that
-    clears to zero is a left combination of the earlier rows, and raises
-    SingularMatrix.  An entry of r changes only where k is nonzero, and only
-    there is it updated, by one ``_sub_mul``: the same canonical entry as
-    e - lam * f.
+    The rows hold quaternions as 4-int tuples, and the reduction is
+    fraction-free: it takes no inverse and forms no ``Quaternion``.  Each
+    row r in turn is cleared against the rows already reduced: while its last
+    nonzero column c is claimed by a reduced row k, r becomes
+    m * r - (r[c] * conj(p)) * k, where k[c] = h * p for the gcd h of its
+    components and m = h * N(p) with N(p) = p * conj(p).  As
+    (r[c] * conj(p)) * h * p = m * r[c], that zeroes r[c]; it and the zero
+    entries after it are dropped, and m is a positive integer, so r keeps its
+    left span.  (This is N(k[c]) * r - (r[c] * conj(k[c])) * k over h, with
+    smaller factors.)  The reduced rows are then a basis of the span of the
+    rows seen so far, with distinct last-nonzero columns.  One ``gcd`` over
+    the row follows each update and divides it out.  A row that clears to
+    zero is a left combination of the earlier rows, and raises SingularMatrix.
     """
-    reduced = {}  # last nonzero column -> reduced row, in the order rows claim them
-    for row in rows:
-        r = list(row)
+    reduced = {}  # last nonzero column -> (reduced row, m, p), in the order rows claim them
+    for r in rows:
+        c = len(r) - 1
         while True:
-            c = next((c for c in range(len(r) - 1, -1, -1) if not r[c].is_zero()), None)
-            if c is None:
+            while c >= 0 and r[c] == _Z4:
+                c -= 1
+            if c < 0:
                 raise SingularMatrix("matrix is not invertible")
-            k = reduced.get(c)
-            if k is None:
+            claim = reduced.get(c)
+            if claim is None:
                 break
-            lam = r[c] * k[c].inverse()
-            r = [e if f.is_zero() else _sub_mul(e, lam, f) for e, f in zip(r, k)]
-        reduced[c] = r
+            k, m, (p0, p1, p2, p3) = claim
+            x0, x1, x2, x3 = r[c]
+            lam = (x0 * p0 + x1 * p1 + x2 * p2 + x3 * p3,  # r[c] * conj(p)
+                   x1 * p0 - x0 * p1 - x2 * p3 + x3 * p2,
+                   x2 * p0 - x0 * p2 + x1 * p3 - x3 * p1,
+                   x3 * p0 - x0 * p3 - x1 * p2 + x2 * p1)
+            r = [_lsub_mul(m, e, lam, f) for e, f in zip(r[:c], k)]
+            g = gcd(*sum(r, ()))
+            if g > 1:  # 0 for a row that cleared to zero
+                r = [(e0 // g, e1 // g, e2 // g, e3 // g) for e0, e1, e2, e3 in r]
+            c -= 1
+        h = gcd(*r[c])
+        p = tuple(x // h for x in r[c])
+        reduced[c] = r, h * (p[0] * p[0] + p[1] * p[1] + p[2] * p[2] + p[3] * p[3]), p
     return list(reduced)
 
 
@@ -420,6 +447,19 @@ def cell_index(g: QMatrix) -> tuple:
     iff every row it uses ends at or before m: dim(V_v ∩ E_m) is the number
     of those columns that are <= m, and the column that row v claims is the
     new jump, tau(v).
-    """
-    return tuple(c + 1 for c in _pivot_columns(g.conj_transpose().entries))
 
+    Row v of g^† is column v of g conjugated, as int numerators scaled by
+    the lcm of their denominators (a positive real, so the row's left span
+    is unchanged).  None of the quaternion arithmetic of ``bruhat_decompose``
+    runs here, so a defect in it cannot corrupt both routes to tau.
+    """
+    rows = []
+    for column in zip(*g.entries):
+        den = lcm(*(q._den for q in column))
+        row = []
+        for q in column:
+            s = den // q._den
+            a, b, c, d = q._x
+            row.append((a * s, -b * s, -c * s, -d * s))
+        rows.append(row)
+    return tuple(c + 1 for c in _pivot_columns(rows))

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qflagk import quatflag
+from qflagk.cli import MAX_COMPONENT_DIGITS
 from qflagk.quatflag import (
     QMatrix,
     Quaternion,
@@ -139,6 +140,17 @@ def test_sub_mul_is_the_reduced_difference():
         assert (got._x, got._den) == (want._x, want._den)
         assert _ref(got) == tuple(s - t for s, t in zip(e, _ref_mul(a, b)))
     assert quatflag._sub_mul(Quaternion(*_ref_mul(x, y)), Quaternion(*x), Quaternion(*y)) == ZERO
+
+
+def test_lsub_mul_is_the_integer_combination():
+    # m * e - lam * f on 4-int tuples, against Fraction reference arithmetic
+    rng = random.Random(1414)
+    for _ in range(300):
+        m = rng.randint(1, 10 ** rng.choice([1, 40]))
+        e, lam, f = (tuple(rng.randint(-10 ** 30, 10 ** 30) if rng.random() > 0.2 else 0
+                           for _ in range(4)) for _ in range(3))
+        want = tuple(m * s - t for s, t in zip(e, _ref_mul(lam, f)))
+        assert quatflag._lsub_mul(m, e, lam, f) == want
 
 
 def test_quaternion_form_is_canonical():
@@ -376,39 +388,63 @@ def _non_real(rng):
     return Quaternion(rng.randint(-3, 3), rng.randint(1, 3), rng.randint(-3, 3), rng.randint(-3, 3))
 
 
+def _cell_matrix(rng, tau, entry=_non_real, upper=random_upper_triangular):
+    """(u, g) for g = u * p_tau * b with u filling every free position of tau:
+    dense random matrices all land in the big cell."""
+    n = len(tau)
+    rows = [list(r) for r in QMatrix.identity(n).entries]
+    for mu, nu in free_positions(tau):
+        rows[mu - 1][nu - 1] = entry(rng)
+    u = QMatrix.from_rows(rows)
+    return u, u * perm_matrix(tau) * upper(rng, n)
+
+
+def _every_cell(n):
+    """(tau, u, g) for every tau of rank n, seeded."""
+    return [(tau, *_cell_matrix(trial_rng(9 + n, t), tau)) for t, tau in enumerate(all_perms(n))]
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_both_routes_find_every_cell(n):
-    # dense random matrices all land in the big cell, so build g = u * p_tau * b
-    # with u filling every free position of tau
-    for t, tau in enumerate(all_perms(n)):
-        rng = trial_rng(9 + n, t)
-        rows = [list(r) for r in QMatrix.identity(n).entries]
-        for mu, nu in free_positions(tau):
-            rows[mu - 1][nu - 1] = _non_real(rng)
-        u = QMatrix.from_rows(rows)
-        g = u * perm_matrix(tau) * random_upper_triangular(rng, n)
+    for tau, u, g in _every_cell(n):
         assert cell_index(g) == tau
         u2, tau2, b2 = bruhat_decompose(g)
         assert (u2, tau2) == (u, tau)
         assert u2 * perm_matrix(tau2) * b2 == g
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cell_index_shares_no_arithmetic_with_decompose(n, monkeypatch):
+    # cell_index must find every cell with the quaternion arithmetic of
+    # bruhat_decompose out of reach, so one defect cannot corrupt both routes
+    cases = _every_cell(n)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cell_index reached quaternion arithmetic")
+
+    monkeypatch.setattr(quatflag, "_sub_mul", refuse)
+    monkeypatch.setattr(quatflag, "_trusted", refuse)
+    monkeypatch.setattr(quatflag, "_reduced", refuse)
+    for name in ("__init__", "__mul__", "__add__", "__sub__", "__neg__",
+                 "inverse", "conjugate", "is_zero"):
+        monkeypatch.setattr(Quaternion, name, refuse)
+    for tau, _, g in cases:
+        assert cell_index(g) == tau
+    with pytest.raises(AssertionError):
+        bruhat_decompose(cases[-1][2])
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_no_step_takes_a_zero_factor(n, monkeypatch):
-    # an update by a zero leaves its entry unchanged, so neither route makes it;
-    # the matrices are built as in test_both_routes_find_every_cell
-    matrices = []
-    for t, tau in enumerate(all_perms(n)):
-        rng = trial_rng(9 + n, t)
-        rows = [list(r) for r in QMatrix.identity(n).entries]
-        for mu, nu in free_positions(tau):
-            rows[mu - 1][nu - 1] = _non_real(rng)
-        matrices.append(
-            QMatrix.from_rows(rows) * perm_matrix(tau) * random_upper_triangular(rng, n))
-    zero_factors = []
+    # an update by a zero leaves its entry unchanged, so bruhat_decompose never
+    # makes it; cell_index takes no quaternion product at all
+    # (test_cell_index_shares_no_arithmetic_with_decompose)
+    matrices = [g for _, _, g in _every_cell(n)]
+    zero_factors, calls = [], []
 
     def watch(real, *operands):
         def step(*args):
+            calls.append(real.__name__)
             zero_factors.extend(args[i] for i in operands if args[i].is_zero())
             return real(*args)
         return step
@@ -417,22 +453,76 @@ def test_no_step_takes_a_zero_factor(n, monkeypatch):
     monkeypatch.setattr(quatflag, "_sub_mul", watch(quatflag._sub_mul, 1, 2))
     for g in matrices:
         bruhat_decompose(g)
-        cell_index(g)
+    assert "_sub_mul" in calls
     assert zero_factors == []
 
 
-def test_singular_means_a_left_combination_of_flag_rows():
-    # the rows of g^† span the flag; a third row i*a1 + j*a2 lies in the left
-    # span of the first two, while a1*i + a2*j in general does not
-    rng = trial_rng(12, 0)
-    a1 = [_non_real(rng) for _ in range(3)]
-    a2 = [_non_real(rng) for _ in range(3)]
-    left = [I * x + J * y for x, y in zip(a1, a2)]
-    right = [x * I + y * J for x, y in zip(a1, a2)]
-    g = QMatrix((tuple(a1), tuple(a2), tuple(left))).conj_transpose()
-    for route in (cell_index, bruhat_decompose):
-        with pytest.raises(SingularMatrix):
-            route(g)
-    g = QMatrix((tuple(a1), tuple(a2), tuple(right))).conj_transpose()
+# ---------------------------------------------------------------------------
+# route agreement beyond small entries and rank 4
+# ---------------------------------------------------------------------------
+
+def _big_fraction(rng, digits=MAX_COMPONENT_DIGITS):
+    low, high = 10 ** (digits - 1), 10 ** digits - 1
+    return Fraction(rng.choice([-1, 1]) * rng.randint(low, high), rng.randint(low, high))
+
+
+def _big_quaternion(rng):
+    return Quaternion(*(_big_fraction(rng) for _ in range(4)))
+
+
+def _big_upper_triangular(rng, n):
+    return QMatrix(tuple(
+        tuple(_big_quaternion(rng) if j >= i else ZERO for j in range(n)) for i in range(n)))
+
+
+def _both_routes(g):
     _, tau, _ = bruhat_decompose(g)
     assert cell_index(g) == tau
+    return tau
+
+
+def test_routes_agree_on_a_sample_of_rank_5_cells():
+    rng = random.Random(5)
+    perms = all_perms(5)
+    for t, tau in enumerate([perms[0], perms[-1], *rng.sample(perms, 10)]):
+        _, g = _cell_matrix(trial_rng(14, t), tau)
+        assert _both_routes(g) == tau
+
+
+def test_routes_agree_at_the_component_bound():
+    # components are fractions with MAX_COMPONENT_DIGITS digits above and below
+    # the line: dense matrices land in the big cell, built ones in their own
+    rng = random.Random(30)
+    for _ in range(3):
+        g = QMatrix(tuple(tuple(_big_quaternion(rng) for _ in range(4)) for _ in range(4)))
+        assert _both_routes(g) == (4, 3, 2, 1)
+    for tau in [(1, 2, 3, 4), (2, 3, 1, 4), (3, 1, 4, 2), (4, 3, 2, 1)]:
+        _, g = _cell_matrix(rng, tau, _big_quaternion, _big_upper_triangular)
+        assert _both_routes(g) == tau
+
+
+def _from_flag_rows(rows):
+    """The matrix g whose conjugate transpose g^† has these rows."""
+    return QMatrix(tuple(tuple(row[j].conjugate() for row in rows) for j in range(len(rows))))
+
+
+def test_singular_means_a_left_combination_of_flag_rows():
+    # the rows of g^† span the flag; a last row sum(lam_i * a_i) lies in the
+    # left span of the others, while sum(a_i * lam_i) in general does not.
+    # At MAX_COMPONENT_DIGITS-digit components the integer rows of cell_index
+    # grow and are divided by their gcd at every step before the last clears
+    small, large = trial_rng(12, 0), random.Random(31)
+    cases = [
+        ([[_non_real(small) for _ in range(3)] for _ in range(2)], [I, J], (3, 2, 1)),
+        ([[_big_quaternion(large) for _ in range(4)] for _ in range(3)],
+         [_big_quaternion(large) for _ in range(3)], (4, 3, 2, 1)),
+    ]
+    for flag, scalars, big_cell in cases:
+        left = right = [ZERO] * len(flag[0])
+        for lam, row in zip(scalars, flag):
+            left = [e + lam * f for e, f in zip(left, row)]
+            right = [e + f * lam for e, f in zip(right, row)]
+        for route in (cell_index, bruhat_decompose):
+            with pytest.raises(SingularMatrix):
+                route(_from_flag_rows([*flag, left]))
+        assert _both_routes(_from_flag_rows([*flag, right])) == big_cell
